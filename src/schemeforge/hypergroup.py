@@ -4,7 +4,8 @@ unique inverses, associativity, and reversibility.
 Elements are 0..m-1.  ``table[a][b]`` is the nonempty set a*b; products of
 subsets are unions of cell products.  Verification is exhaustive: every axiom
 is checked over all triples, and every construction in this module re-verifies
-its output.
+its output.  Sub-hypergroups are the exception: a subset that contains e and is
+closed under * and inv inherits every axiom, so only that closure is checked.
 """
 
 from __future__ import annotations
@@ -141,35 +142,53 @@ def group_as_hypergroup(cayley, e: int, inv) -> Hypergroup:
     return h
 
 
-def _restricted_table(h: Hypergroup, kset: tuple[int, ...]):
-    """Reindexed table of a multiplication-closed subset, or None if not closed."""
-    pos = {x: i for i, x in enumerate(kset)}
-    table = []
-    for a in kset:
-        row = []
-        for b in kset:
-            cell = h.table[a][b]
-            if not all(t in pos for t in cell):
-                return None
-            row.append({pos[t] for t in cell})
-        table.append(row)
-    return table
-
-
 def is_sub_hypergroup(h: Hypergroup, kset) -> bool:
-    """True when the subset contains e, is closed under * and inv, and the
-    restricted table passes full hypergroup verification."""
+    """True when the subset contains e and is closed under * and inv.  It then
+    inherits every axiom from h: associativity and reversibility speak of cells
+    inside it, e is its only identity (c*e = {c}), and inv(x) is x's only partner."""
     kset = tuple(sorted({int(x) for x in kset}))
     if not kset or not all(0 <= x < h.m for x in kset):
         raise ValueError(f"element set out of range: {kset}")
     members = set(kset)
-    if h.e not in members or not all(h.inv[x] in members for x in members):
-        return False
-    table = _restricted_table(h, kset)
-    if table is None:
-        return False
-    pos = {x: i for i, x in enumerate(kset)}
-    return isinstance(build_hypergroup(table, pos[h.e], [pos[h.inv[x]] for x in kset]), Hypergroup)
+    return h.e in members and all(
+        h.inv[a] in members and h.table[a][b] <= members for a in kset for b in kset
+    )
+
+
+def closure_lattice(masks, e: int, inv) -> list[frozenset[int]]:
+    """Every subset that contains e and is closed under * and inv, in
+    lexicographic order of its sorted members; ``masks[a][b]`` is a*b as a bitmask.
+
+    Starts from the closure of {e}, then joins each closed set found with one
+    outside element at a time and closes again.  This reaches every closed K:
+    joining a closed T inside K with an element of K outside T gives a larger
+    closed set, still inside K.
+    """
+    def bits(mask: int) -> list[int]:
+        return [x for x in range(len(masks)) if mask >> x & 1]
+
+    def join(base: int, x: int) -> int:
+        mask, members, todo = base | 1 << x, bits(base) + [x], [x]
+        while todo:
+            a = todo.pop()
+            acc = 1 << inv[a]
+            for b in members:
+                acc |= masks[a][b] | masks[b][a]
+            fresh = bits(acc & ~mask)
+            mask |= acc
+            members += fresh
+            todo += fresh
+        return mask
+
+    todo = [join(0, e)]
+    seen = set(todo)
+    while todo:
+        base = todo.pop()
+        for joined in (join(base, x) for x in bits(~base)):
+            if joined not in seen:
+                seen.add(joined)
+                todo.append(joined)
+    return sorted((frozenset(bits(k)) for k in seen), key=sorted)
 
 
 def sub_hypergroups(h: Hypergroup) -> list[frozenset[int]]:
@@ -178,15 +197,8 @@ def sub_hypergroups(h: Hypergroup) -> list[frozenset[int]]:
         raise SizeGuardError(
             f"sub-hypergroup enumeration refused: m={h.m} exceeds bound {SUB_HYPERGROUP_BOUND}"
         )
-    rest = [x for x in range(h.m) if x != h.e]
-    found = []
-    for k in range(len(rest) + 1):
-        for combo in itertools.combinations(rest, k):
-            kset = tuple(sorted((h.e,) + combo))
-            if is_sub_hypergroup(h, kset):
-                found.append(frozenset(kset))
-    found.sort(key=lambda t: tuple(sorted(t)))
-    return found
+    masks = [[sum(1 << t for t in cell) for cell in row] for row in h.table]
+    return closure_lattice(masks, h.e, h.inv)
 
 
 def is_normal_sub(h: Hypergroup, lset) -> tuple[bool, bool]:

@@ -13,11 +13,11 @@ scheme exactly when these counts do not depend on the chosen (y, z).
 from __future__ import annotations
 
 import dataclasses
-import itertools
 
 import numpy as np
 
 from .errors import SizeGuardError, Violation
+from .hypergroup import closure_lattice
 
 CLOSED_SUBSET_CLASS_BOUND = 25
 _WITNESS_CAP = 25
@@ -171,46 +171,36 @@ def is_commutative(scheme: AssociationScheme) -> bool:
     return bool(np.array_equal(scheme.constants, scheme.constants.transpose(1, 0, 2)))
 
 
-def _product_supports(scheme: AssociationScheme) -> list[list[frozenset[int]]]:
-    c = scheme.constants
-    return [
-        [frozenset(int(r) for r in np.nonzero(c[p, q])[0]) for q in range(scheme.s)]
-        for p in range(scheme.s)
-    ]
+def _is_closed(supports: np.ndarray, star, tset: frozenset[int]) -> bool:
+    """0 in T and star(T)T inside T, read from the boolean array constants > 0."""
+    members = sorted(tset)
+    products = supports[np.ix_([star[p] for p in members], members)].any(axis=(0, 1))
+    return 0 in tset and set(np.flatnonzero(products).tolist()) <= tset
 
 
 def is_closed(scheme: AssociationScheme, tset) -> bool:
     """True when the class set contains the diagonal class and star(T)T stays inside T."""
     (tset,) = _check_class_sets(scheme, tset)
-    if 0 not in tset:
-        return False
-    supports = _product_supports(scheme)
-    star = scheme.star
-    return all(supports[star[p]][q] <= tset for p in tset for q in tset)
+    return _is_closed(scheme.constants > 0, scheme.star, tset)
 
 
 def closed_subsets(scheme: AssociationScheme) -> list[frozenset[int]]:
     """All closed class subsets, in lexicographic order of their sorted members.
 
-    Enumerates the power set filtered down to star-closed candidates; refused
-    for schemes with more than CLOSED_SUBSET_CLASS_BOUND classes.
+    A class set containing 0 has star(T)T inside T exactly when it is closed
+    under complex product and star, so these are the closure lattice of the
+    support table of the constants (``hypergroup.closure_lattice``): one closure
+    per closed subset and outside class.  Refused for schemes with more than
+    CLOSED_SUBSET_CLASS_BOUND classes.
     """
     s = scheme.s
     if s > CLOSED_SUBSET_CLASS_BOUND:
         raise SizeGuardError(
             f"closed-subset enumeration refused: s={s} exceeds bound {CLOSED_SUBSET_CLASS_BOUND}"
         )
-    star = scheme.star
-    supports = _product_supports(scheme)
-    orbits = sorted({tuple(sorted({p, star[p]})) for p in range(1, s)})
-    found = []
-    for k in range(len(orbits) + 1):
-        for combo in itertools.combinations(orbits, k):
-            tset = frozenset({0}.union(*combo)) if combo else frozenset({0})
-            if all(supports[star[p]][q] <= tset for p in tset for q in tset):
-                found.append(tset)
-    found.sort(key=lambda t: tuple(sorted(t)))
-    return found
+    # bit r of masks[p, q] marks r in pq; the bound keeps s bits inside int64
+    masks = (scheme.constants > 0) @ (1 << np.arange(s, dtype=np.int64))
+    return closure_lattice(masks.tolist(), 0, scheme.star)
 
 
 def is_primitive(scheme: AssociationScheme) -> bool:
@@ -221,18 +211,16 @@ def is_primitive(scheme: AssociationScheme) -> bool:
 def is_normal_closed(scheme: AssociationScheme, tset) -> tuple[bool, bool]:
     """Normality of a closed subset: (pT == Tp for all p, star(p)Tp == T for all p)."""
     (tset,) = _check_class_sets(scheme, tset)
-    if not is_closed(scheme, tset):
+    supports, star = scheme.constants > 0, scheme.star
+    if not _is_closed(supports, star, tset):
         raise ValueError(f"class set {sorted(tset)} is not closed")
-    star = scheme.star
-    normal = all(
-        complex_mult(scheme, {p}, tset) == complex_mult(scheme, tset, {p})
-        for p in scheme.classes()
-    )
-    strongly = all(
-        complex_mult(scheme, complex_mult(scheme, {star[p]}, tset), {p}) == tset
-        for p in scheme.classes()
-    )
-    return normal, strongly
+    members = sorted(tset)
+    # row p: the supports of pT, Tp and star(p)Tp
+    p_t = supports[:, members].any(axis=1)
+    t_p = supports[members].any(axis=0)
+    star_p_t_p = (p_t[list(star), :, None] & supports.transpose(1, 0, 2)).any(axis=1)
+    inside = np.isin(np.arange(scheme.s), members)
+    return bool((p_t == t_p).all()), bool((star_p_t_p == inside).all())
 
 
 def restrict_scheme(scheme: AssociationScheme, tset, x0: int) -> AssociationScheme:

@@ -7,6 +7,7 @@ import functools
 
 from .constructions import (
     ValuedRing,
+    additive_group,
     alternating_group,
     cyclic_group,
     fano_flag_scheme,
@@ -26,6 +27,7 @@ from .constructions import (
     zmod_ring,
     ring_units,
 )
+from .errors import require
 from .hypergroup import Hypergroup
 from .realize import to_hypergroup
 from .scheme import AssociationScheme, build_scheme
@@ -44,14 +46,10 @@ def _valuation_partition_scheme(name: str) -> AssociationScheme:
     # built from the distance partition directly: it is a scheme (the orbit
     # partition under unit scaling) whether or not the triangle condition holds
     v = _valued_rings()[name]
-    scheme = build_scheme(v.ring.order, valuation_relation(v))
-    assert isinstance(scheme, AssociationScheme)
-    return scheme
+    return require(build_scheme(v.ring.order, valuation_relation(v)))
 
 
 def _unit_partition_scheme(ring, units) -> AssociationScheme:
-    from .constructions import additive_group
-
     return partition_scheme(additive_group(ring), scaling_automorphisms(ring, units))
 
 
@@ -124,8 +122,3 @@ def catalog_valued_ring(name: str) -> ValuedRing:
         raise KeyError(
             f"unknown valued ring {name!r}; choices: {', '.join(valued_ring_names())}"
         ) from None
-
-
-def acceptance_scheme_names() -> list[str]:
-    """Every catalog scheme, in a fixed order (used by the verification suites)."""
-    return scheme_names()

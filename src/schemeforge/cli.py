@@ -14,18 +14,11 @@ import sys
 
 from . import catalog, io
 from .constructions import check_triangle_condition, geometry_from_hypergroup
-from .errors import GeometryError, SchemeForgeError
-from .hypergroup import (
-    Hypergroup,
-    HypergroupReport,
-    product_hypergroup,
-    quotient_hypergroup,
-    sub_hypergroups,
-)
+from .errors import Report, SchemeForgeError, VerificationError
+from .hypergroup import Hypergroup, product_hypergroup, quotient_hypergroup, sub_hypergroups
 from .realize import search_realization, to_hypergroup
 from .scheme import (
     AssociationScheme,
-    SchemeReport,
     closed_subsets,
     complex_mult,
     is_commutative,
@@ -60,11 +53,6 @@ def _witness_json(w) -> object:
 
 def _violations_json(violations) -> list[dict]:
     return [{"axiom": v.axiom, "witness": _witness_json(v.witness)} for v in violations]
-
-
-def _print_violations(violations, cap: int) -> None:
-    for v in violations[:cap]:
-        print(v.text())
 
 
 def _read_file(path: str) -> str:
@@ -105,44 +93,50 @@ def _load_hypergroup(token: str):
         try:
             if isinstance(obj, dict) and "rel" in obj:
                 scheme = io.load_scheme(text)
-                if isinstance(scheme, SchemeReport):
-                    return HypergroupReport(False, scheme.violations)
-                return to_hypergroup(scheme)
+                return scheme if isinstance(scheme, Report) else to_hypergroup(scheme)
             return io.load_hypergroup(text)
         except ValueError as exc:
             raise _UsageError(f"malformed hypergroup file {token}: {exc}") from exc
     raise _UsageError(f"unknown hypergroup {token!r}: not a catalog name or file")
 
 
-def _require_scheme(token: str, args) -> AssociationScheme:
-    result = _load_scheme(token)
-    if isinstance(result, SchemeReport):
-        _emit_report(result.violations, args, kind="scheme")
+def _emit_report(report: Report, args, verdict: str, key: str = "valid") -> None:
+    """Print a verdict: JSON {key: ok, violations}, or the capped witnesses and a last line."""
+    if args.json:
+        print(io.canonical_json({key: report.ok, "violations": _violations_json(report.violations)}))
+        return
+    for v in report.violations[:args.witnesses]:
+        print(v.text())
+    print(verdict)
+
+
+def _require(result, args, kind: str):
+    """A loaded value, or exit 1 after reporting why it failed verification."""
+    if isinstance(result, Report):
+        _emit_report(result, args, f"invalid {kind}: {len(result.violations)} violation(s) recorded")
         raise SystemExit(1)
     return result
+
+
+def _require_scheme(token: str, args) -> AssociationScheme:
+    return _require(_load_scheme(token), args, "scheme")
 
 
 def _require_hypergroup(token: str, args) -> Hypergroup:
-    result = _load_hypergroup(token)
-    if isinstance(result, HypergroupReport):
-        _emit_report(result.violations, args, kind="hypergroup")
-        raise SystemExit(1)
-    return result
+    return _require(_load_hypergroup(token), args, "hypergroup")
 
 
-def _emit_report(violations, args, kind: str) -> None:
-    if args.json:
-        print(io.canonical_json({"valid": False, "violations": _violations_json(violations)}))
-    else:
-        _print_violations(violations, args.witnesses)
-        print(f"invalid {kind}: {len(violations)} violation(s) recorded")
+def _write_out(text: str, args) -> bool:
+    """Write text to --out when the verb has one and it is given."""
+    if not getattr(args, "out", None):
+        return False
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+    return True
 
 
 def _write_or_print(text: str, args) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
+    if not _write_out(text, args):
         print(text)
 
 
@@ -166,51 +160,21 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
-def _scheme_summary(scheme: AssociationScheme) -> str:
-    word = "commutative" if is_commutative(scheme) else "non-commutative"
-    return f"valid, s={scheme.s}, {word}"
-
-
-def _cmd_build(args) -> int:
-    result = _load_scheme(args.file)
-    if isinstance(result, SchemeReport):
-        _emit_report(result.violations, args, kind="scheme")
-        return 1
-    if args.json:
-        print(io.canonical_json(
-            {"valid": True, "s": result.s, "commutative": is_commutative(result)}
-        ))
-    else:
-        print(_scheme_summary(result))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(io.dump_scheme(result) + "\n")
-    return 0
-
-
 def _cmd_verify(args) -> int:
+    """verify scheme|hyper TARGET; build FILE is verify scheme with --out."""
     if args.kind == "scheme":
-        result = _load_scheme(args.target)
-        if isinstance(result, SchemeReport):
-            _emit_report(result.violations, args, kind="scheme")
-            return 1
-        if args.json:
-            print(io.canonical_json(
-                {"valid": True, "s": result.s, "commutative": is_commutative(result)}
-            ))
-        else:
-            print(_scheme_summary(result))
-        return 0
-    result = _load_hypergroup(args.target)
-    if isinstance(result, HypergroupReport):
-        _emit_report(result.violations, args, kind="hypergroup")
-        return 1
-    commutative = result.is_commutative()
+        result = _require_scheme(args.target, args)
+        label, size, commutative = "s", result.s, is_commutative(result)
+    else:
+        result = _require_hypergroup(args.target, args)
+        label, size, commutative = "m", result.m, result.is_commutative()
     if args.json:
-        print(io.canonical_json({"valid": True, "m": result.m, "commutative": commutative}))
+        print(io.canonical_json({"valid": True, label: size, "commutative": commutative}))
     else:
         word = "commutative" if commutative else "non-commutative"
-        print(f"valid, m={result.m}, {word}")
+        print(f"valid, {label}={size}, {word}")
+    if args.kind == "scheme":
+        _write_out(io.dump_scheme(result), args)
     return 0
 
 
@@ -224,9 +188,7 @@ def _cmd_hyper(args) -> int:
     if args.json:
         _write_or_print(io.dump_hypergroup(h), args)
         return 0
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(io.dump_hypergroup(h) + "\n")
+    _write_out(io.dump_hypergroup(h), args)
     print(f"m={h.m} e={h.e} inv={list(h.inv)}")
     for p in range(h.m):
         for q in range(h.m):
@@ -304,9 +266,7 @@ def _cmd_search(args) -> int:
     else:
         print(f"found on n={found.n} points")
         print(io.dump_scheme(found))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(io.dump_scheme(found) + "\n")
+    _write_out(io.dump_scheme(found), args)
     return 0
 
 
@@ -314,37 +274,25 @@ def _cmd_geometry(args) -> int:
     h = _require_hypergroup(args.target, args)
     try:
         geom = geometry_from_hypergroup(h)
-    except GeometryError as exc:
-        if args.json:
-            print(io.canonical_json(
-                {"valid": False, "violations": _violations_json(exc.violations)}
-            ))
-        else:
-            _print_violations(exc.violations, args.witnesses)
-            print("geometry axioms fail")
+    except VerificationError as exc:
+        _emit_report(Report(exc.violations), args, "geometry axioms fail")
         return 1
     if args.json:
         _write_or_print(io.dump_geometry(geom), args)
         return 0
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(io.dump_geometry(geom) + "\n")
+    _write_out(io.dump_geometry(geom), args)
     print(f"points={geom.n_points} lines={len(geom.lines)} degenerate={str(geom.degenerate).lower()}")
     return 0
 
 
 def _cmd_triangle(args) -> int:
-    v = catalog.catalog_valued_ring(args.name)
-    report = check_triangle_condition(v)
-    if args.json:
-        print(io.canonical_json(
-            {"ok": report.ok, "violations": _violations_json(report.violations)}
-        ))
-    elif report.ok:
-        print("triangle condition holds")
-    else:
-        _print_violations(report.violations, args.witnesses)
-        print("triangle condition fails")
+    if args.name not in catalog.valued_ring_names():
+        raise _UsageError(
+            f"unknown valued ring {args.name!r}; choices: {', '.join(catalog.valued_ring_names())}"
+        )
+    report = check_triangle_condition(catalog.catalog_valued_ring(args.name))
+    verdict = "triangle condition holds" if report.ok else "triangle condition fails"
+    _emit_report(report, args, verdict, key="ok")
     return 0 if report.ok else 1
 
 
@@ -371,8 +319,9 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_parser("catalog", parents=[common], help="list built-in named instances")
 
     p = sub.add_parser("build", parents=[common], help="verify a scheme file")
-    p.add_argument("file")
+    p.add_argument("target", metavar="file")
     p.add_argument("--out", help="write the canonical scheme JSON here")
+    p.set_defaults(kind="scheme")
 
     p = sub.add_parser("verify", parents=[common], help="verify a scheme or hypergroup")
     p.add_argument("kind", choices=["scheme", "hyper"])
@@ -429,7 +378,7 @@ def _parser() -> argparse.ArgumentParser:
 
 _HANDLERS = {
     "catalog": _cmd_catalog,
-    "build": _cmd_build,
+    "build": _cmd_verify,
     "verify": _cmd_verify,
     "hyper": _cmd_hyper,
     "mult": _cmd_mult,
@@ -458,9 +407,6 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     except SchemeForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)

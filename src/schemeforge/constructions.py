@@ -14,7 +14,7 @@ from math import inf
 
 import numpy as np
 
-from .errors import GeometryError, SizeGuardError, TriangleConditionError, Violation
+from .errors import Report, SizeGuardError, VerificationError, Violation, require
 from .hypergroup import Hypergroup, build_hypergroup, group_as_hypergroup
 from .scheme import AssociationScheme, build_scheme
 
@@ -185,9 +185,7 @@ def partition_scheme(g: FiniteGroup, p: AutSubgroup) -> AssociationScheme:
     inv = np.array(g.inv, dtype=np.int64)
     diff = t[np.arange(g.order)[:, None], inv[None, :]]
     rel = np.array(orbit_of, dtype=np.int64)[diff]
-    result = build_scheme(g.order, rel)
-    assert isinstance(result, AssociationScheme), "orbit partitions always give schemes"
-    return result
+    return require(build_scheme(g.order, rel))
 
 
 def group_scheme(g: FiniteGroup) -> AssociationScheme:
@@ -208,9 +206,7 @@ def partition_hypergroup(g: FiniteGroup, p: AutSubgroup) -> Hypergroup:
     ]
     e = orbit_of[g.e]
     inv = [orbit_of[g.inv[orb[0]]] for orb in orbit_list]
-    out = build_hypergroup(table, e, inv)
-    assert isinstance(out, Hypergroup), "orbit partitions of groups give hypergroups"
-    return out
+    return require(build_hypergroup(table, e, inv))
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +219,6 @@ class FiniteRing:
     mul: tuple[tuple[int, ...], ...]
     zero: int
     one: int
-
-    def neg(self, a: int) -> int:
-        return additive_group(self).inv[a]
 
 
 def build_ring(add, mul) -> FiniteRing:
@@ -359,7 +352,8 @@ def quotient_hyperring(r: FiniteRing, elements: Iterable[int]) -> QuotientHyperr
     aut = scaling_automorphisms(r, elems)
     orbit_list, orbit_of = orbits(aut)
     k = len(orbit_list)
-    assert orbit_list[0] == (r.zero,), "the zero orbit is always a fixed point"
+    if orbit_list[0] != (r.zero,):
+        raise VerificationError([Violation("zero_orbit", orbit_list[0])], "zero orbit is not {0}")
 
     table = []
     for oa in orbit_list:
@@ -372,31 +366,38 @@ def quotient_hyperring(r: FiniteRing, elements: Iterable[int]) -> QuotientHyperr
             ))
         table.append(row)
     neg = additive_group(r).inv
-    hg = build_hypergroup(table, orbit_of[r.zero], [orbit_of[neg[o[0]]] for o in orbit_list])
-    assert isinstance(hg, Hypergroup), "quotient hyperaddition is a hypergroup"
+    hg = require(build_hypergroup(table, orbit_of[r.zero], [orbit_of[neg[o[0]]] for o in orbit_list]))
 
     mult_rows = []
     for oa in orbit_list:
         row = []
         for ob in orbit_list:
             images = {orbit_of[r.mul[x][y]] for x in oa for y in ob}
-            assert len(images) == 1, "orbit product must be single-valued"
+            if len(images) != 1:
+                raise VerificationError([Violation("mult_single_valued", (oa[0], ob[0]))],
+                                        "orbit product is not single-valued")
             row.append(images.pop())
         mult_rows.append(tuple(row))
     mult = tuple(mult_rows)
 
     one_cls = orbit_of[r.one]
-    assert all(mult[one_cls][b] == b for b in range(k)), "unit orbit must be the identity"
-    assert all(mult[a][b] == mult[b][a] for a in range(k) for b in range(k))
-    assert all(
-        mult[mult[a][b]][c] == mult[a][mult[b][c]]
-        for a, b, c in itertools.product(range(k), repeat=3)
-    )
-    assert all(mult[0][b] == 0 for b in range(k)), "zero orbit must be absorbing"
-    for a, b, c in itertools.product(range(k), repeat=3):
-        left = frozenset(mult[t][c] for t in hg.table[a][b])
-        right = hg.table[mult[a][c]][mult[b][c]]
-        assert left == right, f"distributivity fails at {(a, b, c)}"
+    triples = list(itertools.product(range(k), repeat=3))
+    bad = [Violation("mult_identity", (b,)) for b in range(k) if mult[one_cls][b] != b]
+    bad += [Violation("mult_zero", (b,)) for b in range(k) if mult[0][b] != 0]
+    bad += [
+        Violation("mult_commutative", (a, b)) for a, b in itertools.product(range(k), repeat=2)
+        if mult[a][b] != mult[b][a]
+    ]
+    bad += [
+        Violation("mult_associative", (a, b, c)) for a, b, c in triples
+        if mult[mult[a][b]][c] != mult[a][mult[b][c]]
+    ]
+    bad += [
+        Violation("distributive", (a, b, c)) for a, b, c in triples
+        if frozenset(mult[t][c] for t in hg.table[a][b]) != hg.table[mult[a][c]][mult[b][c]]
+    ]
+    if bad:
+        raise VerificationError(bad, "quotient hyperring axioms fail")
 
     return QuotientHyperring(
         ring=r, group=elems, orbit_reps=tuple(orbit_list), orbit_of=orbit_of,
@@ -409,9 +410,7 @@ def quotient_hyperring(r: FiniteRing, elements: Iterable[int]) -> QuotientHyperr
 
 def krasner_hypergroup() -> Hypergroup:
     """Two elements 0, 1 with 1+1 = {0, 1}."""
-    h = build_hypergroup([[{0}, {1}], [{1}, {0, 1}]], 0, (0, 1))
-    assert isinstance(h, Hypergroup)
-    return h
+    return require(build_hypergroup([[{0}, {1}], [{1}, {0, 1}]], 0, (0, 1)))
 
 
 def sign_hypergroup() -> Hypergroup:
@@ -421,9 +420,7 @@ def sign_hypergroup() -> Hypergroup:
         [{1}, {1}, {0, 1, 2}],
         [{2}, {0, 1, 2}, {2}],
     ]
-    h = build_hypergroup(table, 0, (0, 2, 1))
-    assert isinstance(h, Hypergroup)
-    return h
+    return require(build_hypergroup(table, 0, (0, 2, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +449,7 @@ def hamming_scheme(n: int, q: int = 2) -> AssociationScheme:
         for lo in range(0, size, step):
             hi = min(size, lo + step)
             rel[lo:hi] = (digits[lo:hi, None, :] != digits[None, :, :]).sum(axis=2)
-    result = build_scheme(size, rel)
-    assert isinstance(result, AssociationScheme), "Hamming distance partitions are schemes"
-    return result
+    return require(build_scheme(size, rel))
 
 
 def fano_plane() -> tuple[int, list[tuple[int, ...]]]:
@@ -498,9 +493,7 @@ def fano_flag_scheme() -> AssociationScheme:
             else:
                 c = 5
             rel[i, j] = c
-    result = build_scheme(nf, rel)
-    assert isinstance(result, AssociationScheme)
-    return result
+    return require(build_scheme(nf, rel))
 
 
 # ---------------------------------------------------------------------------
@@ -532,9 +525,7 @@ def linear_hypergroup(chain: Sequence) -> Hypergroup:
                 table[x][y] = {0} | set(range(x, m))
             else:
                 table[x][y] = {min(x, y)}
-    out = build_hypergroup(table, 0, tuple(range(m)))
-    assert isinstance(out, Hypergroup), "the min rule always gives a hypergroup"
-    return out
+    return require(build_hypergroup(table, 0, tuple(range(m))))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -613,13 +604,10 @@ def trivial_valued_ring(ring: FiniteRing) -> ValuedRing:
     return valued_ring(ring, (0, inf), [inf if x == ring.zero else 0 for x in range(ring.order)])
 
 
-@dataclasses.dataclass(frozen=True)
-class TriangleReport:
-    ok: bool
-    violations: tuple[Violation, ...]
+TriangleReport = Report  # former name, kept for existing callers
 
 
-def check_triangle_condition(v: ValuedRing) -> TriangleReport:
+def check_triangle_condition(v: ValuedRing) -> Report:
     """For each value r, the equidistant-third-point sets of all pairs at
     distance r must be nonempty and share one cardinality."""
     ring = v.ring
@@ -647,7 +635,7 @@ def check_triangle_condition(v: ValuedRing) -> TriangleReport:
                     "triangle_cardinality", (label, reference[1], reference[0], (a, b), card)
                 ))
                 break
-    return TriangleReport(ok=not bad, violations=tuple(bad))
+    return Report(tuple(bad))
 
 
 def valuation_relation(v: ValuedRing) -> np.ndarray:
@@ -667,11 +655,8 @@ def valuation_scheme(v: ValuedRing) -> AssociationScheme:
     """Scheme of the value-distance partition; requires the triangle condition."""
     report = check_triangle_condition(v)
     if not report.ok:
-        raise TriangleConditionError(report.violations)
-    result = build_scheme(v.ring.order, valuation_relation(v))
-    assert isinstance(result, AssociationScheme), \
-        "the triangle condition makes the distance partition a scheme"
-    return result
+        raise VerificationError(report.violations, "triangle condition fails")
+    return require(build_scheme(v.ring.order, valuation_relation(v)))
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +730,7 @@ def geometry_from_hypergroup(h: Hypergroup) -> IncidenceGeometry:
     sum (minus the identity) together with the points themselves.
 
     The extracted line set is verified against all geometry axioms; violations
-    raise GeometryError with witnesses.  Geometries with at most one point or
+    raise VerificationError with witnesses.  Geometries with at most one point or
     at most one line are flagged degenerate but accepted.
     """
     if not is_k_vector_space(h):
@@ -763,6 +748,6 @@ def geometry_from_hypergroup(h: Hypergroup) -> IncidenceGeometry:
     line_tuples = sorted(tuple(sorted(pos[t] for t in line)) for line in lines)
     bad = check_geometry(len(elems), line_tuples)
     if bad:
-        raise GeometryError(bad)
+        raise VerificationError(bad, "geometry axiom fails")
     degenerate = len(elems) <= 1 or len(line_tuples) <= 1
     return IncidenceGeometry(n_points=len(elems), lines=tuple(line_tuples), degenerate=degenerate)

@@ -1,4 +1,10 @@
-"""Shared error types and the violation record used by all verification reports."""
+"""Shared error types and the one verification surface of the package.
+
+Every builder either returns a verified value or a ``Report`` of violations,
+and ``require`` turns such a result into the value or a ``VerificationError``.
+Internal invariants are checked with explicit raises, never with ``assert``,
+so the contract also holds under ``python -O``.
+"""
 
 from __future__ import annotations
 
@@ -16,6 +22,25 @@ class Violation:
         return f"AXIOM {self.axiom} WITNESS {self.witness}"
 
 
+@dataclasses.dataclass(frozen=True)
+class Report:
+    """Outcome of a verification: the violations found, each with a witness.
+
+    Builders return one only on failure; check functions return one either way.
+    """
+
+    violations: tuple[Violation, ...]
+
+    @property
+    def valid(self) -> bool:
+        return not self.violations
+
+    ok = valid
+
+    def text(self) -> str:
+        return "\n".join(v.text() for v in self.violations)
+
+
 class SchemeForgeError(ValueError):
     """Base class for contract violations raised by this package."""
 
@@ -24,25 +49,20 @@ class SizeGuardError(SchemeForgeError):
     """An enumeration was refused because the input exceeds its hard size bound."""
 
 
-class TriangleConditionError(SchemeForgeError):
-    """A valued ring failed the triangle condition required for its distance scheme."""
+class VerificationError(SchemeForgeError):
+    """A verification failed; ``violations`` carry the witnesses."""
 
-    def __init__(self, violations):
+    def __init__(self, violations, what: str = "verification fails"):
         self.violations = tuple(violations)
-        super().__init__(f"triangle condition fails: {self.violations[0].text()}")
+        super().__init__(f"{what}: {self.violations[0].text()}")
 
 
-class CongruenceError(SchemeForgeError):
-    """A block partition is not a congruence relation; carries a witness."""
-
-    def __init__(self, violations):
-        self.violations = tuple(violations)
-        super().__init__(f"not a congruence relation: {self.violations[0].text()}")
+# former names, kept so existing callers keep working
+TriangleConditionError = CongruenceError = GeometryError = VerificationError
 
 
-class GeometryError(SchemeForgeError):
-    """Extracted point/line data violates the incidence-geometry axioms."""
-
-    def __init__(self, violations):
-        self.violations = tuple(violations)
-        super().__init__(f"geometry axiom fails: {self.violations[0].text()}")
+def require(result):
+    """The verified value a builder returned, or VerificationError for its Report."""
+    if isinstance(result, Report):
+        raise VerificationError(result.violations)
+    return result

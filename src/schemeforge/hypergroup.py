@@ -14,20 +14,13 @@ import dataclasses
 import itertools
 from collections.abc import Iterable
 
-from .errors import CongruenceError, SizeGuardError, Violation
+from .errors import Report, SizeGuardError, VerificationError, Violation, require
 
 SUB_HYPERGROUP_BOUND = 20
 ISOMORPHISM_BOUND = 24
 _WITNESS_CAP = 25
 
-
-@dataclasses.dataclass(frozen=True)
-class HypergroupReport:
-    valid: bool
-    violations: tuple[Violation, ...]
-
-    def text(self) -> str:
-        return "\n".join(v.text() for v in self.violations)
+HypergroupReport = Report  # former name, kept for existing callers
 
 
 @dataclasses.dataclass(frozen=True)
@@ -125,11 +118,11 @@ def hypergroup_violations(table, e: int, inv) -> list[Violation]:
     return bad
 
 
-def build_hypergroup(table, e: int, inv) -> Hypergroup | HypergroupReport:
+def build_hypergroup(table, e: int, inv) -> Hypergroup | Report:
     """Exhaustively verify all hypergroup axioms; return the value or a report."""
     bad = hypergroup_violations(table, e, inv)
     if bad:
-        return HypergroupReport(False, tuple(bad))
+        return Report(tuple(bad))
     rows = _normalize_table(table)
     return Hypergroup(m=len(rows), table=rows, e=int(e), inv=tuple(int(x) for x in inv))
 
@@ -137,9 +130,7 @@ def build_hypergroup(table, e: int, inv) -> Hypergroup | HypergroupReport:
 def group_as_hypergroup(cayley, e: int, inv) -> Hypergroup:
     """Wrap a group's Cayley table in singleton cells."""
     table = [[{cayley[a][b]} for b in range(len(cayley))] for a in range(len(cayley))]
-    h = build_hypergroup(table, e, inv)
-    assert isinstance(h, Hypergroup), "groups are hypergroups"
-    return h
+    return require(build_hypergroup(table, e, inv))
 
 
 def is_sub_hypergroup(h: Hypergroup, kset) -> bool:
@@ -228,7 +219,8 @@ def quotient_hypergroup(h: Hypergroup, nset) -> Hypergroup:
     coset_of = [0] * h.m
     for x in range(h.m):
         coset = h.product({x}, nset)
-        assert x in coset
+        if x not in coset:
+            raise VerificationError([Violation("coset", (x,))], "element outside its coset")
         coset_of[x] = coset_sets.setdefault(coset, len(coset_sets))
     cosets = sorted(coset_sets, key=min)
     renumber = {coset_sets[c]: i for i, c in enumerate(cosets)}
@@ -239,14 +231,14 @@ def quotient_hypergroup(h: Hypergroup, nset) -> Hypergroup:
         row = []
         for cj in cosets:
             images = {frozenset(coset_of[t] for t in h.table[x][y]) for x in ci for y in cj}
-            assert len(images) == 1, "coset product must not depend on representatives"
+            if len(images) != 1:
+                raise VerificationError([Violation("representatives", (min(ci), min(cj)))],
+                                        "coset product depends on representatives")
             row.append(images.pop())
         table.append(row)
     e_q = coset_of[h.e]
     inv_q = [coset_of[h.inv[min(c)]] for c in cosets]
-    out = build_hypergroup(table, e_q, inv_q)
-    assert isinstance(out, Hypergroup), "quotient by a normal sub-hypergroup is a hypergroup"
-    return out
+    return require(build_hypergroup(table, e_q, inv_q))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -316,7 +308,7 @@ def congruence_quotient(h: Hypergroup, c: CongruenceRelation) -> Hypergroup:
     """Hypergroup on the congruence blocks; the canonical projection is strict."""
     bad = congruence_violations(h, c)
     if bad:
-        raise CongruenceError(bad)
+        raise VerificationError(bad, "not a congruence relation")
     raw_blocks = c.blocks()
     order = sorted(range(len(raw_blocks)), key=lambda i: min(raw_blocks[i]))
     blocks = [raw_blocks[i] for i in order]
@@ -331,13 +323,14 @@ def congruence_quotient(h: Hypergroup, c: CongruenceRelation) -> Hypergroup:
     ]
     e_q = renumber[h.e]
     inv_q = [renumber[h.inv[block[0]]] for block in blocks]
-    out = build_hypergroup(table, e_q, inv_q)
-    assert isinstance(out, Hypergroup), "congruence quotient is a hypergroup"
+    out = require(build_hypergroup(table, e_q, inv_q))
     # strictness of the projection: blockwise image of x*y equals [x] box [y]
-    assert all(
-        out.table[renumber[x]][renumber[y]] == frozenset(renumber[z] for z in h.table[x][y])
-        for x in range(h.m) for y in range(h.m)
-    ), "canonical projection must be strict"
+    loose = [
+        Violation("strict", (x, y)) for x in range(h.m) for y in range(h.m)
+        if out.table[renumber[x]][renumber[y]] != frozenset(renumber[z] for z in h.table[x][y])
+    ]
+    if loose:
+        raise VerificationError(loose, "canonical projection is not strict")
     return out
 
 
@@ -357,9 +350,7 @@ def product_hypergroup(h1: Hypergroup, h2: Hypergroup) -> Hypergroup:
     ]
     e = idx(h1.e, h2.e)
     inv = [idx(h1.inv[a1], h2.inv[a2]) for a1 in range(m1) for a2 in range(m2)]
-    out = build_hypergroup(table, e, inv)
-    assert isinstance(out, Hypergroup), "product of hypergroups is a hypergroup"
-    return out
+    return require(build_hypergroup(table, e, inv))
 
 
 def _signatures(h: Hypergroup) -> list[tuple]:
@@ -434,10 +425,12 @@ def hypergroup_isomorphic(h1: Hypergroup, h2: Hypergroup) -> tuple[int, ...] | N
     if not place(0):
         return None
     # full verification of the found bijection
-    assert phi[h1.e] == h2.e
-    assert all(phi[h1.inv[x]] == h2.inv[phi[x]] for x in range(m))
-    assert all(
-        {phi[t] for t in h1.table[x][y]} == set(h2.table[phi[x]][phi[y]])
-        for x in range(m) for y in range(m)
-    )
+    bad = [Violation("identity", (h1.e,))] if phi[h1.e] != h2.e else []
+    bad += [Violation("inverse", (x,)) for x in range(m) if phi[h1.inv[x]] != h2.inv[phi[x]]]
+    bad += [
+        Violation("product", (x, y)) for x in range(m) for y in range(m)
+        if {phi[t] for t in h1.table[x][y]} != h2.table[phi[x]][phi[y]]
+    ]
+    if bad:
+        raise VerificationError(bad, "found bijection is not an isomorphism")
     return tuple(phi)

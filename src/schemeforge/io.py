@@ -14,9 +14,9 @@ from .constructions import (
     build_ring,
     check_geometry,
 )
-from .errors import GeometryError
-from .hypergroup import Hypergroup, HypergroupReport, build_hypergroup
-from .scheme import AssociationScheme, SchemeReport, build_scheme
+from .errors import Report, VerificationError
+from .hypergroup import Hypergroup, build_hypergroup
+from .scheme import AssociationScheme, build_scheme
 
 
 def canonical_json(obj) -> str:
@@ -27,7 +27,7 @@ def dump_scheme(scheme: AssociationScheme) -> str:
     return canonical_json({"n": scheme.n, "rel": scheme.rel.tolist()})
 
 
-def load_scheme(text: str) -> AssociationScheme | SchemeReport:
+def load_scheme(text: str) -> AssociationScheme | Report:
     """Parse and rebuild a scheme; only the relation matrix is authoritative."""
     obj = json.loads(text)
     if not isinstance(obj, dict) or "n" not in obj or "rel" not in obj:
@@ -44,7 +44,7 @@ def dump_hypergroup(h: Hypergroup) -> str:
     })
 
 
-def load_hypergroup(text: str) -> Hypergroup | HypergroupReport:
+def load_hypergroup(text: str) -> Hypergroup | Report:
     obj = json.loads(text)
     needed = {"m", "e", "inv", "table"}
     if not isinstance(obj, dict) or not needed <= set(obj):
@@ -66,7 +66,7 @@ def load_geometry(text: str) -> IncidenceGeometry:
     lines = tuple(tuple(int(p) for p in line) for line in obj["lines"])
     bad = check_geometry(n, lines)
     if bad:
-        raise GeometryError(bad)
+        raise VerificationError(bad, "geometry axiom fails")
     return IncidenceGeometry(n_points=n, lines=lines, degenerate=n <= 1 or len(lines) <= 1)
 
 

@@ -11,14 +11,15 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .errors import SizeGuardError, Violation
-from .hypergroup import Hypergroup, build_hypergroup, hypergroup_isomorphic
+from .errors import SizeGuardError, VerificationError, Violation, require
+from .hypergroup import Hypergroup, build_hypergroup
 from .scheme import (
     AssociationScheme,
     build_scheme,
     double_cosets,
     product_scheme,
     quotient_blocks,
+    quotient_scheme,
 )
 
 SEARCH_POINT_BOUND = 8
@@ -33,9 +34,7 @@ def to_hypergroup(scheme: AssociationScheme) -> Hypergroup:
         [frozenset(int(r) for r in np.nonzero(scheme.constants[p, q])[0]) for q in scheme.classes()]
         for p in scheme.classes()
     ]
-    out = build_hypergroup(table, 0, scheme.star)
-    assert isinstance(out, Hypergroup), "every scheme yields a hypergroup"
-    return out
+    return require(build_hypergroup(table, 0, scheme.star))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -130,7 +129,9 @@ def induced_hom(f: SchemeMorphism) -> InducedHom:
     for p, q in itertools.product(range(hs.m), repeat=2):
         image = {cm[r] for r in hs.table[p][q]}
         cell = ht.table[cm[p]][cm[q]]
-        assert image <= cell, "induced class map must be a homomorphism"
+        if not image <= cell:
+            raise VerificationError([Violation("homomorphism", (p, q))],
+                                    "induced class map is not a homomorphism")
         if image != cell:
             strict = False
     return InducedHom(source=hs, target=ht, elem_map=cm, strict=strict)
@@ -143,8 +144,6 @@ def identity_morphism(scheme: AssociationScheme) -> SchemeMorphism:
 def quotient_projection(scheme: AssociationScheme, nset) -> tuple[SchemeMorphism, AssociationScheme]:
     """The projection onto the quotient by a closed normal subset: points go to
     their block, classes to their double coset.  Returns (morphism, quotient)."""
-    from .scheme import quotient_scheme  # local to avoid cycles in readers' heads
-
     quo = quotient_scheme(scheme, nset)
     _, block_of = quotient_blocks(scheme, nset)
     _, coset_of = double_cosets(scheme, nset)
@@ -212,6 +211,20 @@ def _valency_vectors(h: Hypergroup, n: int):
             yield val
 
 
+def _identity_first(h: Hypergroup) -> Hypergroup:
+    """h relabelled by swapping e and 0, so that the identity sits where the
+    diagonal class of every scheme does.  A relabelling keeps every axiom."""
+    if h.e == 0:
+        return h
+    swap = list(range(h.m))
+    swap[0], swap[h.e] = h.e, 0
+    table = tuple(
+        tuple(frozenset(swap[t] for t in h.table[swap[a]][swap[b]]) for b in range(h.m))
+        for a in range(h.m)
+    )
+    return Hypergroup(m=h.m, table=table, e=0, inv=tuple(swap[h.inv[swap[a]]] for a in range(h.m)))
+
+
 def _search_at_size(h: Hypergroup, n: int):
     """Backtracking over class matrices with s = m classes at a fixed point count.
 
@@ -240,11 +253,12 @@ def _search_at_size(h: Hypergroup, n: int):
             if i == len(cells):
                 leaves += 1
                 candidate = build_scheme(n, rel.copy())
+                # a literal match of table and inverses: the identity map is an
+                # isomorphism, so no isomorphism search is needed
                 if isinstance(candidate, AssociationScheme):
                     found = to_hypergroup(candidate)
                     if found.table == table and found.inv == star:
-                        if hypergroup_isomorphic(found, h) is not None:
-                            return candidate
+                        return candidate
                 return None
             x, z = cells[i]
             lo = rel[0, z - 1] if x == 0 and z >= 2 else 1
@@ -295,14 +309,16 @@ def search_realization(
     """Exhaustive search for a scheme whose class hypergroup is isomorphic to h.
 
     Explores point counts from the number of elements of h up to n_max, with
-    exactly one class per element.  Deterministic: the first scheme in the
-    fixed enumeration order is returned; per exhausted size a progress line
+    exactly one class per element; the identity of h is relabelled 0 first.
+    Deterministic: the first scheme in the fixed enumeration order is
+    returned; per exhausted size a progress line
     "n=<k> exhausted: <count> candidate matrices, 0 matches" is emitted.
     """
     if n_max > SEARCH_POINT_BOUND:
         raise SizeGuardError(
             f"realization search refused: n_max={n_max} exceeds bound {SEARCH_POINT_BOUND}"
         )
+    h = _identity_first(h)
     for n in range(h.m, n_max + 1):
         found, leaves = _search_at_size(h, n)
         if found is not None:

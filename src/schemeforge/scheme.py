@@ -16,22 +16,13 @@ import dataclasses
 
 import numpy as np
 
-from .errors import SizeGuardError, Violation
+from .errors import Report, SizeGuardError, VerificationError, Violation, require
 from .hypergroup import closure_lattice
 
 CLOSED_SUBSET_CLASS_BOUND = 25
 _WITNESS_CAP = 25
 
-
-@dataclasses.dataclass(frozen=True)
-class SchemeReport:
-    """Outcome of a failed verification; ``violations`` pinpoint the first bad axiom."""
-
-    valid: bool
-    violations: tuple[Violation, ...]
-
-    def text(self) -> str:
-        return "\n".join(v.text() for v in self.violations)
+SchemeReport = Report  # former name, kept for existing callers
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -55,11 +46,11 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def build_scheme(n: int, rel) -> AssociationScheme | SchemeReport:
+def build_scheme(n: int, rel) -> AssociationScheme | Report:
     """Verify the scheme axioms for an n x n class matrix by direct counting.
 
     Returns a fully populated AssociationScheme on success.  On failure returns
-    a SchemeReport whose violations all belong to the first failing axiom, each
+    a Report whose violations all belong to the first failing axiom, each
     with a concrete witness.
     """
     rel = np.asarray(rel)
@@ -67,18 +58,18 @@ def build_scheme(n: int, rel) -> AssociationScheme | SchemeReport:
 
     if rel.ndim != 2 or rel.shape != (n, n) or not np.issubdtype(rel.dtype, np.integer):
         bad.append(Violation("shape", (n, tuple(rel.shape))))
-        return SchemeReport(False, tuple(bad))
+        return Report(tuple(bad))
     rel = rel.astype(np.int64)
 
     if rel.size and rel.min() < 0:
         x, y = np.argwhere(rel < 0)[0]
-        return SchemeReport(False, (Violation("classes", (int(x), int(y), int(rel[x, y]))),))
+        return Report((Violation("classes", (int(x), int(y), int(rel[x, y]))),))
     s = int(rel.max()) + 1 if rel.size else 0
     present = np.bincount(rel.ravel(), minlength=s)
     for missing in np.nonzero(present == 0)[0]:
         bad.append(Violation("classes", (int(missing),)))
     if bad:
-        return SchemeReport(False, tuple(bad[:_WITNESS_CAP]))
+        return Report(tuple(bad[:_WITNESS_CAP]))
 
     # class 0 is the diagonal: rel[x][x] = 0 and 0 appears nowhere else
     diag_bad = np.nonzero(np.diag(rel) != 0)[0]
@@ -89,7 +80,7 @@ def build_scheme(n: int, rel) -> AssociationScheme | SchemeReport:
     for x, y in np.argwhere(off)[:_WITNESS_CAP]:
         bad.append(Violation("diagonal", (int(x), int(y))))
     if bad:
-        return SchemeReport(False, tuple(bad[:_WITNESS_CAP]))
+        return Report(tuple(bad[:_WITNESS_CAP]))
 
     # transposing any class must land in a single class
     star = [0] * s
@@ -103,7 +94,7 @@ def build_scheme(n: int, rel) -> AssociationScheme | SchemeReport:
             k = int(np.nonzero(vals != vals[0])[0][0])
             bad.append(Violation("star", (int(ys[k]), int(zs[k]))))
     if bad:
-        return SchemeReport(False, tuple(bad[:_WITNESS_CAP]))
+        return Report(tuple(bad[:_WITNESS_CAP]))
 
     # structure constants: the count matrix (A_p @ A_q) must be constant on each
     # class; constancy is equivalent to zero variance, checked exactly through
@@ -127,10 +118,10 @@ def build_scheme(n: int, rel) -> AssociationScheme | SchemeReport:
                 y, z = divmod(int(flat[k]), n)
                 bad.append(Violation("constants", (p, q, int(r), y, z)))
                 if len(bad) >= _WITNESS_CAP:
-                    return SchemeReport(False, tuple(bad))
+                    return Report(tuple(bad))
             constants[p, q] = np.rint(sums / class_sizes).astype(np.int64)
     if bad:
-        return SchemeReport(False, tuple(bad))
+        return Report(tuple(bad))
 
     valency = tuple(int(constants[p, star[p], 0]) for p in range(s))
     nr = np.array(valency, dtype=np.int64)
@@ -138,7 +129,7 @@ def build_scheme(n: int, rel) -> AssociationScheme | SchemeReport:
     rhs = np.outer(nr, nr)
     if not np.array_equal(lhs, rhs):
         p, q = np.argwhere(lhs != rhs)[0]
-        return SchemeReport(False, (Violation("counting", (int(p), int(q))),))
+        return Report((Violation("counting", (int(p), int(q))),))
 
     return AssociationScheme(
         n=n, s=s, rel=_freeze(rel), star=tuple(star),
@@ -163,7 +154,9 @@ def complex_mult(scheme: AssociationScheme, pset, qset) -> frozenset[int]:
     pset, qset = _check_class_sets(scheme, pset, qset)
     block = scheme.constants[np.ix_(sorted(pset), sorted(qset))]
     result = frozenset(int(r) for r in np.nonzero(block.any(axis=(0, 1)))[0])
-    assert result, "complex products are never empty"
+    if not result:
+        witness = (tuple(sorted(pset)), tuple(sorted(qset)))
+        raise VerificationError([Violation("complex_product", witness)], "empty complex product")
     return result
 
 
@@ -238,9 +231,7 @@ def restrict_scheme(scheme: AssociationScheme, tset, x0: int) -> AssociationSche
     reindex = {p: i for i, p in enumerate(sorted(tset))}
     sub = scheme.rel[np.ix_(points, points)]
     new_rel = np.vectorize(reindex.__getitem__, otypes=[np.int64])(sub)
-    result = build_scheme(len(points), new_rel)
-    assert isinstance(result, AssociationScheme), "restriction of a closed subset is a scheme"
-    return result
+    return require(build_scheme(len(points), new_rel))
 
 
 def product_scheme(s1: AssociationScheme, s2: AssociationScheme) -> AssociationScheme:
@@ -251,9 +242,7 @@ def product_scheme(s1: AssociationScheme, s2: AssociationScheme) -> AssociationS
     rel = (s1.rel[:, None, :, None] * s2.s + s2.rel[None, :, None, :]).reshape(
         s1.n * s2.n, s1.n * s2.n
     )
-    result = build_scheme(s1.n * s2.n, rel)
-    assert isinstance(result, AssociationScheme), "product of schemes is a scheme"
-    return result
+    return require(build_scheme(s1.n * s2.n, rel))
 
 
 def quotient_blocks(scheme: AssociationScheme, nset) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
@@ -286,7 +275,8 @@ def double_cosets(scheme: AssociationScheme, nset) -> tuple[list[frozenset[int]]
         npn = complex_mult(scheme, complex_mult(scheme, nset, {p}), nset)
         cosets.append(npn)
         for q in npn:
-            assert coset_of[q] < 0 or cosets[coset_of[q]] == npn, "double cosets must partition"
+            if coset_of[q] >= 0 and cosets[coset_of[q]] != npn:
+                raise VerificationError([Violation("double_cosets", (p, q))], "double cosets overlap")
             coset_of[q] = len(cosets) - 1
     order = sorted(range(len(cosets)), key=lambda i: min(cosets[i]))
     renumber = {old: new for new, old in enumerate(order)}
@@ -309,13 +299,12 @@ def quotient_scheme(scheme: AssociationScheme, nset) -> AssociationScheme:
     # representative independence across whole blocks
     coset_arr = np.array(coset_of, dtype=np.int64)
     block_arr = np.array(block_of, dtype=np.int64)
-    full = coset_arr[scheme.rel]
-    assert np.array_equal(
-        full, q_rel[block_arr][:, block_arr]
-    ), "quotient relation must not depend on representatives"
-    result = build_scheme(nb, q_rel)
-    assert isinstance(result, AssociationScheme), "quotient by a normal closed subset is a scheme"
-    return result
+    moved = np.argwhere(coset_arr[scheme.rel] != q_rel[block_arr][:, block_arr])
+    if len(moved):
+        witness = tuple(int(x) for x in moved[0])
+        raise VerificationError([Violation("representatives", witness)],
+                                "quotient relation depends on representatives")
+    return require(build_scheme(nb, q_rel))
 
 
 def scheme_isomorphic(
@@ -379,5 +368,6 @@ def scheme_isomorphic(
     if not place(0):
         return None
     # point bijection fixed every class somewhere, so the class map is total
-    assert all(c >= 0 for c in cmap)
+    if -1 in cmap:
+        raise VerificationError([Violation("class_map", (cmap.index(-1),))], "class map is partial")
     return tuple(pmap), tuple(cmap)

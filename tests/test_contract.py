@@ -1,0 +1,83 @@
+"""The verification contract: one Report, one VerificationError, and require,
+with no ``assert`` in the library, so every check also runs under python -O."""
+
+import ast
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import schemeforge as sf
+from schemeforge import constructions, errors, hypergroup, io, scheme
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def test_library_holds_no_assert_statement():
+    found = []
+    for path in sorted((SRC / "schemeforge").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_require_raises_under_python_dash_o():
+    code = (
+        "import schemeforge as sf\n"
+        "report = sf.build_hypergroup([[{0}, {1}], [{1}, {1}]], 0, (0, 1))\n"
+        "assert False, 'asserts must be stripped under -O'\n"
+        "try:\n"
+        "    sf.require(report)\n"
+        "except sf.VerificationError as exc:\n"
+        "    print(exc.violations == report.violations, len(exc.violations))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=False,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    flag, count = proc.stdout.split()
+    assert flag == "True" and int(count) >= 1
+
+
+def test_old_names_are_the_one_report_and_error():
+    assert scheme.SchemeReport is hypergroup.HypergroupReport is constructions.TriangleReport
+    assert sf.SchemeReport is sf.HypergroupReport is sf.TriangleReport is sf.Report
+    assert sf.TriangleConditionError is sf.CongruenceError is sf.GeometryError
+    assert sf.GeometryError is errors.VerificationError is sf.VerificationError
+    assert issubclass(sf.VerificationError, sf.SchemeForgeError)
+
+
+def test_report_reads_valid_and_ok_from_its_violations():
+    report = sf.build_scheme(2, [[0, 1], [1, 1]])
+    assert isinstance(report, sf.Report)
+    assert not report.valid and not report.ok and report.violations
+    assert report.text() == "\n".join(v.text() for v in report.violations)
+    passed = sf.check_triangle_condition(sf.padic_valued_ring(9, 3))
+    assert passed.ok and passed.valid and passed.violations == ()
+
+
+def test_require_passes_values_and_raises_for_reports():
+    z3 = sf.group_scheme(sf.cyclic_group(3))
+    assert sf.require(z3) is z3
+    report = sf.build_scheme(2, [[0, 1], [1, 1]])
+    with pytest.raises(sf.VerificationError) as info:
+        sf.require(report)
+    assert info.value.violations == report.violations
+    assert str(info.value) == f"verification fails: {report.violations[0].text()}"
+
+
+def test_raised_verification_errors_carry_witnesses():
+    with pytest.raises(sf.VerificationError, match="triangle condition fails") as info:
+        sf.valuation_scheme(sf.padic_valued_ring(8, 2))
+    assert info.value.violations[0].axiom == "triangle_empty"
+    k = sf.krasner_hypergroup()
+    with pytest.raises(sf.VerificationError, match="not a congruence relation") as info:
+        blocks = sf.CongruenceRelation.from_blocks([[0, 1], [2], [3]], 4)
+        sf.congruence_quotient(sf.product_hypergroup(k, k), blocks)
+    assert info.value.violations
+    with pytest.raises(sf.VerificationError, match="geometry axiom fails") as info:
+        io.load_geometry('{"points": 3, "lines": [[0, 1]]}')
+    assert info.value.violations[0].axiom == "line_size"

@@ -222,3 +222,10 @@ def test_cli_usage_errors(tmp_path, capsys):
 def test_cli_thread_env_validation(monkeypatch, capsys):
     monkeypatch.setenv("SCHEME_FORGE_THREADS", "many")
     assert run(["verify", "scheme", "Z2"]) == 2
+
+
+def test_cli_triangle_unknown_ring_is_a_usage_error(capsys):
+    assert run(["triangle", "no-such-ring"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown valued ring 'no-such-ring'" in captured.err

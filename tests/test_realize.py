@@ -221,3 +221,44 @@ def test_search_output_always_verifies():
         rebuilt = sf.build_scheme(found.n, found.rel.copy())
         assert isinstance(rebuilt, sf.AssociationScheme)
         assert sf.hypergroup_isomorphic(sf.to_hypergroup(rebuilt), h) is not None
+
+
+def _move_identity(h, target):
+    """h relabelled by swapping its identity with the element `target`."""
+    swap = list(range(h.m))
+    swap[h.e], swap[target] = target, h.e
+    table = [[{swap[t] for t in h.table[swap[a]][swap[b]]} for b in range(h.m)] for a in range(h.m)]
+    moved = sf.build_hypergroup(table, target, [swap[h.inv[swap[a]]] for a in range(h.m)])
+    assert isinstance(moved, sf.Hypergroup)
+    return moved
+
+
+def test_search_finds_krasner_with_identity_one():
+    k1 = sf.build_hypergroup([[{0, 1}, {0}], [{0}, {1}]], 1, (0, 1))
+    assert isinstance(k1, sf.Hypergroup)
+    assert sf.hypergroup_isomorphic(k1, sf.krasner_hypergroup()) == (1, 0)
+    found = sf.search_realization(k1, 5)
+    assert found is not None and found.n == 3
+    assert sf.hypergroup_isomorphic(sf.to_hypergroup(found), k1) is not None
+
+
+def test_search_finds_s3_inn_with_identity_moved():
+    for target in (1, 2):
+        moved = _move_identity(catalog.catalog_hypergroup("S3-inn"), target)
+        found = sf.search_realization(moved, 8)
+        assert found is not None and found.n == 6
+        assert sf.hypergroup_isomorphic(sf.to_hypergroup(found), moved) is not None
+
+
+def test_search_does_not_depend_on_where_the_identity_sits():
+    names = ["Z4", "hamming-2", "hamming-3", "F7", "Z8-2adic", "Z9-3adic"]
+    for h in [catalog.catalog_hypergroup(name) for name in names] + [sf.sign_hypergroup()]:
+        expected = sf.search_realization(h, 8)
+        for target in range(1, h.m):
+            moved = _move_identity(h, target)
+            found = sf.search_realization(moved, 8)
+            if expected is None:
+                assert found is None
+                continue
+            assert found is not None and found.n == expected.n
+            assert sf.hypergroup_isomorphic(sf.to_hypergroup(found), moved) is not None

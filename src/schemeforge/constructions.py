@@ -609,32 +609,30 @@ TriangleReport = Report  # former name, kept for existing callers
 
 def check_triangle_condition(v: ValuedRing) -> Report:
     """For each value r, the equidistant-third-point sets of all pairs at
-    distance r must be nonempty and share one cardinality."""
-    ring = v.ring
-    neg = additive_group(ring).inv
-    size = ring.order
+    distance r must be nonempty and share one cardinality.
 
-    def dist(x: int, y: int) -> int:
-        return v.val_index[ring.add[x][neg[y]]]
-
+    Distance is v(x - y), so translating a pair and its third points by -a
+    keeps every distance: pair (a, b) has as many third points as (0, b - a).
+    In row-major order the first pair at each distance and the first failing
+    pair therefore both lie in row 0, and scanning the pairs (0, b), in O(n^2),
+    gives the report of the scan over all pairs.
+    """
+    dist = valuation_relation(v)  # per pair: 0 at the top value, r + 1 at the r-th below it
+    row = dist[0]
+    # third[b]: the points y with dist(0, y) = dist(y, b) = dist(0, b)
+    third = ((row[:, None] == row) & (dist == row)).sum(axis=0)
+    top = len(v.chain) - 1
     bad: list[Violation] = []
-    for r in range(len(v.chain)):
-        label = v.chain[r]
-        reference: tuple[int, tuple[int, int]] | None = None
-        for a, b in itertools.product(range(size), repeat=2):
-            if dist(a, b) != r:
-                continue
-            card = sum(1 for y in range(size) if dist(a, y) == r and dist(y, b) == r)
-            if card == 0:
-                bad.append(Violation("triangle_empty", (label, (a, b))))
-                break
-            if reference is None:
-                reference = (card, (a, b))
-            elif card != reference[0]:
-                bad.append(Violation(
-                    "triangle_cardinality", (label, reference[1], reference[0], (a, b), card)
-                ))
-                break
+    for r, label in enumerate(v.chain):
+        pairs = np.flatnonzero(row == (0 if r == top else r + 1))
+        odd = pairs[(third[pairs] == 0) | (third[pairs] != third[pairs[:1]])]
+        if odd.size and third[odd[0]] == 0:
+            bad.append(Violation("triangle_empty", (label, (0, int(odd[0])))))
+        elif odd.size:
+            b0, b = int(pairs[0]), int(odd[0])
+            bad.append(Violation(
+                "triangle_cardinality", (label, (0, b0), int(third[b0]), (0, b), int(third[b]))
+            ))
     return Report(tuple(bad))
 
 

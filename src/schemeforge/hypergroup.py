@@ -6,6 +6,12 @@ subsets are unions of cell products.  Verification is exhaustive: every axiom
 is checked over all triples, and every construction in this module re-verifies
 its output.  Sub-hypergroups are the exception: a subset that contains e and is
 closed under * and inv inherits every axiom, so only that closure is checked.
+
+The axioms are read from the support tensor, support[a, b, t] = (t in a*b),
+with its rows packed into bit words bits[a, b]: (ab)c is the OR of bits[t, c]
+over t in ab, a(bc) the OR of bits[a, t] over t in bc, both for all triples at
+once, and reversibility is two gathers over the nonzero cells.  Witnesses come
+in ascending (a, b, c) order, at most 25 per axiom.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from collections.abc import Iterable
+
+import numpy as np
 
 from .errors import Report, SizeGuardError, VerificationError, Violation, require
 
@@ -63,20 +71,19 @@ def hypergroup_violations(table, e: int, inv) -> list[Violation]:
     rows = _normalize_table(table)
     if rows is None:
         return [Violation("shape", ())]
-    m = len(rows)
-    bad: list[Violation] = []
+    return _violations(rows, e, inv)
 
-    cells_ok = True
-    for a, b in itertools.product(range(m), repeat=2):
-        cell = rows[a][b]
-        if not cell or not all(0 <= x < m for x in cell):
-            bad.append(Violation("cell", (a, b)))
-            cells_ok = False
-    if not cells_ok:
-        return bad[:_WITNESS_CAP]
+
+def _violations(rows, e: int, inv) -> list[Violation]:
+    m = len(rows)
+    broken = [(a, b) for a in range(m) for b in range(m)
+              if not rows[a][b] or min(rows[a][b]) < 0 or max(rows[a][b]) >= m]
+    if broken:
+        return [Violation("cell", ab) for ab in broken[:_WITNESS_CAP]]
     inv = tuple(int(x) for x in inv)
     if not (0 <= e < m) or len(inv) != m or not all(0 <= g < m for g in inv):
         return [Violation("shape", (e, inv))]
+    bad: list[Violation] = []
 
     def is_identity(c: int) -> bool:
         return all(rows[c][x] == {x} == rows[x][c] for x in range(m))
@@ -90,40 +97,48 @@ def hypergroup_violations(table, e: int, inv) -> list[Violation]:
         if partners != [inv[x]]:
             bad.append(Violation("inverse", (x, tuple(partners))))
 
-    count = 0
-    for a, b, c in itertools.product(range(m), repeat=3):
-        left: set[int] = set()
-        for t in rows[a][b]:
-            left |= rows[t][c]
-        right: set[int] = set()
-        for t in rows[b][c]:
-            right |= rows[a][t]
-        if left != right:
-            bad.append(Violation("associativity", (a, b, c)))
-            count += 1
-            if count >= _WITNESS_CAP:
-                break
+    # support[a, b, t]: t lies in a*b; bits[a, b]: the same as uint64 words,
+    # packed from t padded to a multiple of 64
+    sizes = [len(cell) for row in rows for cell in row]
+    padded = np.zeros((m * m, -(-m // 64) * 64), dtype=bool)
+    padded[np.repeat(np.arange(m * m), sizes), [t for row in rows for cell in row for t in cell]] = True
+    support = padded[:, :m].reshape(m, m, m)
+    bits = np.packbits(padded, axis=1, bitorder="little").view("<u8").reshape(m, m, -1)
 
-    count = 0
-    for a, b in itertools.product(range(m), repeat=2):
-        for c in rows[a][b]:
-            if a not in rows[c][inv[b]] or b not in rows[inv[a]][c]:
-                bad.append(Violation("reversibility", (a, b, c)))
-                count += 1
-                if count >= _WITNESS_CAP:
-                    break
-        else:
-            continue
-        break
+    # the entries (a*m + b, t) of the cells in C order; round r holds each cell's r-th entry
+    cell, elem = np.divmod(np.flatnonzero(support), m)
+    rank = np.arange(len(cell)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    rounds = [(cell[at], elem[at]) for at in (rank == r for r in range(max(sizes)))]
+    left = _or_rows(bits, rounds).reshape(m, m, m, -1)  # (ab)c at [a, b, c]
+    right = _or_rows(np.ascontiguousarray(bits.transpose(1, 0, 2)), rounds)  # a(bc) at [b, c, a]
+    right = right.reshape(m, m, m, -1)
+    differ = np.flatnonzero((left != right.transpose(2, 0, 1, 3)).any(axis=3))[:_WITNESS_CAP]
+    bad += [Violation("associativity", (k // (m * m), k // m % m, k % m)) for k in differ.tolist()]
+
+    # c in ab needs a in c*inv(b) and b in inv(a)*c
+    a, b = np.divmod(cell, m)
+    inv_arr = np.array(inv)
+    reversed_ok = support[elem, inv_arr[b], a] & support[inv_arr[a], elem, b]
+    for k in np.flatnonzero(~reversed_ok)[:_WITNESS_CAP]:
+        bad.append(Violation("reversibility", (int(a[k]), int(b[k]), int(elem[k]))))
     return bad
+
+
+def _or_rows(rows: np.ndarray, rounds) -> np.ndarray:
+    """out[k] = OR of rows[t] over the entries (k, t) of all rounds; the first
+    round has one entry for every k, each later one at most one."""
+    out = rows[rounds[0][1]]
+    for k, t in rounds[1:]:
+        out[k] |= rows[t]
+    return out
 
 
 def build_hypergroup(table, e: int, inv) -> Hypergroup | Report:
     """Exhaustively verify all hypergroup axioms; return the value or a report."""
-    bad = hypergroup_violations(table, e, inv)
+    rows = _normalize_table(table)
+    bad = [Violation("shape", ())] if rows is None else _violations(rows, e, inv)
     if bad:
         return Report(tuple(bad))
-    rows = _normalize_table(table)
     return Hypergroup(m=len(rows), table=rows, e=int(e), inv=tuple(int(x) for x in inv))
 
 

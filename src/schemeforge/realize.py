@@ -30,10 +30,11 @@ def to_hypergroup(scheme: AssociationScheme) -> Hypergroup:
     """The hypergroup on the classes of a scheme: p*q is the support of the
     structure constants, the identity is the diagonal class, inversion is star.
     """
-    table = [
-        [frozenset(int(r) for r in np.nonzero(scheme.constants[p, q])[0]) for q in scheme.classes()]
-        for p in scheme.classes()
-    ]
+    s = scheme.s
+    cell, r = np.divmod(np.flatnonzero(scheme.constants > 0), s)
+    bounds = np.searchsorted(cell, np.arange(s * s + 1)).tolist()
+    r = r.tolist()
+    table = [[frozenset(r[bounds[p * s + q]:bounds[p * s + q + 1]]) for q in range(s)] for p in range(s)]
     return require(build_hypergroup(table, 0, scheme.star))
 
 

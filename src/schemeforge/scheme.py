@@ -8,6 +8,12 @@ class to its transpose class.  For classes p, q, r the structure constant
 ``constants[p][q][r]`` counts, for any pair (y, z) in class r, the points x
 with (y, x) in class p and (x, z) in class q; an n x n class matrix is a
 scheme exactly when these counts do not depend on the chosen (y, z).
+
+``build_scheme`` checks every count exactly by float64 BLAS products.  A count
+lies in 0..n, so g counts packed as base-(n+1) digits stay below (n+1)^g, and
+``pack_width`` picks the largest g with (n+1)^g <= 2^53.  The packing is
+injective, and every partial sum of a product is an integer between 0 and the
+final sum, so below 2^53: float64 holds it exactly, with no rounding argument.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from .hypergroup import closure_lattice
 
 CLOSED_SUBSET_CLASS_BOUND = 25
 _WITNESS_CAP = 25
+_BLOCK_BYTES = (1 << 16, 1 << 21)  # bounds on each temporary of the count check
 
 SchemeReport = Report  # former name, kept for existing callers
 
@@ -46,80 +53,108 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def pack_width(n: int) -> int:
+    """The largest g with (n+1)^g <= 2^53 (the module docstring says why)."""
+    g = 1
+    while g < 53 and (n + 1) ** (g + 1) <= 2 ** 53:
+        g += 1
+    return g
+
+
+def _counted_constants(rel: np.ndarray, s: int, first: np.ndarray) -> tuple[np.ndarray, list[Violation]]:
+    """The constants read at each class's first pair, and in (p, q, r) order the
+    first pair of class r where the count of (p, q) differs (see build_scheme)."""
+    n = len(rel)
+    ys, zs = np.divmod(first, n)
+    keys = (rel[ys] * s + rel[:, zs].T) * s + np.arange(s)[:, None]
+    constants = np.bincount(keys.ravel(), minlength=s ** 3).reshape(s, s, s)
+
+    g = pack_width(n)
+    groups = -(-s // g)
+    powers = (n + 1) ** np.arange(g, dtype=np.int64)
+    # class q counts as digit q mod g of column group q // g
+    weights = np.zeros((s, groups))
+    weights[np.arange(s), np.arange(s) // g] = powers[np.arange(s) % g]
+    expect = constants.transpose(0, 2, 1) @ weights
+    packed = weights[rel].reshape(n, n * groups)
+
+    witness = np.full(s ** 3, n * n)  # by (p, q, r); n * n while none is found
+    # a block's product takes no more bytes than packed itself, within the bounds
+    block = min(max(packed.nbytes, _BLOCK_BYTES[0]), _BLOCK_BYTES[1])
+    step = max(1, block // (8 * max(n * groups, 1)))
+    for start in range(0, s * n, step):
+        ps, ys = np.divmod(np.arange(start, min(start + step, s * n)), n)
+        rows = rel[ys]
+        counts = ((rows == ps[:, None]) @ packed).reshape(len(ps), n, groups)
+        differ = np.flatnonzero(counts != expect[ps[:, None], rows])
+        if not differ.size:
+            continue
+        i, z, j = np.unravel_index(differ, counts.shape)
+        got, want = counts[i, z, j].astype(np.int64), expect[ps[i], rows[i, z], j].astype(np.int64)
+        for t in range(min(g, s)):
+            off = got // powers[t] % (n + 1) != want // powers[t] % (n + 1)
+            key = (ps[i[off]] * s + j[off] * g + t) * s + rows[i[off], z[off]]
+            np.minimum.at(witness, key, ys[i[off]] * n + z[off])
+        # the classes p whose rows all lie in blocks done are complete
+        if np.count_nonzero(witness[: (start + len(ps)) // n * s * s] < n * n) >= _WITNESS_CAP:
+            break
+    keys = np.flatnonzero(witness < n * n)[:_WITNESS_CAP]
+    return constants, [
+        Violation("constants", (key // (s * s), key // s % s, key % s) + divmod(at, n))
+        for key, at in zip(keys.tolist(), witness[keys].tolist())
+    ]
+
+
 def build_scheme(n: int, rel) -> AssociationScheme | Report:
     """Verify the scheme axioms for an n x n class matrix by direct counting.
 
     Returns a fully populated AssociationScheme on success.  On failure returns
     a Report whose violations all belong to the first failing axiom, each
     with a concrete witness.
+
+    The constants are read at the first pair of each class, row-major.  Row
+    (p, y) of A_p @ R then packs, at each (y, z), the counts of g classes q per
+    column group, where R holds (n+1)^(q mod g) at (x, z) in group q // g of
+    class q = rel[x, z]; it must equal the same packing of the constants.  That
+    is s * ceil(s/g) * n^3 multiply-adds, in row blocks of at most 2 MB.
     """
     rel = np.asarray(rel)
-    bad = []
-
     if rel.ndim != 2 or rel.shape != (n, n) or not np.issubdtype(rel.dtype, np.integer):
-        bad.append(Violation("shape", (n, tuple(rel.shape))))
-        return Report(tuple(bad))
+        return Report((Violation("shape", (n, tuple(rel.shape))),))
     rel = rel.astype(np.int64)
+    rel_flat = rel.ravel()
 
     if rel.size and rel.min() < 0:
-        x, y = np.argwhere(rel < 0)[0]
-        return Report((Violation("classes", (int(x), int(y), int(rel[x, y]))),))
+        x, y = divmod(int(np.argmax(rel_flat < 0)), n)
+        return Report((Violation("classes", (x, y, int(rel[x, y]))),))
     s = int(rel.max()) + 1 if rel.size else 0
-    present = np.bincount(rel.ravel(), minlength=s)
-    for missing in np.nonzero(present == 0)[0]:
-        bad.append(Violation("classes", (int(missing),)))
-    if bad:
-        return Report(tuple(bad[:_WITNESS_CAP]))
+    missing = np.flatnonzero(np.bincount(rel_flat, minlength=s) == 0)
+    if missing.size:
+        return Report(tuple(Violation("classes", (int(c),)) for c in missing[:_WITNESS_CAP]))
 
     # class 0 is the diagonal: rel[x][x] = 0 and 0 appears nowhere else
-    diag_bad = np.nonzero(np.diag(rel) != 0)[0]
-    for x in diag_bad[:_WITNESS_CAP]:
-        bad.append(Violation("diagonal", (int(x), int(x))))
     off = rel == 0
     np.fill_diagonal(off, False)
-    for x, y in np.argwhere(off)[:_WITNESS_CAP]:
-        bad.append(Violation("diagonal", (int(x), int(y))))
-    if bad:
-        return Report(tuple(bad[:_WITNESS_CAP]))
+    wrong = [(x, x) for x in np.flatnonzero(np.diag(rel)).tolist()]
+    wrong += [tuple(xy) for xy in np.argwhere(off)[:_WITNESS_CAP].tolist()]
+    if wrong:
+        return Report(tuple(Violation("diagonal", xy) for xy in wrong[:_WITNESS_CAP]))
+
+    # each class is read at its first pair in row-major order
+    first = np.full(s, n * n)
+    np.minimum.at(first, rel_flat, np.arange(n * n))
 
     # transposing any class must land in a single class
-    star = [0] * s
-    relT = rel.T
-    for p in range(s):
-        mask = rel == p
-        vals = relT[mask]
-        star[p] = int(vals[0])
-        if not np.all(vals == vals[0]):
-            ys, zs = np.nonzero(mask)
-            k = int(np.nonzero(vals != vals[0])[0][0])
-            bad.append(Violation("star", (int(ys[k]), int(zs[k]))))
-    if bad:
-        return Report(tuple(bad[:_WITNESS_CAP]))
+    rel_t = rel.T.ravel()
+    star = rel_t[first]
+    moved = np.flatnonzero(rel_t != star[rel_flat])
+    if moved.size:
+        _, at = np.unique(rel_flat[moved], return_index=True)
+        return Report(tuple(
+            Violation("star", divmod(int(k), n)) for k in moved[at[:_WITNESS_CAP]]
+        ))
 
-    # structure constants: the count matrix (A_p @ A_q) must be constant on each
-    # class; constancy is equivalent to zero variance, checked exactly through
-    # per-class sums and sums of squares (integers, so float64 stays exact)
-    dtype = np.float32 if n >= 128 else np.float64  # counts < 2^24 stay exact
-    rel_flat = rel.ravel()
-    class_sizes = np.bincount(rel_flat, minlength=s).astype(np.float64)
-    floats = [(rel == p).astype(dtype) for p in range(s)]
-    constants = np.zeros((s, s, s), dtype=np.int64)
-    for p in range(s):
-        ap = floats[p]
-        for q in range(s):
-            counts = np.asarray(ap @ floats[q], dtype=np.float64).ravel()
-            sums = np.bincount(rel_flat, weights=counts, minlength=s)
-            squares = np.bincount(rel_flat, weights=counts * counts, minlength=s)
-            varying = np.nonzero(squares * class_sizes != sums * sums)[0]
-            for r in varying:
-                flat = np.nonzero(rel_flat == r)[0]
-                vals = counts[flat]
-                k = int(np.nonzero(vals != vals[0])[0][0])
-                y, z = divmod(int(flat[k]), n)
-                bad.append(Violation("constants", (p, q, int(r), y, z)))
-                if len(bad) >= _WITNESS_CAP:
-                    return Report(tuple(bad))
-            constants[p, q] = np.rint(sums / class_sizes).astype(np.int64)
+    constants, bad = _counted_constants(rel, s, first)
     if bad:
         return Report(tuple(bad))
 
@@ -132,7 +167,7 @@ def build_scheme(n: int, rel) -> AssociationScheme | Report:
         return Report((Violation("counting", (int(p), int(q))),))
 
     return AssociationScheme(
-        n=n, s=s, rel=_freeze(rel), star=tuple(star),
+        n=n, s=s, rel=_freeze(rel), star=tuple(star.tolist()),
         constants=_freeze(constants), valency=valency,
     )
 

@@ -1,28 +1,52 @@
 """Independent brute-force oracles shared by the test modules.
 
 These deliberately avoid the library's vectorized code paths: expected values
-are recomputed with plain triple loops so the tests check the implementation
-against a second, slower route.
+are recomputed with plain loops over points, pairs and triples, so the tests
+check the implementation against a second, slower route.  They raise
+explicitly instead of asserting, so they also hold under ``python -O``.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+
+
+def _pair_counts(rel):
+    """Yield (y, z, counts) in row-major order, where counts[(p, q)] is the
+    number of points x with rel[y][x] = p and rel[x][z] = q."""
+    n = len(rel)
+    cols = [list(col) for col in zip(*rel)]
+    for y, z in itertools.product(range(n), repeat=2):
+        yield y, z, Counter(zip(rel[y], cols[z]))
 
 
 def naive_constants(rel, s: int) -> dict[tuple[int, int, int], int]:
-    """Structure constants by definition; raises if any count is not constant."""
-    n = len(rel)
-    out: dict[tuple[int, int, int], int] = {}
-    for p, q, r in itertools.product(range(s), repeat=3):
-        counts = set()
-        for y, z in itertools.product(range(n), repeat=2):
-            if rel[y][z] != r:
-                continue
-            counts.add(sum(1 for x in range(n) if rel[y][x] == p and rel[x][z] == q))
-        assert len(counts) <= 1, f"count not constant at {(p, q, r)}"
-        out[(p, q, r)] = counts.pop() if counts else 0
-    return out
+    """Structure constants by definition; raises ValueError if any count is not
+    constant on its class (an explicit raise, so it also fails under -O)."""
+    at_first: dict[int, Counter] = {}
+    for y, z, counts in _pair_counts(rel):
+        if at_first.setdefault(rel[y][z], counts) != counts:
+            raise ValueError(f"count not constant on class {rel[y][z]} at {(y, z)}")
+    return {
+        (p, q, r): at_first.get(r, Counter())[(p, q)]
+        for p, q, r in itertools.product(range(s), repeat=3)
+    }
+
+
+def naive_constant_witnesses(rel, s: int, cap: int = 25) -> list[tuple[int, int, int, int, int]]:
+    """(p, q, r, y, z) in (p, q, r) order, at most cap of them: for each class
+    triple whose count varies, the first pair (y, z) of class r, row-major,
+    whose count differs from the count at the class's first pair."""
+    at_first: dict[int, Counter] = {}
+    witness: dict[tuple[int, int, int], tuple[int, int]] = {}
+    for y, z, counts in _pair_counts(rel):
+        r = rel[y][z]
+        first = at_first.setdefault(r, counts)
+        for p, q in set(first) | set(counts):
+            if first[(p, q)] != counts[(p, q)]:
+                witness.setdefault((p, q, r), (y, z))
+    return [key + witness[key] for key in sorted(witness)[:cap]]
 
 
 def naive_complex_mult(constants, s: int, pset, qset) -> set[int]:
@@ -97,3 +121,71 @@ def naive_sub_hypergroups(table, e: int, inv) -> list[frozenset[int]]:
                 found.append(frozenset((e,) + combo))
     found.sort(key=lambda t: tuple(sorted(t)))
     return found
+
+
+def naive_hypergroup_violations(table, e: int, inv, cap: int = 25) -> list[tuple[str, tuple]]:
+    """Every axiom by its definition, over all triples: (axiom, witness) pairs in
+    the order build_hypergroup reports them, with cells read in ascending order."""
+    try:
+        rows = [[sorted({int(x) for x in cell}) for cell in row] for row in table]
+    except TypeError:
+        return [("shape", ())]
+    m = len(rows)
+    if any(len(row) != m for row in rows):
+        return [("shape", ())]
+    cells = [("cell", (a, b)) for a, b in itertools.product(range(m), repeat=2)
+             if not rows[a][b] or not all(0 <= x < m for x in rows[a][b])]
+    if cells:
+        return cells[:cap]
+    inv = tuple(int(x) for x in inv)
+    if not (0 <= e < m) or len(inv) != m or not all(0 <= g < m for g in inv):
+        return [("shape", (e, inv))]
+    bad = []
+    identities = [c for c in range(m) if all(rows[c][x] == [x] == rows[x][c] for x in range(m))]
+    if identities != [e]:
+        bad.append(("identity", tuple(identities)))
+    for x in range(m):
+        partners = [g for g in range(m) if e in rows[x][g] and e in rows[g][x]]
+        if partners != [inv[x]]:
+            bad.append(("inverse", (x, tuple(partners))))
+    assoc = []
+    for a, b, c in itertools.product(range(m), repeat=3):
+        left = set_product(rows, rows[a][b], [c])
+        right = set_product(rows, [a], rows[b][c])
+        if left != right and len(assoc) < cap:
+            assoc.append(("associativity", (a, b, c)))
+    reversed_bad = []
+    for a, b in itertools.product(range(m), repeat=2):
+        for c in rows[a][b]:
+            if (a not in rows[c][inv[b]] or b not in rows[inv[a]][c]) and len(reversed_bad) < cap:
+                reversed_bad.append(("reversibility", (a, b, c)))
+    return bad + assoc + reversed_bad
+
+
+def naive_triangle_violations(v) -> list[tuple[str, tuple]]:
+    """The triangle condition over all pairs (a, b) and third points y, in O(n^3):
+    per value, the first pair with no third point or with a third-point count
+    other than the first pair's."""
+    ring = v.ring
+    n = ring.order
+    neg = [next(y for y in range(n) if ring.add[x][y] == ring.zero) for x in range(n)]
+
+    def dist(x, y):
+        return v.val_index[ring.add[x][neg[y]]]
+
+    bad = []
+    for r, label in enumerate(v.chain):
+        reference = None
+        for a, b in itertools.product(range(n), repeat=2):
+            if dist(a, b) != r:
+                continue
+            card = sum(1 for y in range(n) if dist(a, y) == r and dist(y, b) == r)
+            if card == 0:
+                bad.append(("triangle_empty", (label, (a, b))))
+                break
+            if reference is None:
+                reference = (card, (a, b))
+            elif card != reference[0]:
+                bad.append(("triangle_cardinality", (label, reference[1], reference[0], (a, b), card)))
+                break
+    return bad

@@ -106,6 +106,9 @@ def group_hypergroup(g: FiniteGroup) -> Hypergroup:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class AutSubgroup:
+    """A group of automorphisms of ``group``; values come from ``aut_subgroup``,
+    which verifies that ``perms`` is closed under composition and inversion."""
+
     group: FiniteGroup
     perms: tuple[tuple[int, ...], ...]
 
@@ -142,37 +145,20 @@ def trivial_automorphisms(g: FiniteGroup) -> AutSubgroup:
 
 def inner_automorphisms(g: FiniteGroup) -> AutSubgroup:
     c, inv = g.cayley, g.inv
-    perms = {
-        tuple(c[c[h][x]][inv[h]] for x in range(g.order))
-        for h in range(g.order)
-    }
-    return AutSubgroup(group=g, perms=tuple(sorted(perms)))
+    return aut_subgroup(g, [tuple(c[c[h][x]][inv[h]] for x in range(g.order)) for h in range(g.order)])
 
 
 def orbits(p: AutSubgroup) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
     """Orbits of the group elements, identity orbit first, the rest by smallest
-    member; returns (orbit list, orbit index per element)."""
+    member; returns (orbit list, orbit index per element).
+
+    The orbit of x is {perm[x] : perm in p.perms}: ``aut_subgroup`` has verified
+    that the permutations form a group, so no closure is needed."""
     g = p.group
-    orbit_of = [-1] * g.order
-    raw: list[list[int]] = []
-    for x in range(g.order):
-        if orbit_of[x] >= 0:
-            continue
-        frontier = [x]
-        members = {x}
-        while frontier:
-            y = frontier.pop()
-            for perm in p.perms:
-                z = perm[y]
-                if z not in members:
-                    members.add(z)
-                    frontier.append(z)
-        for y in members:
-            orbit_of[y] = len(raw)
-        raw.append(sorted(members))
-    order = sorted(range(len(raw)), key=lambda i: (g.e not in raw[i], min(raw[i])))
-    renumber = {old: new for new, old in enumerate(order)}
-    return [tuple(raw[i]) for i in order], tuple(renumber[o] for o in orbit_of)
+    found = {tuple(sorted({perm[x] for perm in p.perms})) for x in range(g.order)}
+    orbit_list = sorted(found, key=lambda orb: (g.e not in orb, orb[0]))
+    index = {x: i for i, orb in enumerate(orbit_list) for x in orb}
+    return orbit_list, tuple(index[x] for x in range(g.order))
 
 
 def partition_scheme(g: FiniteGroup, p: AutSubgroup) -> AssociationScheme:
@@ -219,6 +205,7 @@ class FiniteRing:
     mul: tuple[tuple[int, ...], ...]
     zero: int
     one: int
+    additive: FiniteGroup
 
 
 def build_ring(add, mul) -> FiniteRing:
@@ -248,11 +235,12 @@ def build_ring(add, mul) -> FiniteRing:
     if not np.array_equal(m[zero], np.full(g, zero)):
         raise ValueError("zero must be absorbing")
     return FiniteRing(order=g, add=tuple(map(tuple, a.tolist())),
-                      mul=tuple(map(tuple, m.tolist())), zero=zero, one=ones[0])
+                      mul=tuple(map(tuple, m.tolist())), zero=zero, one=ones[0], additive=grp)
 
 
 def additive_group(r: FiniteRing) -> FiniteGroup:
-    return build_group(r.add)
+    """The additive group that ``build_ring`` verified."""
+    return r.additive
 
 
 def zmod_ring(n: int) -> FiniteRing:
@@ -345,8 +333,9 @@ def quotient_hyperring(r: FiniteRing, elements: Iterable[int]) -> QuotientHyperr
     """Quotient of a ring by a unit subgroup G: classes are scaling orbits,
     [a] + [b] collects the orbits of g1*a + g2*b, [a]*[b] = [a*b].
 
-    The hyperaddition is verified as a hypergroup and the two operations are
-    verified to distribute, with the zero orbit absorbing.
+    The hyperaddition is the partition hypergroup of (R, +) under scaling by G,
+    and the two operations are verified to distribute, with the zero orbit
+    absorbing.
     """
     elems = unit_subgroup(r, elements)
     aut = scaling_automorphisms(r, elems)
@@ -354,19 +343,7 @@ def quotient_hyperring(r: FiniteRing, elements: Iterable[int]) -> QuotientHyperr
     k = len(orbit_list)
     if orbit_list[0] != (r.zero,):
         raise VerificationError([Violation("zero_orbit", orbit_list[0])], "zero orbit is not {0}")
-
-    table = []
-    for oa in orbit_list:
-        row = []
-        for ob in orbit_list:
-            a0, b0 = oa[0], ob[0]
-            row.append(frozenset(
-                orbit_of[r.add[r.mul[g1][a0]][r.mul[g2][b0]]]
-                for g1 in elems for g2 in elems
-            ))
-        table.append(row)
-    neg = additive_group(r).inv
-    hg = require(build_hypergroup(table, orbit_of[r.zero], [orbit_of[neg[o[0]]] for o in orbit_list]))
+    hg = partition_hypergroup(additive_group(r), aut)
 
     mult_rows = []
     for oa in orbit_list:
@@ -577,6 +554,8 @@ def valued_ring(ring: FiniteRing, chain: Sequence, values: Sequence) -> ValuedRi
 
 def padic_valued_ring(n: int, p: int) -> ValuedRing:
     """Z/n with the p-adic value map; n must be a power of p."""
+    if p < 2 or n < 1:
+        raise ValueError(f"need p >= 2 and n >= 1, got n={n}, p={p}")
     k, m = 0, n
     while m % p == 0:
         m //= p

@@ -220,40 +220,21 @@ def is_normal_sub(h: Hypergroup, lset) -> tuple[bool, bool]:
 
 
 def quotient_hypergroup(h: Hypergroup, nset) -> Hypergroup:
-    """Quotient by a normal sub-hypergroup: elements are the cosets x*N.
+    """Quotient by a normal sub-hypergroup N: elements are the cosets x*N,
+    numbered by smallest member, and the quotient is ``congruence_quotient``
+    by the coset partition.
 
-    Cosets are sorted by smallest member; the product of two cosets is the set
-    of cosets tN for t in a representative product, verified to be independent
-    of the representatives and to satisfy all hypergroup axioms.
+    The cosets partition h because N is closed and h is reversible: x lies in
+    x*e, inside x*N, and z in x*n puts x in z*inv(n), so x*N and z*N are equal.
+    That the coset products do not depend on the representatives is the
+    congruence check, with a ``product_congruence`` witness.
     """
     nset = frozenset(int(x) for x in nset)
     normal, _ = is_normal_sub(h, nset)
     if not normal:
         raise ValueError(f"{sorted(nset)} is not normal")
-    coset_sets: dict[frozenset[int], int] = {}
-    coset_of = [0] * h.m
-    for x in range(h.m):
-        coset = h.product({x}, nset)
-        if x not in coset:
-            raise VerificationError([Violation("coset", (x,))], "element outside its coset")
-        coset_of[x] = coset_sets.setdefault(coset, len(coset_sets))
-    cosets = sorted(coset_sets, key=min)
-    renumber = {coset_sets[c]: i for i, c in enumerate(cosets)}
-    coset_of = [renumber[c] for c in coset_of]
-
-    table: list[list[frozenset[int]]] = []
-    for ci in cosets:
-        row = []
-        for cj in cosets:
-            images = {frozenset(coset_of[t] for t in h.table[x][y]) for x in ci for y in cj}
-            if len(images) != 1:
-                raise VerificationError([Violation("representatives", (min(ci), min(cj)))],
-                                        "coset product depends on representatives")
-            row.append(images.pop())
-        table.append(row)
-    e_q = coset_of[h.e]
-    inv_q = [coset_of[h.inv[min(c)]] for c in cosets]
-    return require(build_hypergroup(table, e_q, inv_q))
+    cosets = {h.product({x}, nset) for x in range(h.m)}
+    return congruence_quotient(h, CongruenceRelation.from_blocks(cosets, h.m))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -293,56 +274,47 @@ class CongruenceRelation:
 def congruence_violations(h: Hypergroup, c: CongruenceRelation) -> list[Violation]:
     """Check both congruence conditions; blockwise set-equivalence means the two
     products meet exactly the same blocks."""
+    return _congruence(h, c)[3]
+
+
+def _congruence(h: Hypergroup, c: CongruenceRelation):
+    """(blocks by smallest member, each element's index among them, the blocks
+    that each cell a*b meets, the congruence violations read from those images).
+
+    In row-major order the first pair of a block pair is its smallest members,
+    so each image is compared with the image at those representatives.
+    """
     if len(c.block_of) != h.m:
-        return [Violation("shape", (len(c.block_of), h.m))]
-    blocks_of = c.block_of
-    bad: list[Violation] = []
-    signature: dict[tuple[int, int], tuple[frozenset[int], tuple[int, int]]] = {}
-    for a, b in itertools.product(range(h.m), repeat=2):
-        key = (blocks_of[a], blocks_of[b])
-        sig = frozenset(blocks_of[z] for z in h.table[a][b])
-        if key in signature:
-            ref, pair = signature[key]
-            if ref != sig:
-                bad.append(Violation("product_congruence", (pair, (a, b))))
-        else:
-            signature[key] = (sig, (a, b))
-    inv_sig: dict[int, tuple[int, int]] = {}
-    for a in range(h.m):
-        key = blocks_of[a]
-        if key in inv_sig:
-            a0, s0 = inv_sig[key]
-            if blocks_of[h.inv[a]] != s0:
-                bad.append(Violation("inverse_congruence", (a0, a)))
-        else:
-            inv_sig[key] = (a, blocks_of[h.inv[a]])
-    return bad[:_WITNESS_CAP]
+        return [], [], [], [Violation("shape", (len(c.block_of), h.m))]
+    blocks, first = c.blocks(), {}  # blocks() lists them by first appearance
+    block_of = [first.setdefault(b, len(first)) for b in c.block_of]
+    rep = [blocks[i][0] for i in block_of]
+    images = [[frozenset(map(block_of.__getitem__, cell)) for cell in row] for row in h.table]
+    bad = [
+        Violation("product_congruence", ((rep[a], rep[b]), (a, b)))
+        for a, b in itertools.product(range(h.m), repeat=2) if images[a][b] != images[rep[a]][rep[b]]
+    ]
+    bad += [
+        Violation("inverse_congruence", (rep[a], a)) for a in range(h.m)
+        if block_of[h.inv[a]] != block_of[h.inv[rep[a]]]
+    ]
+    return blocks, block_of, images, bad[:_WITNESS_CAP]
 
 
 def congruence_quotient(h: Hypergroup, c: CongruenceRelation) -> Hypergroup:
-    """Hypergroup on the congruence blocks; the canonical projection is strict."""
-    bad = congruence_violations(h, c)
+    """Hypergroup on the congruence blocks, numbered by smallest member; the
+    canonical projection is strict.  The congruence check, the table (read at
+    each block pair's smallest members) and the strictness check all read one
+    set of block images of the cells."""
+    blocks, block_of, images, bad = _congruence(h, c)
     if bad:
         raise VerificationError(bad, "not a congruence relation")
-    raw_blocks = c.blocks()
-    order = sorted(range(len(raw_blocks)), key=lambda i: min(raw_blocks[i]))
-    blocks = [raw_blocks[i] for i in order]
-    renumber = {}
-    for new, i in enumerate(order):
-        for x in raw_blocks[i]:
-            renumber[x] = new
-    k = len(blocks)
-    table = [
-        [frozenset(renumber[z] for z in h.product(blocks[i], blocks[j])) for j in range(k)]
-        for i in range(k)
-    ]
-    e_q = renumber[h.e]
-    inv_q = [renumber[h.inv[block[0]]] for block in blocks]
-    out = require(build_hypergroup(table, e_q, inv_q))
+    table = [[images[bi[0]][bj[0]] for bj in blocks] for bi in blocks]
+    out = require(build_hypergroup(table, block_of[h.e], [block_of[h.inv[b[0]]] for b in blocks]))
     # strictness of the projection: blockwise image of x*y equals [x] box [y]
     loose = [
-        Violation("strict", (x, y)) for x in range(h.m) for y in range(h.m)
-        if out.table[renumber[x]][renumber[y]] != frozenset(renumber[z] for z in h.table[x][y])
+        Violation("strict", (x, y)) for x, y in itertools.product(range(h.m), repeat=2)
+        if out.table[block_of[x]][block_of[y]] != images[x][y]
     ]
     if loose:
         raise VerificationError(loose, "canonical projection is not strict")

@@ -189,3 +189,44 @@ def naive_triangle_violations(v) -> list[tuple[str, tuple]]:
                 bad.append(("triangle_cardinality", (label, reference[1], reference[0], (a, b), card)))
                 break
     return bad
+
+
+def naive_quotient_hypergroup(table, e: int, inv, nset):
+    """Quotient by a normal subset N by its definition: the cosets x*N by
+    set_product, numbered by smallest member, with each coset product and
+    inverse read at every pair of representatives.  Raises ValueError if the
+    cosets overlap or the representatives disagree.  Returns (table, e, inv)
+    in the form of Hypergroup's fields."""
+    m = len(table)
+    cosets = sorted({set_product(table, [x], nset) for x in range(m)}, key=min)
+    if sum(len(c) for c in cosets) != m:
+        raise ValueError("cosets do not partition the elements")
+    coset_of = {x: i for i, c in enumerate(cosets) for x in c}
+    rows = []
+    for ci in cosets:
+        row = []
+        for cj in cosets:
+            images = {frozenset(coset_of[t] for t in table[x][y]) for x in ci for y in cj}
+            if len(images) != 1:
+                raise ValueError(f"coset product depends on representatives at {min(ci), min(cj)}")
+            row.append(images.pop())
+        rows.append(tuple(row))
+    inverses = [{coset_of[inv[x]] for x in c} for c in cosets]
+    if any(len(i) != 1 for i in inverses):
+        raise ValueError("coset inverse depends on representatives")
+    return tuple(rows), coset_of[e], tuple(min(i) for i in inverses)
+
+
+def naive_orbits(perms, n: int, e: int):
+    """Orbits as the closures of each {x} under the permutations, identity
+    orbit first, the rest by smallest member: (orbit list, orbit index per element)."""
+    found = []
+    for x in range(n):
+        if any(x in orbit for orbit in found):
+            continue
+        orbit, grown = set(), {x}
+        while grown != orbit:
+            orbit, grown = grown, grown | {p[y] for p in perms for y in grown}
+        found.append(tuple(sorted(orbit)))
+    found.sort(key=lambda orbit: (e not in orbit, orbit[0]))
+    return found, tuple(next(i for i, orbit in enumerate(found) if x in orbit) for x in range(n))

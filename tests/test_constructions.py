@@ -7,7 +7,7 @@ import pytest
 import schemeforge as sf
 from schemeforge import catalog
 
-from helpers import hamming_distance
+from helpers import hamming_distance, naive_orbits
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +134,7 @@ def test_partition_hypergroup_matches_scheme_route():
     ]
     for g in groups:
         for p in [sf.trivial_automorphisms(g), sf.inner_automorphisms(g)]:
+            assert sf.orbits(p) == naive_orbits(p.perms, g.order, g.e), g.order
             assert sf.partition_hypergroup(g, p) == sf.to_hypergroup(
                 sf.partition_scheme(g, p)
             ), g.order
@@ -184,6 +185,13 @@ def test_zmod_and_gf_rings():
         assert len(sf.units_of_order_dividing(r, 3)) == 3
 
 
+def test_additive_group_is_the_one_build_ring_verified():
+    for r in [sf.zmod_ring(6), sf.gf_ring(16)]:
+        g = sf.additive_group(r)
+        assert g is sf.additive_group(r)
+        assert g.cayley == r.add and g.e == r.zero
+
+
 def test_build_ring_rejects_broken_distributivity():
     add = [[(a + b) % 3 for b in range(3)] for a in range(3)]
     mul = [[1 if a and b else 0 for b in range(3)] for a in range(3)]  # not distributive
@@ -229,13 +237,19 @@ def test_quotient_hyperring_addition_is_partition_hypergroup():
         (sf.zmod_ring(3), (1, 2)),
         (sf.zmod_ring(7), (1, 2, 4)),
         (sf.gf_ring(16), sf.units_of_order_dividing(sf.gf_ring(16), 3)),
+        (sf.zmod_ring(9), sf.ring_units(sf.zmod_ring(9))),
+        (sf.zmod_ring(5), (1, 4)),
+        (sf.gf_ring(4), sf.ring_units(sf.gf_ring(4))),
+        (sf.gf_ring(64), sf.units_of_order_dividing(sf.gf_ring(64), 3)),
     ]
     for ring, units in cases:
         qh = sf.quotient_hyperring(ring, units)
-        ph = sf.partition_hypergroup(
-            sf.additive_group(ring), sf.scaling_automorphisms(ring, units)
-        )
+        scaling = sf.scaling_automorphisms(ring, units)
+        ph = sf.partition_hypergroup(sf.additive_group(ring), scaling)
         assert qh.hypergroup == ph
+        orbit_list, orbit_of = naive_orbits(scaling.perms, ring.order, ring.zero)
+        assert sf.orbits(scaling) == (orbit_list, orbit_of)
+        assert (qh.orbit_reps, qh.orbit_of) == (tuple(orbit_list), orbit_of)
 
 
 def test_quotient_hyperring_rejects_non_subgroup():
@@ -347,6 +361,15 @@ def test_padic_valued_rings():
     assert z9.chain == (0, 1, inf)
     with pytest.raises(ValueError):
         sf.padic_valued_ring(6, 2)
+
+
+def test_padic_valued_ring_rejects_bad_base_and_order():
+    # without the guard, (5, 1) and (0, 2) never leave the power-of-p loop and (4, 0) divides by zero
+    for n, p in [(5, 1), (0, 2), (4, 0), (-8, 2), (9, -3)]:
+        with pytest.raises(ValueError, match="p >= 2 and n >= 1"):
+            sf.padic_valued_ring(n, p)
+    with pytest.raises(ValueError, match="not a positive power"):
+        sf.padic_valued_ring(1, 2)
 
 
 def test_triangle_condition_z9_and_f5():

@@ -81,3 +81,21 @@ def test_raised_verification_errors_carry_witnesses():
     with pytest.raises(sf.VerificationError, match="geometry axiom fails") as info:
         io.load_geometry('{"points": 3, "lines": [[0, 1]]}')
     assert info.value.violations[0].axiom == "line_size"
+
+
+def test_aut_subgroup_is_the_only_automorphism_group_constructor():
+    """Every AutSubgroup comes out of aut_subgroup, which verifies the group;
+    orbits relies on that."""
+    def calls(tree):
+        return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "AutSubgroup"]
+
+    found, allowed = [], []
+    for path in sorted((SRC / "schemeforge").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{line}" for line in calls(tree)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "aut_subgroup":
+                allowed += [f"{path.name}:{line}" for line in calls(node)]
+    assert len(allowed) == 1
+    assert found == allowed

@@ -6,6 +6,7 @@ import itertools
 from math import inf
 
 import numpy as np
+import pytest
 
 import schemeforge as sf
 from schemeforge import catalog
@@ -15,12 +16,16 @@ from helpers import (
     naive_constants,
     naive_is_closed,
     naive_is_sub_hypergroup,
+    naive_quotient_hypergroup,
     naive_star,
     naive_sub_hypergroups,
+    set_product,
     support_table,
 )
 
 SMALL_SCHEMES = [name for name in catalog.scheme_names() if catalog.catalog_scheme(name).s <= 12]
+# every catalog class hypergroup within SUB_HYPERGROUP_BOUND
+QUOTIENT_SCHEMES = [name for name in catalog.scheme_names() if catalog.catalog_scheme(name).s <= 20]
 
 
 def small_hypergroups():
@@ -69,6 +74,22 @@ def image(subsets, pi):
     return sorted((frozenset(int(pi[x]) for x in t) for t in subsets), key=sorted)
 
 
+def check_quotients(h, name) -> int:
+    """quotient_hypergroup against the coset oracle on every normal
+    sub-hypergroup of h, and its refusal of the others; returns the number of
+    normal ones."""
+    normal = 0
+    for t in sf.sub_hypergroups(h):
+        if all(set_product(h.table, [x], t) == set_product(h.table, t, [x]) for x in range(h.m)):
+            q = sf.quotient_hypergroup(h, t)
+            assert (q.table, q.e, q.inv) == naive_quotient_hypergroup(h.table, h.e, h.inv, t), name
+            normal += 1
+        else:
+            with pytest.raises(ValueError, match="not normal"):
+                sf.quotient_hypergroup(h, t)
+    return normal
+
+
 # ---------------------------------------------------------------------------
 # the closure lattice against the power set
 
@@ -106,6 +127,17 @@ def test_lattice_under_random_relabellings():
             got = sf.sub_hypergroups(moved)
             assert got == image(expected, pi), name
             assert got == naive_sub_hypergroups(moved.table, moved.e, moved.inv), name
+            check_quotients(moved, name)
+    normal = 0
+    for name in QUOTIENT_SCHEMES:
+        h = catalog.catalog_hypergroup(name)
+        count = check_quotients(h, name)
+        normal += count
+        for _ in range(2):
+            moved, pi = relabel_hypergroup(h, rng)
+            assert sf.sub_hypergroups(moved) == image(sf.sub_hypergroups(h), pi), name
+            assert check_quotients(moved, name) == count, name
+    assert normal == 56
 
 
 def test_is_sub_hypergroup_matches_oracle_on_every_subset():

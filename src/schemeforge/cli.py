@@ -14,7 +14,7 @@ import sys
 
 from . import catalog, io
 from .constructions import check_triangle_condition, geometry_from_hypergroup
-from .errors import Report, SchemeForgeError, VerificationError
+from .errors import Report, VerificationError
 from .hypergroup import Hypergroup, product_hypergroup, quotient_hypergroup, sub_hypergroups
 from .realize import search_realization, to_hypergroup
 from .scheme import (
@@ -76,7 +76,7 @@ def _load_scheme(token: str):
     if os.path.exists(token):
         try:
             return io.load_scheme(_read_file(token))
-        except (json.JSONDecodeError, ValueError) as exc:
+        except (ValueError, TypeError) as exc:  # a JSONDecodeError is a ValueError
             raise _UsageError(f"malformed scheme file {token}: {exc}") from exc
     raise _UsageError(f"unknown scheme {token!r}: not a catalog name or file")
 
@@ -88,14 +88,11 @@ def _load_hypergroup(token: str):
         text = _read_file(token)
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise _UsageError(f"malformed hypergroup file {token}: {exc}") from exc
-        try:
             if isinstance(obj, dict) and "rel" in obj:
                 scheme = io.load_scheme(text)
                 return scheme if isinstance(scheme, Report) else to_hypergroup(scheme)
             return io.load_hypergroup(text)
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             raise _UsageError(f"malformed hypergroup file {token}: {exc}") from exc
     raise _UsageError(f"unknown hypergroup {token!r}: not a catalog name or file")
 
@@ -405,13 +402,7 @@ def run(argv: list[str]) -> int:
         return _HANDLERS[args.verb](args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SchemeForgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (_UsageError, ValueError, OSError) as exc:  # a SchemeForgeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

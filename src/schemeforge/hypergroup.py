@@ -6,6 +6,8 @@ subsets are unions of cell products.  Verification is exhaustive: every axiom
 is checked over all triples, and every construction in this module re-verifies
 its output.  Sub-hypergroups are the exception: a subset that contains e and is
 closed under * and inv inherits every axiom, so only that closure is checked.
+The scheme layer asks its class-set questions of a scheme's class hypergroup
+here, and ``find_bijection`` is the one backtracker under both isomorphism searches.
 
 The axioms are read from the support tensor, support[a, b, t] = (t in a*b),
 with its rows packed into bit words bits[a, b]: (ab)c is the OR of bits[t, c]
@@ -161,23 +163,25 @@ def is_sub_hypergroup(h: Hypergroup, kset) -> bool:
     )
 
 
-def closure_lattice(masks, e: int, inv) -> list[frozenset[int]]:
-    """Every subset that contains e and is closed under * and inv, in
-    lexicographic order of its sorted members; ``masks[a][b]`` is a*b as a bitmask.
+def closure_lattice(h: Hypergroup) -> list[frozenset[int]]:
+    """Every sub-hypergroup (a subset that contains e and is closed under * and
+    inv), in lexicographic order of its sorted members, with no size bound.
 
     Starts from the closure of {e}, then joins each closed set found with one
     outside element at a time and closes again.  This reaches every closed K:
     joining a closed T inside K with an element of K outside T gives a larger
     closed set, still inside K.
     """
+    masks = [[sum(1 << t for t in cell) for cell in row] for row in h.table]  # a*b as a bitmask
+
     def bits(mask: int) -> list[int]:
-        return [x for x in range(len(masks)) if mask >> x & 1]
+        return [x for x in range(h.m) if mask >> x & 1]
 
     def join(base: int, x: int) -> int:
         mask, members, todo = base | 1 << x, bits(base) + [x], [x]
         while todo:
             a = todo.pop()
-            acc = 1 << inv[a]
+            acc = 1 << h.inv[a]
             for b in members:
                 acc |= masks[a][b] | masks[b][a]
             fresh = bits(acc & ~mask)
@@ -186,7 +190,7 @@ def closure_lattice(masks, e: int, inv) -> list[frozenset[int]]:
             todo += fresh
         return mask
 
-    todo = [join(0, e)]
+    todo = [join(0, h.e)]
     seen = set(todo)
     while todo:
         base = todo.pop()
@@ -203,20 +207,22 @@ def sub_hypergroups(h: Hypergroup) -> list[frozenset[int]]:
         raise SizeGuardError(
             f"sub-hypergroup enumeration refused: m={h.m} exceeds bound {SUB_HYPERGROUP_BOUND}"
         )
-    masks = [[sum(1 << t for t in cell) for cell in row] for row in h.table]
-    return closure_lattice(masks, h.e, h.inv)
+    return closure_lattice(h)
+
+
+def _is_normal(h: Hypergroup, lset: frozenset[int]) -> bool:
+    """hL == Lh for all h, the half of ``is_normal_sub`` that quotients need."""
+    if not is_sub_hypergroup(h, lset):
+        raise ValueError(f"{sorted(lset)} is not a sub-hypergroup")
+    return all(h.product({x}, lset) == h.product(lset, {x}) for x in range(h.m))
 
 
 def is_normal_sub(h: Hypergroup, lset) -> tuple[bool, bool]:
     """(hL == Lh for all h,  inv(h)*L*h == L for all h) for a sub-hypergroup L."""
     lset = frozenset(int(x) for x in lset)
-    if not is_sub_hypergroup(h, lset):
-        raise ValueError(f"{sorted(lset)} is not a sub-hypergroup")
-    normal = all(h.product({x}, lset) == h.product(lset, {x}) for x in range(h.m))
-    strongly = all(
+    return _is_normal(h, lset), all(
         h.product(h.product({h.inv[x]}, lset), {x}) == lset for x in range(h.m)
     )
-    return normal, strongly
 
 
 def quotient_hypergroup(h: Hypergroup, nset) -> Hypergroup:
@@ -230,8 +236,7 @@ def quotient_hypergroup(h: Hypergroup, nset) -> Hypergroup:
     congruence check, with a ``product_congruence`` witness.
     """
     nset = frozenset(int(x) for x in nset)
-    normal, _ = is_normal_sub(h, nset)
-    if not normal:
+    if not _is_normal(h, nset):
         raise ValueError(f"{sorted(nset)} is not normal")
     cosets = {h.product({x}, nset) for x in range(h.m)}
     return congruence_quotient(h, CongruenceRelation.from_blocks(cosets, h.m))
@@ -340,13 +345,45 @@ def product_hypergroup(h1: Hypergroup, h2: Hypergroup) -> Hypergroup:
     return require(build_hypergroup(table, e, inv))
 
 
+def find_bijection(sig1, sig2, extend, state):
+    """The backtracker under both isomorphism searches: (phi, final state) for
+    a bijection with sig2[phi[x]] == sig1[x] that ``extend`` accepts, or None.
+
+    Places x in order of (sig1[x], x), onto each free u of equal signature in
+    turn.  extend(phi, x, state) sees x just placed (unplaced entries are -1)
+    and returns the next state, or None to reject.  States are passed down,
+    not mutated, so backtracking has nothing to undo.
+    """
+    if sorted(sig1) != sorted(sig2):
+        return None
+    order = sorted(range(len(sig1)), key=lambda x: (sig1[x], x))
+    phi, used = [-1] * len(sig1), [False] * len(sig1)
+
+    def place(i: int, state):
+        if i == len(order):
+            return tuple(phi), state
+        x = order[i]
+        for u in range(len(sig2)):
+            if used[u] or sig2[u] != sig1[x]:
+                continue
+            phi[x], used[u] = u, True
+            grown = extend(phi, x, state)
+            found = None if grown is None else place(i + 1, grown)
+            if found is not None:
+                return found
+            phi[x], used[u] = -1, False
+        return None
+
+    return place(0, state)
+
+
 def _signatures(h: Hypergroup) -> list[tuple]:
     sigs = []
     for x in range(h.m):
         row = tuple(sorted(len(h.table[x][y]) for y in range(h.m)))
         col = tuple(sorted(len(h.table[y][x]) for y in range(h.m)))
         sigs.append((
-            x == h.e,
+            x != h.e,  # the identity sorts first, so it is placed first
             h.inv[x] == x,
             len(h.table[x][x]),
             x in h.table[x][x],
@@ -359,8 +396,11 @@ def _signatures(h: Hypergroup) -> list[tuple]:
 def hypergroup_isomorphic(h1: Hypergroup, h2: Hypergroup) -> tuple[int, ...] | None:
     """Search for a bijection preserving identity, inverses, and all cell products.
 
-    Backtracks over element bijections pruned by per-element multiset signatures;
-    any candidate is verified in full before being returned.
+    ``find_bijection`` matches elements of equal per-element multiset signature.
+    Each placed x must agree with inverses and with the cells it forms with the
+    elements placed so far (the state); an element t placed later is covered by
+    reversibility, as t in a*b puts a in t*inv(b).  Any candidate is verified in
+    full before being returned.
     """
     if h1.m != h2.m:
         return None
@@ -368,49 +408,22 @@ def hypergroup_isomorphic(h1: Hypergroup, h2: Hypergroup) -> tuple[int, ...] | N
         raise SizeGuardError(
             f"isomorphism search refused: m={h1.m} exceeds bound {ISOMORPHISM_BOUND}"
         )
-    sig1, sig2 = _signatures(h1), _signatures(h2)
-    if sorted(sig1) != sorted(sig2):
-        return None
-    m = h1.m
-    phi = [-1] * m
-    used = [False] * m
-    phi[h1.e] = h2.e
-    used[h2.e] = True
-    rest = sorted((x for x in range(m) if x != h1.e), key=lambda x: (sig1[x], x))
 
-    def consistent(x: int) -> bool:
-        u = phi[x]
-        if phi[h1.inv[x]] >= 0 and phi[h1.inv[x]] != h2.inv[u]:
-            return False
-        mapped = [y for y in range(m) if phi[y] >= 0]
-        for y in mapped:
+    def extend(phi, x: int, placed: tuple[int, ...]):
+        if phi[h1.inv[x]] >= 0 and phi[h1.inv[x]] != h2.inv[phi[x]]:
+            return None
+        placed += (x,)
+        for y in placed:
             for a, b in ((x, y), (y, x)):
-                cell1 = h1.table[a][b]
-                cell2 = h2.table[phi[a]][phi[b]]
-                if len(cell1) != len(cell2):
-                    return False
-                image = {phi[t] for t in cell1 if phi[t] >= 0}
-                if not image <= cell2:
-                    return False
-        return True
+                cell1, cell2 = h1.table[a][b], h2.table[phi[a]][phi[b]]
+                if len(cell1) != len(cell2) or not {phi[t] for t in cell1 if phi[t] >= 0} <= cell2:
+                    return None
+        return placed
 
-    def place(i: int) -> bool:
-        if i == len(rest):
-            return True
-        x = rest[i]
-        for u in range(m):
-            if used[u] or sig2[u] != sig1[x]:
-                continue
-            phi[x] = u
-            used[u] = True
-            if consistent(x) and place(i + 1):
-                return True
-            phi[x] = -1
-            used[u] = False
-        return False
-
-    if not place(0):
+    found = find_bijection(_signatures(h1), _signatures(h2), extend, ())
+    if found is None:
         return None
+    phi, m = found[0], h1.m
     # full verification of the found bijection
     bad = [Violation("identity", (h1.e,))] if phi[h1.e] != h2.e else []
     bad += [Violation("inverse", (x,)) for x in range(m) if phi[h1.inv[x]] != h2.inv[phi[x]]]
@@ -420,4 +433,4 @@ def hypergroup_isomorphic(h1: Hypergroup, h2: Hypergroup) -> tuple[int, ...] | N
     ]
     if bad:
         raise VerificationError(bad, "found bijection is not an isomorphism")
-    return tuple(phi)
+    return phi

@@ -11,8 +11,8 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .errors import SizeGuardError, VerificationError, Violation, require
-from .hypergroup import Hypergroup, build_hypergroup
+from .errors import SizeGuardError, VerificationError, Violation
+from .hypergroup import Hypergroup
 from .scheme import (
     AssociationScheme,
     build_scheme,
@@ -27,15 +27,8 @@ _WITNESS_CAP = 25
 
 
 def to_hypergroup(scheme: AssociationScheme) -> Hypergroup:
-    """The hypergroup on the classes of a scheme: p*q is the support of the
-    structure constants, the identity is the diagonal class, inversion is star.
-    """
-    s = scheme.s
-    cell, r = np.divmod(np.flatnonzero(scheme.constants > 0), s)
-    bounds = np.searchsorted(cell, np.arange(s * s + 1)).tolist()
-    r = r.tolist()
-    table = [[frozenset(r[bounds[p * s + q]:bounds[p * s + q + 1]]) for q in range(s)] for p in range(s)]
-    return require(build_hypergroup(table, 0, scheme.star))
+    """The class hypergroup of a scheme, ``AssociationScheme.hypergroup``."""
+    return scheme.hypergroup
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -2,6 +2,11 @@
 intrinsic constructions (complex multiplication, closed subsets, restriction,
 product, quotient, isomorphism testing).
 
+Questions about class sets are asked of the scheme's class hypergroup
+(``AssociationScheme.hypergroup``, built once per scheme): complex products,
+closed subsets and normal closed subsets are its products, sub-hypergroups and
+normal sub-hypergroups.  Isomorphism search runs on ``hypergroup.find_bijection``.
+
 A scheme lives on the point set 0..n-1.  Its relations ("classes") partition
 the n x n index square; class 0 is always the diagonal, and ``star`` maps each
 class to its transpose class.  For classes p, q, r the structure constant
@@ -19,11 +24,20 @@ final sum, so below 2^53: float64 holds it exactly, with no rounding argument.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
 from .errors import Report, SizeGuardError, VerificationError, Violation, require
-from .hypergroup import closure_lattice
+from .hypergroup import (
+    Hypergroup,
+    _is_normal,
+    build_hypergroup,
+    closure_lattice,
+    find_bijection,
+    is_normal_sub,
+    is_sub_hypergroup,
+)
 
 CLOSED_SUBSET_CLASS_BOUND = 25
 _WITNESS_CAP = 25
@@ -46,6 +60,18 @@ class AssociationScheme:
 
     def class_set(self) -> frozenset[int]:
         return frozenset(range(self.s))
+
+    @functools.cached_property
+    def hypergroup(self) -> Hypergroup:
+        """The hypergroup on the classes, built once: p*q is the support of the
+        structure constants, the identity is the diagonal class, inversion is star.
+        """
+        s = self.s
+        cell, r = np.divmod(np.flatnonzero(self.constants > 0), s)
+        bounds = np.searchsorted(cell, np.arange(s * s + 1)).tolist()
+        r = r.tolist()
+        table = [[frozenset(r[bounds[p * s + q]:bounds[p * s + q + 1]]) for q in range(s)] for p in range(s)]
+        return require(build_hypergroup(table, 0, self.star))
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -184,32 +210,29 @@ def _check_class_sets(scheme: AssociationScheme, *sets) -> list[frozenset[int]]:
     return out
 
 
+def _closed_set(scheme: AssociationScheme, tset) -> frozenset[int]:
+    """The checked class set, or ValueError when it is not closed."""
+    (tset,) = _check_class_sets(scheme, tset)
+    if not is_sub_hypergroup(scheme.hypergroup, tset):
+        raise ValueError(f"class set {sorted(tset)} is not closed")
+    return tset
+
+
 def complex_mult(scheme: AssociationScheme, pset, qset) -> frozenset[int]:
     """Complex product: classes r with constants[p][q][r] >= 1 for some p, q in the inputs."""
     pset, qset = _check_class_sets(scheme, pset, qset)
-    block = scheme.constants[np.ix_(sorted(pset), sorted(qset))]
-    result = frozenset(int(r) for r in np.nonzero(block.any(axis=(0, 1)))[0])
-    if not result:
-        witness = (tuple(sorted(pset)), tuple(sorted(qset)))
-        raise VerificationError([Violation("complex_product", witness)], "empty complex product")
-    return result
+    return scheme.hypergroup.product(pset, qset)
 
 
 def is_commutative(scheme: AssociationScheme) -> bool:
     return bool(np.array_equal(scheme.constants, scheme.constants.transpose(1, 0, 2)))
 
 
-def _is_closed(supports: np.ndarray, star, tset: frozenset[int]) -> bool:
-    """0 in T and star(T)T inside T, read from the boolean array constants > 0."""
-    members = sorted(tset)
-    products = supports[np.ix_([star[p] for p in members], members)].any(axis=(0, 1))
-    return 0 in tset and set(np.flatnonzero(products).tolist()) <= tset
-
-
 def is_closed(scheme: AssociationScheme, tset) -> bool:
-    """True when the class set contains the diagonal class and star(T)T stays inside T."""
+    """True when the class set contains the diagonal class and star(T)T stays inside T,
+    that is, when it is a sub-hypergroup of the class hypergroup."""
     (tset,) = _check_class_sets(scheme, tset)
-    return _is_closed(scheme.constants > 0, scheme.star, tset)
+    return is_sub_hypergroup(scheme.hypergroup, tset)
 
 
 def closed_subsets(scheme: AssociationScheme) -> list[frozenset[int]]:
@@ -217,8 +240,8 @@ def closed_subsets(scheme: AssociationScheme) -> list[frozenset[int]]:
 
     A class set containing 0 has star(T)T inside T exactly when it is closed
     under complex product and star, so these are the closure lattice of the
-    support table of the constants (``hypergroup.closure_lattice``): one closure
-    per closed subset and outside class.  Refused for schemes with more than
+    class hypergroup (``hypergroup.closure_lattice``): one closure per closed
+    subset and outside class.  Refused for schemes with more than
     CLOSED_SUBSET_CLASS_BOUND classes.
     """
     s = scheme.s
@@ -226,9 +249,7 @@ def closed_subsets(scheme: AssociationScheme) -> list[frozenset[int]]:
         raise SizeGuardError(
             f"closed-subset enumeration refused: s={s} exceeds bound {CLOSED_SUBSET_CLASS_BOUND}"
         )
-    # bit r of masks[p, q] marks r in pq; the bound keeps s bits inside int64
-    masks = (scheme.constants > 0) @ (1 << np.arange(s, dtype=np.int64))
-    return closure_lattice(masks.tolist(), 0, scheme.star)
+    return closure_lattice(scheme.hypergroup)
 
 
 def is_primitive(scheme: AssociationScheme) -> bool:
@@ -238,17 +259,7 @@ def is_primitive(scheme: AssociationScheme) -> bool:
 
 def is_normal_closed(scheme: AssociationScheme, tset) -> tuple[bool, bool]:
     """Normality of a closed subset: (pT == Tp for all p, star(p)Tp == T for all p)."""
-    (tset,) = _check_class_sets(scheme, tset)
-    supports, star = scheme.constants > 0, scheme.star
-    if not _is_closed(supports, star, tset):
-        raise ValueError(f"class set {sorted(tset)} is not closed")
-    members = sorted(tset)
-    # row p: the supports of pT, Tp and star(p)Tp
-    p_t = supports[:, members].any(axis=1)
-    t_p = supports[members].any(axis=0)
-    star_p_t_p = (p_t[list(star), :, None] & supports.transpose(1, 0, 2)).any(axis=1)
-    inside = np.isin(np.arange(scheme.s), members)
-    return bool((p_t == t_p).all()), bool((star_p_t_p == inside).all())
+    return is_normal_sub(scheme.hypergroup, _closed_set(scheme, tset))
 
 
 def restrict_scheme(scheme: AssociationScheme, tset, x0: int) -> AssociationScheme:
@@ -257,15 +268,12 @@ def restrict_scheme(scheme: AssociationScheme, tset, x0: int) -> AssociationSche
     The restricted classes are the classes of T cut down to the new point set,
     renumbered in increasing original order; structure constants carry over.
     """
-    (tset,) = _check_class_sets(scheme, tset)
-    if not is_closed(scheme, tset):
-        raise ValueError(f"class set {sorted(tset)} is not closed")
+    tset = _closed_set(scheme, tset)
     if not 0 <= x0 < scheme.n:
         raise ValueError(f"point {x0} out of range")
     points = [y for y in range(scheme.n) if scheme.rel[x0, y] in tset]
-    reindex = {p: i for i, p in enumerate(sorted(tset))}
-    sub = scheme.rel[np.ix_(points, points)]
-    new_rel = np.vectorize(reindex.__getitem__, otypes=[np.int64])(sub)
+    # T is closed, so every pair of these points has its class in T: rank it there
+    new_rel = np.searchsorted(sorted(tset), scheme.rel[np.ix_(points, points)])
     return require(build_scheme(len(points), new_rel))
 
 
@@ -285,18 +293,14 @@ def quotient_blocks(scheme: AssociationScheme, nset) -> tuple[list[tuple[int, ..
 
     Blocks are sorted by smallest member; returns (blocks, block index per point).
     """
-    (nset,) = _check_class_sets(scheme, nset)
-    if not is_closed(scheme, nset):
-        raise ValueError(f"class set {sorted(nset)} is not closed")
-    mask = np.isin(scheme.rel, sorted(nset))
+    nset = _closed_set(scheme, nset)
+    # N is closed, so x ~ y is an equivalence: each block first shows up at its smallest point
     seen: dict[tuple[int, ...], int] = {}
-    block_of = [0] * scheme.n
-    for x in range(scheme.n):
-        block = tuple(int(y) for y in np.nonzero(mask[x])[0])
-        block_of[x] = seen.setdefault(block, len(seen))
-    blocks = sorted(seen, key=min)
-    renumber = {seen[b]: i for i, b in enumerate(blocks)}
-    return blocks, tuple(renumber[b] for b in block_of)
+    block_of = tuple(
+        seen.setdefault(tuple(np.flatnonzero(row).tolist()), len(seen))
+        for row in np.isin(scheme.rel, sorted(nset))
+    )
+    return list(seen), block_of
 
 
 def double_cosets(scheme: AssociationScheme, nset) -> tuple[list[frozenset[int]], tuple[int, ...]]:
@@ -320,26 +324,22 @@ def double_cosets(scheme: AssociationScheme, nset) -> tuple[list[frozenset[int]]
 
 def quotient_scheme(scheme: AssociationScheme, nset) -> AssociationScheme:
     """Quotient by a closed normal subset: points become N-blocks, classes double cosets."""
-    (nset,) = _check_class_sets(scheme, nset)
-    normal, _ = is_normal_closed(scheme, nset)
-    if not normal:
+    nset = _closed_set(scheme, nset)
+    if not _is_normal(scheme.hypergroup, nset):
         raise ValueError(f"class set {sorted(nset)} is not normal")
     blocks, block_of = quotient_blocks(scheme, nset)
     _, coset_of = double_cosets(scheme, nset)
-    nb = len(blocks)
-    q_rel = np.zeros((nb, nb), dtype=np.int64)
-    for i, bi in enumerate(blocks):
-        for j, bj in enumerate(blocks):
-            q_rel[i, j] = coset_of[scheme.rel[bi[0], bj[0]]]
+    coset_rel = np.array(coset_of, dtype=np.int64)[scheme.rel]
+    firsts = [b[0] for b in blocks]
+    q_rel = coset_rel[np.ix_(firsts, firsts)]
     # representative independence across whole blocks
-    coset_arr = np.array(coset_of, dtype=np.int64)
     block_arr = np.array(block_of, dtype=np.int64)
-    moved = np.argwhere(coset_arr[scheme.rel] != q_rel[block_arr][:, block_arr])
+    moved = np.argwhere(coset_rel != q_rel[block_arr][:, block_arr])
     if len(moved):
         witness = tuple(int(x) for x in moved[0])
         raise VerificationError([Violation("representatives", witness)],
                                 "quotient relation depends on representatives")
-    return require(build_scheme(nb, q_rel))
+    return require(build_scheme(len(blocks), q_rel))
 
 
 def scheme_isomorphic(
@@ -347,62 +347,32 @@ def scheme_isomorphic(
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Search for a simultaneous point/class relabeling carrying s1 onto s2.
 
-    Backtracks over point bijections, binding the class map as it goes and
-    pruning with valencies; returns (point_map, class_map) or None.
+    ``find_bijection`` maps the points.  Every point has the same signature,
+    its sorted valencies (it sees valency[c] points in class c), so schemes of
+    other sizes or valencies fail at once.  The state is the class map bound so
+    far, which must stay injective and keep valencies.  Returns (point_map,
+    class_map) or None.
     """
-    if s1.n != s2.n or s1.s != s2.s:
-        return None
-    if sorted(s1.valency) != sorted(s2.valency):
-        return None
-    n, s = s1.n, s1.s
-    rel1, rel2 = s1.rel, s2.rel
-    cmap = [-1] * s
-    cmap_used = [False] * s
-    pmap = [-1] * n
-    pmap_used = [False] * n
+    rel1, rel2 = s1.rel.tolist(), s2.rel.tolist()
 
-    def bind(c1: int, c2: int, undo: list[int]) -> bool:
-        if cmap[c1] == c2:
-            return True
-        if cmap[c1] >= 0 or cmap_used[c2]:
-            return False
-        if s1.valency[c1] != s2.valency[c2]:
-            return False
-        cmap[c1] = c2
-        cmap_used[c2] = True
-        undo.append(c1)
-        return True
+    def extend(pmap, x: int, cmap: list[int]):
+        u, cmap = pmap[x], list(cmap)
+        # equal signatures place the points in order 0, 1, ..., so y <= x are placed
+        for y in range(x + 1):
+            v = pmap[y]
+            for c1, c2 in ((rel1[x][y], rel2[u][v]), (rel1[y][x], rel2[v][u])):
+                if cmap[c1] != c2:
+                    if cmap[c1] >= 0 or c2 in cmap or s1.valency[c1] != s2.valency[c2]:
+                        return None
+                    cmap[c1] = c2
+        return cmap
 
-    def place(x: int) -> bool:
-        if x == n:
-            return True
-        for u in range(n):
-            if pmap_used[u]:
-                continue
-            undo: list[int] = []
-            ok = bind(int(rel1[x, x]), int(rel2[u, u]), undo)
-            for y in range(x):
-                if not ok:
-                    break
-                v = pmap[y]
-                ok = bind(int(rel1[x, y]), int(rel2[u, v]), undo) and bind(
-                    int(rel1[y, x]), int(rel2[v, u]), undo
-                )
-            if ok:
-                pmap[x] = u
-                pmap_used[u] = True
-                if place(x + 1):
-                    return True
-                pmap[x] = -1
-                pmap_used[u] = False
-            for c1 in undo:
-                cmap_used[cmap[c1]] = False
-                cmap[c1] = -1
-        return False
-
-    if not place(0):
+    sig1, sig2 = [sorted(s1.valency)] * s1.n, [sorted(s2.valency)] * s2.n
+    found = find_bijection(sig1, sig2, extend, [-1] * s1.s)
+    if found is None:
         return None
+    pmap, cmap = found
     # point bijection fixed every class somewhere, so the class map is total
     if -1 in cmap:
         raise VerificationError([Violation("class_map", (cmap.index(-1),))], "class map is partial")
-    return tuple(pmap), tuple(cmap)
+    return pmap, tuple(cmap)

@@ -230,3 +230,32 @@ def naive_orbits(perms, n: int, e: int):
         found.append(tuple(sorted(orbit)))
     found.sort(key=lambda orbit: (e not in orbit, orbit[0]))
     return found, tuple(next(i for i, orbit in enumerate(found) if x in orbit) for x in range(n))
+
+
+def naive_isomorphic(a, b):
+    """The first permutation, in lexicographic order, that carries a onto b,
+    or None.  a and b are two hypergroups or two schemes with at most 6
+    elements or points; only their raw fields are read.
+
+    A hypergroup map must carry e, inv and every cell onto b's.  A scheme map
+    must carry the points so that rel_a[x][y] -> rel_b[p[x]][p[y]] is one
+    bijection of the classes; it is returned as (point map, class map).
+    """
+    hyper = hasattr(a, "table")
+    size = a.m if hyper else a.n
+    if size > 6:
+        raise ValueError(f"naive_isomorphic tries all permutations; {size} is too many")
+    if size != (b.m if hyper else b.n):
+        return None
+    pairs = list(itertools.product(range(size), repeat=2))
+    for p in itertools.permutations(range(size)):
+        if hyper:
+            if (p[a.e] == b.e and all(p[a.inv[x]] == b.inv[p[x]] for x in range(size))
+                    and all({p[t] for t in a.table[x][y]} == b.table[p[x]][p[y]] for x, y in pairs)):
+                return p
+            continue
+        classes: dict[int, int] = {}
+        if all(classes.setdefault(int(a.rel[x][y]), int(b.rel[p[x]][p[y]])) == b.rel[p[x]][p[y]]
+               for x, y in pairs) and len(set(classes.values())) == len(classes) == b.s:
+            return p, tuple(classes[c] for c in range(len(classes)))
+    return None

@@ -99,3 +99,53 @@ def test_aut_subgroup_is_the_only_automorphism_group_constructor():
                 allowed += [f"{path.name}:{line}" for line in calls(node)]
     assert len(allowed) == 1
     assert found == allowed
+
+
+def _functions(tree):
+    """(qualified name, node) for every function, nested ones and methods as outer.inner."""
+    found = []
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.append((prefix + child.name, child))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            walk(child, prefix + child.name + "." if named else prefix)
+
+    walk(tree, "")
+    return found
+
+
+def _called_names(node):
+    return {getattr(call.func, "id", getattr(call.func, "attr", None))
+            for call in ast.walk(node) if isinstance(call, ast.Call)}
+
+
+def test_isomorphism_searches_share_one_backtracker():
+    """Both searches call find_bijection, and the modules that hold them define
+    no other recursive function (a backtracker of their own)."""
+    recursive, calls = [], {}
+    for name in ("hypergroup.py", "scheme.py"):
+        tree = ast.parse((SRC / "schemeforge" / name).read_text(encoding="utf-8"))
+        for qualified, node in _functions(tree):
+            calls[qualified] = _called_names(node)
+            if node.name in _called_names(node):
+                recursive.append(f"{name}:{qualified}")
+    assert "find_bijection" in calls["hypergroup_isomorphic"]
+    assert "find_bijection" in calls["scheme_isomorphic"]
+    assert recursive == ["hypergroup.py:find_bijection.place"]
+
+
+def test_constants_support_is_read_in_one_place():
+    """constants > 0 is the class hypergroup's table; it is read only where that
+    hypergroup is built, and every class-set question goes through it."""
+    found = []
+    for path in sorted((SRC / "schemeforge").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for qualified, node in _functions(tree):
+            for cmp in ast.walk(node):
+                if (isinstance(cmp, ast.Compare) and isinstance(cmp.ops[0], ast.Gt)
+                        and getattr(cmp.left, "attr", getattr(cmp.left, "id", None)) == "constants"
+                        and getattr(cmp.comparators[0], "value", None) == 0):
+                    found.append(f"{path.name}:{qualified}")
+    assert found == ["scheme.py:AssociationScheme.hypergroup"]

@@ -217,6 +217,20 @@ def test_cli_usage_errors(tmp_path, capsys):
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{oops")
     assert run(["build", str(garbled)]) == 2
+    # a field of the wrong type is malformed input, not a verification failure
+    capsys.readouterr()
+    for kind, word, text in [
+        ("hyper", "hypergroup", '{"m":1,"e":0,"inv":[0],"table":5}'),
+        ("hyper", "hypergroup", '{"m":1,"e":null,"inv":[0],"table":[[[0]]]}'),
+        ("hyper", "hypergroup", '{"m":1,"e":0,"inv":5,"table":[[[0]]]}'),
+        ("hyper", "hypergroup", '{"n":null,"rel":[[0]]}'),
+        ("scheme", "scheme", '{"n":null,"rel":[[0]]}'),
+    ]:
+        typed = tmp_path / "typed.json"
+        typed.write_text(text)
+        assert run(["verify", kind, str(typed)]) == 2, text
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"malformed {word} file" in captured.err, text
 
 
 def test_cli_thread_env_validation(monkeypatch, capsys):

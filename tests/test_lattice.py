@@ -74,6 +74,26 @@ def image(subsets, pi):
     return sorted((frozenset(int(pi[x]) for x in t) for t in subsets), key=sorted)
 
 
+def check_class_products(moved, c, pi, closed, name):
+    """complex_mult on every class pair and double_cosets of every closed
+    subset of a relabelled scheme, against naive_complex_mult on the original
+    constants c, carried over by the class relabelling pi."""
+    s = moved.s
+
+    def naive(pset, qset):
+        return {int(pi[r]) for r in naive_complex_mult(c, s, pset, qset)}
+
+    for p, q in itertools.product(range(s), repeat=2):
+        assert sf.complex_mult(moved, {pi[p]}, {pi[q]}) == naive({p}, {q}), (name, p, q)
+        assert sf.complex_mult(moved, {pi[p], pi[q]}, {pi[q]}) == naive({p, q}, {q}), (name, p, q)
+    for t in closed:
+        cosets, coset_of = sf.double_cosets(moved, {pi[x] for x in t})
+        expected = {frozenset(naive(naive_complex_mult(c, s, t, {p}), t)) for p in range(s)}
+        assert set(cosets) == expected and len(cosets) == len(expected), (name, sorted(t))
+        assert cosets == sorted(cosets, key=min), (name, sorted(t))
+        assert all(pi[p] in cosets[coset_of[pi[p]]] for p in range(s)), (name, sorted(t))
+
+
 def check_quotients(h, name) -> int:
     """quotient_hypergroup against the coset oracle on every normal
     sub-hypergroup of h, and its refusal of the others; returns the number of
@@ -113,13 +133,17 @@ def test_lattice_under_random_relabellings():
     for name in ["S3", "A4", "hamming-3", "fano-flags", "F16/F4", "Z8-2adic"]:
         s = catalog.catalog_scheme(name)
         expected = sf.closed_subsets(s)
+        c = oracle_constants(name)
         for _ in range(2):
-            assert sf.closed_subsets(relabel_points(s, rng)) == expected, name
+            points = relabel_points(s, rng)
+            assert sf.closed_subsets(points) == expected, name
+            check_class_products(points, c, range(s.s), expected, name)
             moved, pi = relabel_classes(s, rng)
             got = sf.closed_subsets(moved)
             assert got == image(expected, pi), name
             table = support_table(moved.constants, s.s)
             assert got == naive_sub_hypergroups(table, 0, moved.star), name
+            check_class_products(moved, c, pi, expected, name)
     for name, h in list(small_hypergroups().items()) + [("S3", catalog.catalog_hypergroup("S3"))]:
         expected = sf.sub_hypergroups(h)
         for _ in range(3):
@@ -185,10 +209,10 @@ def test_is_closed_matches_definition_on_every_subset():
             continue
         c = oracle_constants(name)
         star = naive_star(s.rel.tolist(), s.s)
-        for k in range(s.s):
-            for rest in itertools.combinations(range(1, s.s), k):
-                tset = {0, *rest}
-                assert sf.is_closed(s, tset) == naive_is_closed(c, star, s.s, tset), (name, rest)
+        # every nonempty class set, with or without the diagonal class
+        for k in range(1, s.s + 1):
+            for tset in itertools.combinations(range(s.s), k):
+                assert sf.is_closed(s, tset) == naive_is_closed(c, star, s.s, tset), (name, tset)
 
 
 # ---------------------------------------------------------------------------

@@ -219,34 +219,62 @@ def _identity_first(h: Hypergroup) -> Hypergroup:
     return Hypergroup(m=h.m, table=table, e=0, inv=tuple(swap[h.inv[swap[a]]] for a in range(h.m)))
 
 
+def _class_supports(table) -> list[frozenset[tuple[int, int]]]:
+    """For each class r, the pairs (p, q) with r in p*q."""
+    m = len(table)
+    return [frozenset((p, q) for p in range(m) for q in range(m) if r in table[p][q]) for r in range(m)]
+
+
+def _counts_fit(rel: list[list[int]], supports) -> bool:
+    """True when the multiset of class pairs (rel[x][y], rel[y][z]) over y is
+    the same at every pair (x, z) of a class, and at the first pair of each
+    class r, row-major, its set of pairs is supports[r]."""
+    cols = list(zip(*rel))
+    first: dict[int, list[tuple[int, int]]] = {}
+    for row in rel:
+        for r, col in zip(row, cols):
+            paths = sorted(zip(row, col))
+            known = first.setdefault(r, paths)
+            if paths != known or (known is paths and set(paths) != supports[r]):
+                return False
+    return True
+
+
 def _search_at_size(h: Hypergroup, n: int):
     """Backtracking over class matrices with s = m classes at a fixed point count.
 
     Cells fill column by column so each triangle is checked the moment its last
-    edge appears; the target table's zero pattern, per-row class counts, and a
-    sorted first row prune the tree.  Returns (scheme or None, leaf count).
+    edge appears; the target table's zero pattern and a sorted first row prune
+    the tree.  Row counts are bounded only by the valency guard: every class
+    c >= 1 enters row v at most val[c] times, and these valencies sum to n - 1,
+    so each partial row can still be completed and needs no separate test.
+    At a leaf, ``_counts_fit`` must hold before ``build_scheme`` runs: a leaf
+    it rejects has a count that varies on a class, so it is no scheme, or a
+    support that differs from h's cell, so its class table is not h's; either
+    way the literal comparison below would reject it too.  Every leaf is
+    counted, filtered or not.  Returns (scheme or None, leaf count).
     """
     m = h.m
     star = h.inv
     table = h.table
+    supports = None  # built at the first leaf; many sizes have none
     cells = [(x, z) for z in range(1, n) for x in range(z)]
     leaves = 0
 
     for val in _valency_vectors(h, n):
-        rel = np.zeros((n, n), dtype=np.int64)
+        # plain lists while the tree runs; a cell is read only after the current
+        # path has set it, so nothing is reset on backtracking
+        rel = [[0] * n for _ in range(n)]
         counts = [[0] * m for _ in range(n)]
 
-        def feasible_row(v: int, filled_v: int) -> bool:
-            remaining = (n - 1) - filled_v
-            return sum(max(0, val[c] - counts[v][c]) for c in range(1, m)) <= remaining
-
-        filled = [0] * n
-
         def assign(i: int):
-            nonlocal leaves
+            nonlocal leaves, supports
             if i == len(cells):
                 leaves += 1
-                candidate = build_scheme(n, rel.copy())
+                supports = supports or _class_supports(table)
+                if not _counts_fit(rel, supports):
+                    return None
+                candidate = build_scheme(n, np.array(rel, dtype=np.int64))
                 # a literal match of table and inverses: the identity map is an
                 # isomorphism, so no isomorphism search is needed
                 if isinstance(candidate, AssociationScheme):
@@ -255,40 +283,28 @@ def _search_at_size(h: Hypergroup, n: int):
                         return candidate
                 return None
             x, z = cells[i]
-            lo = rel[0, z - 1] if x == 0 and z >= 2 else 1
+            row_x, count_x, count_z = rel[x], counts[x], counts[z]
+            lo = rel[0][z - 1] if x == 0 and z >= 2 else 1
             for c in range(lo, m):
                 cs = star[c]
-                if counts[x][c] + 1 > val[c] or counts[z][cs] + 1 > val[cs]:
+                if count_x[c] >= val[c] or count_z[cs] >= val[cs]:
                     continue
-                rel[x, z] = c
-                rel[z, x] = cs
-                counts[x][c] += 1
-                counts[z][cs] += 1
-                filled[x] += 1
-                filled[z] += 1
-                ok = feasible_row(x, filled[x]) and feasible_row(z, filled[z])
-                if ok:
-                    # triangles {w, x, z} whose last edge is (x, z): only w < x
-                    # have both other edges assigned in this fill order
-                    for w in range(x):
-                        a, b = rel[x, w], rel[w, z]
-                        if (
-                            c not in table[a][b]
-                            or a not in table[c][rel[z, w]]
-                            or b not in table[rel[w, x]][c]
-                        ):
-                            ok = False
-                            break
-                if ok:
+                # triangles {w, x, z} whose last edge is (x, z): only w < x
+                # have both other edges assigned in this fill order.  Each
+                # needs c in rel[x][w]*rel[w][z]; h is reversible, so that puts
+                # its other two orientations in h's table as well
+                for w in range(x):
+                    if c not in table[row_x[w]][rel[w][z]]:
+                        break
+                else:
+                    row_x[z], rel[z][x] = c, cs
+                    count_x[c] += 1
+                    count_z[cs] += 1
                     result = assign(i + 1)
                     if result is not None:
                         return result
-                rel[x, z] = 0
-                rel[z, x] = 0
-                counts[x][c] -= 1
-                counts[z][cs] -= 1
-                filled[x] -= 1
-                filled[z] -= 1
+                    count_x[c] -= 1
+                    count_z[cs] -= 1
             return None
 
         found = assign(0)

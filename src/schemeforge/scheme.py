@@ -305,7 +305,7 @@ def quotient_blocks(scheme: AssociationScheme, nset) -> tuple[list[tuple[int, ..
 
 def double_cosets(scheme: AssociationScheme, nset) -> tuple[list[frozenset[int]], tuple[int, ...]]:
     """Partition of the classes into NpN double cosets, sorted by smallest class."""
-    (nset,) = _check_class_sets(scheme, nset)
+    nset = _closed_set(scheme, nset)
     cosets: list[frozenset[int]] = []
     coset_of = [-1] * scheme.s
     for p in range(scheme.s):

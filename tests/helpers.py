@@ -259,3 +259,90 @@ def naive_isomorphic(a, b):
                for x, y in pairs) and len(set(classes.values())) == len(classes) == b.s:
             return p, tuple(classes[c] for c in range(len(classes)))
     return None
+
+
+def naive_search_at_size(h, n: int):
+    """Oracle for ``realize._search_at_size``: the same tree written the slow
+    way, with a numpy ``rel``, a row-feasibility test at every node and
+    ``build_scheme`` at every leaf.  It imports the library itself, so the
+    other oracles here stay independent of it.
+
+    Backtracking over class matrices with s = m classes at a fixed point count.
+    Cells fill column by column so each triangle is checked the moment its last
+    edge appears; the target table's zero pattern, per-row class counts, and a
+    sorted first row prune the tree.  Returns (scheme or None, leaf count).
+    """
+    import numpy as np
+
+    from schemeforge.realize import _valency_vectors, to_hypergroup
+    from schemeforge.scheme import AssociationScheme, build_scheme
+
+    m = h.m
+    star = h.inv
+    table = h.table
+    cells = [(x, z) for z in range(1, n) for x in range(z)]
+    leaves = 0
+
+    for val in _valency_vectors(h, n):
+        rel = np.zeros((n, n), dtype=np.int64)
+        counts = [[0] * m for _ in range(n)]
+
+        def feasible_row(v: int, filled_v: int) -> bool:
+            remaining = (n - 1) - filled_v
+            return sum(max(0, val[c] - counts[v][c]) for c in range(1, m)) <= remaining
+
+        filled = [0] * n
+
+        def assign(i: int):
+            nonlocal leaves
+            if i == len(cells):
+                leaves += 1
+                candidate = build_scheme(n, rel.copy())
+                # a literal match of table and inverses: the identity map is an
+                # isomorphism, so no isomorphism search is needed
+                if isinstance(candidate, AssociationScheme):
+                    found = to_hypergroup(candidate)
+                    if found.table == table and found.inv == star:
+                        return candidate
+                return None
+            x, z = cells[i]
+            lo = rel[0, z - 1] if x == 0 and z >= 2 else 1
+            for c in range(lo, m):
+                cs = star[c]
+                if counts[x][c] + 1 > val[c] or counts[z][cs] + 1 > val[cs]:
+                    continue
+                rel[x, z] = c
+                rel[z, x] = cs
+                counts[x][c] += 1
+                counts[z][cs] += 1
+                filled[x] += 1
+                filled[z] += 1
+                ok = feasible_row(x, filled[x]) and feasible_row(z, filled[z])
+                if ok:
+                    # triangles {w, x, z} whose last edge is (x, z): only w < x
+                    # have both other edges assigned in this fill order
+                    for w in range(x):
+                        a, b = rel[x, w], rel[w, z]
+                        if (
+                            c not in table[a][b]
+                            or a not in table[c][rel[z, w]]
+                            or b not in table[rel[w, x]][c]
+                        ):
+                            ok = False
+                            break
+                if ok:
+                    result = assign(i + 1)
+                    if result is not None:
+                        return result
+                rel[x, z] = 0
+                rel[z, x] = 0
+                counts[x][c] -= 1
+                counts[z][cs] -= 1
+                filled[x] -= 1
+                filled[z] -= 1
+            return None
+
+        found = assign(0)
+        if found is not None:
+            return found, leaves
+    return None, leaves

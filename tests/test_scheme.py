@@ -221,6 +221,19 @@ def test_is_normal_closed_rejects_non_closed():
         sf.is_normal_closed(z4, {0, 1})
 
 
+def test_double_cosets_rejects_non_closed():
+    # without the check, Z3 with N = {1} raised KeyError: -1, and S3 with
+    # N = {1, 3} returned a partition into "double cosets" of a non-subgroup
+    z3 = sf.group_scheme(sf.cyclic_group(3))
+    s3 = catalog.catalog_scheme("S3")
+    assert not sf.is_commutative(s3)
+    for scheme, nset, text in [(z3, {1}, "[1]"), (s3, {1, 3}, "[1, 3]"), (s3, {0, 3}, "[0, 3]")]:
+        assert not sf.is_closed(scheme, nset)
+        with pytest.raises(ValueError) as info:
+            sf.double_cosets(scheme, nset)
+        assert str(info.value) == f"class set {text} is not closed"
+
+
 # ---------------------------------------------------------------------------
 # restriction
 

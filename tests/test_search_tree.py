@@ -1,0 +1,122 @@
+"""The realization search tree against the slow oracle in helpers.py, and its
+leaf filter ``realize._counts_fit`` against ``build_scheme`` and the literal
+table comparison it stands in front of."""
+
+import itertools
+from math import inf
+
+import numpy as np
+
+import schemeforge as sf
+from schemeforge import catalog, realize
+
+from helpers import naive_search_at_size
+
+
+def relabelled(h, perm):
+    """h with element a renamed perm[a]."""
+    table = [[None] * h.m for _ in range(h.m)]
+    inv = [0] * h.m
+    for a in range(h.m):
+        inv[perm[a]] = perm[h.inv[a]]
+        for b in range(h.m):
+            table[perm[a]][perm[b]] = frozenset(perm[t] for t in h.table[a][b])
+    return sf.require(sf.build_hypergroup(table, perm[h.e], inv))
+
+
+def identity_fixing_labellings(h):
+    return [relabelled(h, (0,) + p) for p in itertools.permutations(range(1, h.m))]
+
+
+def three_element(c11, c12, c22):
+    """3 elements, all self-inverse, with the given products 1*1, 1*2, 2*2."""
+    return sf.require(sf.build_hypergroup([[{0}, {1}, {2}], [{1}, c11, c12], [{2}, c12, c22]], 0, (0, 1, 2)))
+
+
+KRASNER = sf.krasner_hypergroup()
+TARGETS = {
+    "K": KRASNER,
+    "F7": catalog.catalog_hypergroup("F7"),
+    "Z8-2adic": catalog.catalog_hypergroup("Z8-2adic"),
+    "hamming-3": catalog.catalog_hypergroup("hamming-3"),
+    "S": sf.sign_hypergroup(),
+    "linear-3": sf.linear_hypergroup([0, 1, inf]),
+    "dense": three_element({0, 1, 2}, {1, 2}, {0, 1, 2}),
+    "petersen": three_element({0, 2}, {1, 2}, {0, 1, 2}),
+    "S3": sf.group_hypergroup(sf.symmetric_group(3)),  # not commutative
+}
+
+
+def outcome(result):
+    found, leaves = result
+    return (None if found is None else found.rel.tolist()), leaves
+
+
+def test_search_tree_matches_naive_oracle():
+    # every size up to the search bound, so the leaf-heavy n = 8 trees of
+    # dense (1,106 leaves) and petersen (97) are compared too
+    for name, h in TARGETS.items():
+        for g in identity_fixing_labellings(h):
+            for n in range(g.m, realize.SEARCH_POINT_BOUND + 1):
+                expected = outcome(naive_search_at_size(g, n))
+                assert outcome(realize._search_at_size(g, n)) == expected, (name, g.table, n)
+
+
+def accepts(rel, h) -> bool:
+    return realize._counts_fit(rel, realize._class_supports(h.table))
+
+
+def test_leaf_filter_accepts_every_small_scheme_and_nothing_else():
+    # each catalog scheme with n <= 8, under seeded point and class
+    # relabellings: the filter accepts it with its own class table, and with
+    # any other table of as many classes exactly when the tables are equal
+    rng = np.random.default_rng(20261018)
+    schemes = [catalog.catalog_scheme(name) for name in catalog.scheme_names()]
+    schemes = [s for s in schemes if s.n <= 8]
+    tables = {}
+    for s in schemes:
+        for g in identity_fixing_labellings(s.hypergroup):
+            tables.setdefault(g.m, []).append(g)
+    for s in schemes:
+        for _ in range(3):
+            points = rng.permutation(s.n)
+            classes = np.concatenate(([0], 1 + rng.permutation(s.s - 1)))
+            rel = classes[s.rel[np.ix_(points, points)]]
+            own = sf.require(sf.build_scheme(s.n, rel)).hypergroup
+            rel = rel.tolist()
+            assert accepts(rel, own)
+            for other in tables[s.s]:
+                assert accepts(rel, other) == (other.table == own.table), (s.rel.tolist(), other.table)
+
+
+def test_leaf_filter_rejects_only_leaves_the_search_rejects():
+    # seeded random star-consistent matrices on at most 6 points: a rejected
+    # matrix is no scheme or has another class table; where every class
+    # appears, as at every leaf, the filter is exact
+    rng = np.random.default_rng(9)
+    k = KRASNER
+    pool = [
+        k, sf.group_hypergroup(sf.cyclic_group(2)), sf.group_hypergroup(sf.cyclic_group(3)),
+        sf.product_hypergroup(k, k),
+        *(catalog.catalog_hypergroup(name) for name in ("F7", "S3-inn", "hamming-2", "Z8-2adic")),
+        *(TARGETS[name] for name in ("S", "linear-3", "dense", "petersen")),
+    ]
+    labelled = [g for h in pool for g in identity_fixing_labellings(h)]
+    seen = set()
+    for _ in range(1500):
+        h = labelled[rng.integers(len(labelled))]
+        n = int(rng.integers(h.m, 7))
+        rel = [[0] * n for _ in range(n)]
+        for x, z in itertools.combinations(range(n), 2):
+            c = int(rng.integers(1, h.m))
+            rel[x][z], rel[z][x] = c, h.inv[c]
+        built = sf.build_scheme(n, np.array(rel))
+        good = isinstance(built, sf.AssociationScheme) and built.hypergroup.table == h.table
+        fit = accepts(rel, h)
+        if not fit:
+            assert not good, (rel, h.table)
+        if len({c for row in rel for c in row}) == h.m:
+            assert fit == good, (rel, h.table)
+        seen.add((fit, isinstance(built, sf.AssociationScheme)))
+    # the draws reach accepted schemes, schemes with another table, and non-schemes
+    assert seen == {(True, True), (False, True), (False, False)}

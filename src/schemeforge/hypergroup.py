@@ -10,10 +10,16 @@ The scheme layer asks its class-set questions of a scheme's class hypergroup
 here, and ``find_bijection`` is the one backtracker under both isomorphism searches.
 
 The axioms are read from the support tensor, support[a, b, t] = (t in a*b),
-with its rows packed into bit words bits[a, b]: (ab)c is the OR of bits[t, c]
-over t in ab, a(bc) the OR of bits[a, t] over t in bc, both for all triples at
-once, and reversibility is two gathers over the nonzero cells.  Witnesses come
-in ascending (a, b, c) order, at most 25 per axiom.
+by one checker that both routes share: ``build_hypergroup`` normalizes its
+table once and builds the tensor from it, and a scheme's class hypergroup
+(``support_hypergroup``) hands in constants > 0 directly, building its
+frozenset table only for the returned value.  Cells must be nonempty and in
+range, e the only identity and inv(x) x's only inverse.  The rows of the tensor
+are packed into bit words bits[a, b]: (ab)c is the OR of bits[t, c] over t in
+ab and a(bc) the OR of bits[a, t] over t in bc, formed for a block of a at a
+time, each block no larger than 2 MB unless one a needs more; reversibility is
+two gathers over the nonzero cells.  Witnesses come in ascending (a, b, c)
+order, at most 25 per axiom.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .errors import Report, SizeGuardError, VerificationError, Violation, requir
 SUB_HYPERGROUP_BOUND = 20
 ISOMORPHISM_BOUND = 24
 _WITNESS_CAP = 25
+_BLOCK_BYTES = (1 << 16, 1 << 21)  # bounds on each temporary of a blocked check
 
 HypergroupReport = Report  # former name, kept for existing callers
 
@@ -59,7 +66,7 @@ class Hypergroup:
 
 def _normalize_table(table) -> tuple[tuple[frozenset[int], ...], ...] | None:
     try:
-        rows = tuple(tuple(frozenset(int(x) for x in cell) for cell in row) for row in table)
+        rows = tuple(tuple(frozenset(map(int, cell)) for cell in row) for row in table)
     except TypeError:
         return None
     m = len(rows)
@@ -70,78 +77,121 @@ def _normalize_table(table) -> tuple[tuple[frozenset[int], ...], ...] | None:
 
 def hypergroup_violations(table, e: int, inv) -> list[Violation]:
     """All axiom violations of a candidate table, in axiom order, capped per axiom."""
-    rows = _normalize_table(table)
-    if rows is None:
-        return [Violation("shape", ())]
-    return _violations(rows, e, inv)
+    return _violations(_normalize_table(table), e, inv)
 
 
 def _violations(rows, e: int, inv) -> list[Violation]:
+    """``_axiom_violations`` of a normalized table's support tensor (rows is None
+    when the table is not square); a cell with an element outside 0..m-1 is
+    broken like an empty one."""
+    if rows is None:
+        return [Violation("shape", ())]
     m = len(rows)
-    broken = [(a, b) for a in range(m) for b in range(m)
-              if not rows[a][b] or min(rows[a][b]) < 0 or max(rows[a][b]) >= m]
-    if broken:
-        return [Violation("cell", ab) for ab in broken[:_WITNESS_CAP]]
+    cells = [cell for row in rows for cell in row]
+    flat = [k * m + t for k, cell in enumerate(cells) for t in cell if 0 <= t < m]
+    support = np.zeros(m ** 3, dtype=bool)
+    support[flat] = True
+    outside = False
+    if len(flat) < sum(map(len, cells)):
+        outside = np.array([any(not 0 <= t < m for t in cell) for cell in cells])
+    return _axiom_violations(support.reshape(m, m, m), e, inv, outside)
+
+
+def _axiom_violations(support: np.ndarray, e: int, inv, outside=False) -> list[Violation]:
+    """The axioms read from support[a, b, t] = (t in a*b), in axiom order.
+
+    ``outside`` marks, by a*m + b, cells that the tensor cannot show broken
+    (an element out of range); an empty cell is broken too.
+    """
+    m = len(support)
+    broken = (outside | ~support.any(axis=2).ravel()).nonzero()[0]
+    if broken.size:
+        return [Violation("cell", divmod(k, m)) for k in broken[:_WITNESS_CAP].tolist()]
     inv = tuple(int(x) for x in inv)
     if not (0 <= e < m) or len(inv) != m or not all(0 <= g < m for g in inv):
         return [Violation("shape", (e, inv))]
     bad: list[Violation] = []
 
+    # c is an identity when c*x = {x} = x*c for every x; identities c and d give
+    # c = c*d = d, so the others are looked for only when e is none
+    eye = np.eye(m, dtype=bool)
+
     def is_identity(c: int) -> bool:
-        return all(rows[c][x] == {x} == rows[x][c] for x in range(m))
+        return bool((support[c] == eye).all() and (support[:, c] == eye).all())
 
-    identities = [c for c in range(m) if is_identity(c)]
-    if identities != [e]:
-        bad.append(Violation("identity", tuple(identities)))
+    if not is_identity(e):
+        bad.append(Violation("identity", tuple(c for c in range(m) if is_identity(c))))
 
-    for x in range(m):
-        partners = [g for g in range(m) if e in rows[x][g] and e in rows[g][x]]
-        if partners != [inv[x]]:
-            bad.append(Violation("inverse", (x, tuple(partners))))
+    # partners[x, g]: e lies in x*g and in g*x; inv(x) must be x's only one
+    partners = support[:, :, e] & support[:, :, e].T
+    inv_arr = np.array(inv)
+    for x in (partners != eye[inv_arr]).any(axis=1).nonzero()[0].tolist():
+        bad.append(Violation("inverse", (x, tuple(partners[x].nonzero()[0].tolist()))))
 
-    # support[a, b, t]: t lies in a*b; bits[a, b]: the same as uint64 words,
-    # packed from t padded to a multiple of 64
-    sizes = [len(cell) for row in rows for cell in row]
-    padded = np.zeros((m * m, -(-m // 64) * 64), dtype=bool)
-    padded[np.repeat(np.arange(m * m), sizes), [t for row in rows for cell in row for t in cell]] = True
-    support = padded[:, :m].reshape(m, m, m)
-    bits = np.packbits(padded, axis=1, bitorder="little").view("<u8").reshape(m, m, -1)
+    # bits[a, b]: support[a, b] as uint64 words, t padded to a multiple of 64
+    padded = np.zeros((m, m, -(-m // 64) * 64), dtype=bool)
+    padded[:, :, :m] = support
+    bits = np.packbits(padded, axis=2, bitorder="little").view("<u8")
 
-    # the entries (a*m + b, t) of the cells in C order; round r holds each cell's r-th entry
-    cell, elem = np.divmod(np.flatnonzero(support), m)
-    rank = np.arange(len(cell)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    rounds = [(cell[at], elem[at]) for at in (rank == r for r in range(max(sizes)))]
-    left = _or_rows(bits, rounds).reshape(m, m, m, -1)  # (ab)c at [a, b, c]
-    right = _or_rows(np.ascontiguousarray(bits.transpose(1, 0, 2)), rounds)  # a(bc) at [b, c, a]
-    right = right.reshape(m, m, m, -1)
-    differ = np.flatnonzero((left != right.transpose(2, 0, 1, 3)).any(axis=3))[:_WITNESS_CAP]
-    bad += [Violation("associativity", (k // (m * m), k // m % m, k % m)) for k in differ.tolist()]
+    # the entries (a*m + b, t) of the cells in C order: each cell's first, then the rest
+    cell, elem = np.divmod(support.ravel().nonzero()[0], m)
+    rest = np.zeros(len(cell), dtype=bool)
+    rest[1:] = cell[1:] == cell[:-1]
+    first, k, t = elem[~rest], cell[rest], elem[rest]
+    # (ab)c and a(bc) for a block of a at a time, each as large as bits times the block
+    step = max(1, _BLOCK_BYTES[1] // bits.nbytes)
+    differ: list[int] = []
+    for a0 in range(0, m, step):
+        lo, hi = a0 * m, min(a0 + step, m) * m
+        i, j = k.searchsorted([lo, hi])
+        left = _or_rows(bits, first[lo:hi], k[i:j] - lo, t[i:j])  # (ab)c at [a*m + b - lo, c]
+        # a(bc) at [b*m + c, a - a0], then moved to where left holds (ab)c
+        right = _or_rows(bits.transpose(1, 0, 2)[:, a0:a0 + step], first, k, t)
+        right = right.reshape(m, m, -1, bits.shape[2]).transpose(2, 0, 1, 3).reshape(left.shape)
+        differ += ((left != right).any(axis=2).ravel().nonzero()[0] + lo * m).tolist()
+        if len(differ) >= _WITNESS_CAP:
+            break
+    bad += [Violation("associativity", (x // (m * m), x // m % m, x % m)) for x in differ[:_WITNESS_CAP]]
 
     # c in ab needs a in c*inv(b) and b in inv(a)*c
     a, b = np.divmod(cell, m)
-    inv_arr = np.array(inv)
     reversed_ok = support[elem, inv_arr[b], a] & support[inv_arr[a], elem, b]
-    for k in np.flatnonzero(~reversed_ok)[:_WITNESS_CAP]:
-        bad.append(Violation("reversibility", (int(a[k]), int(b[k]), int(elem[k]))))
+    for x in (~reversed_ok).nonzero()[0][:_WITNESS_CAP]:
+        bad.append(Violation("reversibility", (int(a[x]), int(b[x]), int(elem[x]))))
     return bad
 
 
-def _or_rows(rows: np.ndarray, rounds) -> np.ndarray:
-    """out[k] = OR of rows[t] over the entries (k, t) of all rounds; the first
-    round has one entry for every k, each later one at most one."""
-    out = rows[rounds[0][1]]
-    for k, t in rounds[1:]:
-        out[k] |= rows[t]
+def _or_rows(rows: np.ndarray, first: np.ndarray, k: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """out[i] = rows[first[i]] OR each rows[t] of the entries (i, t) of k and t,
+    gathering no more rows at a time than out holds."""
+    out = rows[first]
+    for at in range(0, len(k), len(out)):
+        np.bitwise_or.at(out, k[at:at + len(out)], rows[t[at:at + len(out)]])
     return out
 
 
 def build_hypergroup(table, e: int, inv) -> Hypergroup | Report:
     """Exhaustively verify all hypergroup axioms; return the value or a report."""
     rows = _normalize_table(table)
-    bad = [Violation("shape", ())] if rows is None else _violations(rows, e, inv)
+    bad = _violations(rows, e, inv)
     if bad:
         return Report(tuple(bad))
     return Hypergroup(m=len(rows), table=rows, e=int(e), inv=tuple(int(x) for x in inv))
+
+
+def support_hypergroup(support: np.ndarray, e: int, inv) -> Hypergroup | Report:
+    """``build_hypergroup`` of the table whose cell a*b is {t : support[a, b, t]},
+    checked on the m x m x m bool tensor itself; the frozenset table is built
+    only for the returned value."""
+    bad = _axiom_violations(support, e, inv)
+    if bad:
+        return Report(tuple(bad))
+    m = len(support)
+    cell, t = np.divmod(np.flatnonzero(support), m)
+    bounds, t = np.searchsorted(cell, np.arange(m * m + 1)).tolist(), t.tolist()
+    cells = [frozenset(t[bounds[k]:bounds[k + 1]]) for k in range(m * m)]
+    table = tuple(tuple(cells[a * m:a * m + m]) for a in range(m))
+    return Hypergroup(m=m, table=table, e=int(e), inv=tuple(int(x) for x in inv))
 
 
 def group_as_hypergroup(cayley, e: int, inv) -> Hypergroup:

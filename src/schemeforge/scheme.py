@@ -14,11 +14,15 @@ class to its transpose class.  For classes p, q, r the structure constant
 with (y, x) in class p and (x, z) in class q; an n x n class matrix is a
 scheme exactly when these counts do not depend on the chosen (y, z).
 
-``build_scheme`` checks every count exactly by float64 BLAS products.  A count
-lies in 0..n, so g counts packed as base-(n+1) digits stay below (n+1)^g, and
-``pack_width`` picks the largest g with (n+1)^g <= 2^53.  The packing is
-injective, and every partial sum of a product is an integer between 0 and the
-final sum, so below 2^53: float64 holds it exactly, with no rounding argument.
+``build_scheme`` checks every count exactly by float64 BLAS products.  The
+count of (p, q) at (y, z) is at most the number of x with rel[x, z] = q, so at
+most bound[q], the most points of class q in any one column, read off the
+matrix itself by one bincount (a matrix that is no scheme can have uneven
+columns, so no valency is assumed).  Class q's count is a digit of radix
+bound[q] + 1, and ``count_radices`` fills column groups in class order while
+the product of their radices stays <= 2^53.  The packing is injective, and
+every partial sum of a product is an integer between 0 and the final sum, so
+below 2^53: float64 holds it exactly, with no rounding argument.
 """
 
 from __future__ import annotations
@@ -30,18 +34,18 @@ import numpy as np
 
 from .errors import Report, SizeGuardError, VerificationError, Violation, require
 from .hypergroup import (
+    _BLOCK_BYTES,
     Hypergroup,
     _is_normal,
-    build_hypergroup,
     closure_lattice,
     find_bijection,
     is_normal_sub,
     is_sub_hypergroup,
+    support_hypergroup,
 )
 
 CLOSED_SUBSET_CLASS_BOUND = 25
 _WITNESS_CAP = 25
-_BLOCK_BYTES = (1 << 16, 1 << 21)  # bounds on each temporary of the count check
 
 SchemeReport = Report  # former name, kept for existing callers
 
@@ -66,12 +70,7 @@ class AssociationScheme:
         """The hypergroup on the classes, built once: p*q is the support of the
         structure constants, the identity is the diagonal class, inversion is star.
         """
-        s = self.s
-        cell, r = np.divmod(np.flatnonzero(self.constants > 0), s)
-        bounds = np.searchsorted(cell, np.arange(s * s + 1)).tolist()
-        r = r.tolist()
-        table = [[frozenset(r[bounds[p * s + q]:bounds[p * s + q + 1]]) for q in range(s)] for p in range(s)]
-        return require(build_hypergroup(table, 0, self.star))
+        return require(support_hypergroup(self.constants > 0, 0, self.star))
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -79,12 +78,22 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def pack_width(n: int) -> int:
-    """The largest g with (n+1)^g <= 2^53 (the module docstring says why)."""
-    g = 1
-    while g < 53 and (n + 1) ** (g + 1) <= 2 ** 53:
-        g += 1
-    return g
+def count_radices(rel: np.ndarray, s: int) -> tuple[list[int], list[int], list[int]]:
+    """(radix, group, place) of each class q: its digit's radix, column group
+    and place value in the count check (the module docstring says why)."""
+    n = len(rel)
+    # bound[q]: the most points of class q in one column, from one bincount by (q, z)
+    per_column = np.bincount((rel * n + np.arange(n)).ravel(), minlength=s * n)
+    bound = per_column.reshape(s, n).max(axis=1, initial=0)
+    radix, group, place = (bound + 1).tolist(), [], []
+    j, width = 0, 1  # group j's radix product so far
+    for r in radix:
+        if width * r > 2 ** 53:
+            j, width = j + 1, 1
+        group.append(j)
+        place.append(width)
+        width *= r
+    return radix, group, place
 
 
 def _counted_constants(rel: np.ndarray, s: int, first: np.ndarray) -> tuple[np.ndarray, list[Violation]]:
@@ -95,12 +104,10 @@ def _counted_constants(rel: np.ndarray, s: int, first: np.ndarray) -> tuple[np.n
     keys = (rel[ys] * s + rel[:, zs].T) * s + np.arange(s)[:, None]
     constants = np.bincount(keys.ravel(), minlength=s ** 3).reshape(s, s, s)
 
-    g = pack_width(n)
-    groups = -(-s // g)
-    powers = (n + 1) ** np.arange(g, dtype=np.int64)
-    # class q counts as digit q mod g of column group q // g
+    radix, group, place = count_radices(rel, s)
+    groups = group[-1] + 1 if s else 0
     weights = np.zeros((s, groups))
-    weights[np.arange(s), np.arange(s) // g] = powers[np.arange(s) % g]
+    weights[np.arange(s), group] = place
     expect = constants.transpose(0, 2, 1) @ weights
     packed = weights[rel].reshape(n, n * groups)
 
@@ -117,9 +124,10 @@ def _counted_constants(rel: np.ndarray, s: int, first: np.ndarray) -> tuple[np.n
             continue
         i, z, j = np.unravel_index(differ, counts.shape)
         got, want = counts[i, z, j].astype(np.int64), expect[ps[i], rows[i, z], j].astype(np.int64)
-        for t in range(min(g, s)):
-            off = got // powers[t] % (n + 1) != want // powers[t] % (n + 1)
-            key = (ps[i[off]] * s + j[off] * g + t) * s + rows[i[off], z[off]]
+        # class q's count is the digit of radix radix[q] at place[q] in group group[q]
+        for q in range(s):
+            off = (j == group[q]) & (got // place[q] % radix[q] != want // place[q] % radix[q])
+            key = (ps[i[off]] * s + q) * s + rows[i[off], z[off]]
             np.minimum.at(witness, key, ys[i[off]] * n + z[off])
         # the classes p whose rows all lie in blocks done are complete
         if np.count_nonzero(witness[: (start + len(ps)) // n * s * s] < n * n) >= _WITNESS_CAP:
@@ -139,10 +147,12 @@ def build_scheme(n: int, rel) -> AssociationScheme | Report:
     with a concrete witness.
 
     The constants are read at the first pair of each class, row-major.  Row
-    (p, y) of A_p @ R then packs, at each (y, z), the counts of g classes q per
-    column group, where R holds (n+1)^(q mod g) at (x, z) in group q // g of
-    class q = rel[x, z]; it must equal the same packing of the constants.  That
-    is s * ceil(s/g) * n^3 multiply-adds, in row blocks of at most 2 MB.
+    (p, y) of A_p @ R then packs, at each (y, z), the counts of the classes q
+    of each column group, where R holds class q's place value at (x, z) in
+    q's group for q = rel[x, z]; it must equal the same packing of the
+    constants.  That is s * groups * n^3 multiply-adds, in row blocks of at
+    most 2 MB.  Missing classes are found from the distinct labels, so a
+    huge label costs no memory.
     """
     rel = np.asarray(rel)
     if rel.ndim != 2 or rel.shape != (n, n) or not np.issubdtype(rel.dtype, np.integer):
@@ -154,9 +164,15 @@ def build_scheme(n: int, rel) -> AssociationScheme | Report:
         x, y = divmod(int(np.argmax(rel_flat < 0)), n)
         return Report((Violation("classes", (x, y, int(rel[x, y]))),))
     s = int(rel.max()) + 1 if rel.size else 0
-    missing = np.flatnonzero(np.bincount(rel_flat, minlength=s) == 0)
-    if missing.size:
-        return Report(tuple(Violation("classes", (int(c),)) for c in missing[:_WITNESS_CAP]))
+    # the distinct labels, sorted: a bincount no larger than rel, or a sort when
+    # some label exceeds n*n (and so leaves classes missing)
+    labels = np.flatnonzero(np.bincount(rel_flat, minlength=s)) if s <= rel.size else np.unique(rel_flat)
+    if len(labels) < s:
+        # labels[i] - i classes are missing below labels[i], so missing class k
+        # (from 0) is k plus the number of labels with at most k missing below them
+        ks = np.arange(min(s - len(labels), _WITNESS_CAP))
+        missing = ks + np.searchsorted(labels - np.arange(len(labels)), ks, side="right")
+        return Report(tuple(Violation("classes", (c,)) for c in missing.tolist()))
 
     # class 0 is the diagonal: rel[x][x] = 0 and 0 appears nowhere else
     off = rel == 0

@@ -3,18 +3,20 @@ build_hypergroup and the row-0 triangle check, against the by-definition
 oracles in helpers.py under seeded random relabellings and perturbations."""
 
 import itertools
+import json
 import os
+import resource
 import subprocess
 import sys
-from math import inf
+from math import inf, prod
 
 import numpy as np
 
 import schemeforge as sf
-from schemeforge import catalog
+from schemeforge import catalog, hypergroup
 from schemeforge.constructions import ValuedRing
-from schemeforge.hypergroup import hypergroup_violations
-from schemeforge.scheme import pack_width
+from schemeforge.hypergroup import hypergroup_violations, support_hypergroup
+from schemeforge.scheme import count_radices
 
 from helpers import (
     naive_constant_witnesses,
@@ -25,6 +27,7 @@ from helpers import (
 )
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(HERE), "src")
 SMALL_SCHEMES = [name for name in catalog.scheme_names() if catalog.catalog_scheme(name).n <= 64]
 
 
@@ -130,11 +133,66 @@ def test_refusal_witnesses_match_oracle_across_row_blocks():
             assert [v.witness for v in result.violations] == naive_constant_witnesses(rel.tolist(), n), n
 
 
-def test_pack_width_is_the_largest_exact_width():
-    for n in (1, 2, 8, 441, 4096, 2 ** 26):
-        g = pack_width(n)
-        assert (n + 1) ** g <= 2 ** 53 < (n + 1) ** (g + 1), n
-    assert pack_width(441) == 6 and pack_width(2 ** 26) == 2
+def test_radix_groups_are_greedy_and_exact():
+    fano, h3 = catalog.catalog_scheme("fano-flags"), catalog.catalog_scheme("hamming-3")
+    cases = {
+        "fano x fano": (sf.product_scheme(fano, fano), 3),
+        "Z/64": (sf.group_scheme(sf.cyclic_group(64)), 2),
+        "F64/F4": (catalog.catalog_scheme("F64/F4"), 1),
+        "H(8,2)": (sf.hamming_scheme(8), 1),
+        "fano x H(3,2)": (sf.product_scheme(fano, h3), 2),
+    }
+    for name, (scheme, groups) in cases.items():
+        radix, group, place = count_radices(np.asarray(scheme.rel), scheme.s)
+        # a scheme's columns all hold valency[q] points of class q
+        assert radix == [k + 1 for k in scheme.valency], name
+        assert group == sorted(group) and group[0] == 0 and group[-1] == groups - 1, name
+        for j in range(groups):
+            members = [q for q in range(scheme.s) if group[q] == j]
+            assert members == list(range(members[0], members[-1] + 1)), name
+            assert [place[q] for q in members] == [prod(radix[members[0]:q]) for q in members], name
+            width = prod(radix[q] for q in members)
+            assert width <= 2 ** 53, name
+            if j < groups - 1:
+                assert width * radix[members[-1] + 1] > 2 ** 53, name
+
+
+def uneven_matrices(rng, count):
+    """Matrices that pass every check before the count check (diagonal class 0,
+    transposes landing in one class, no class missing) with some column holding
+    more points of a class than row 0 does: a radix read off row 0 would carry."""
+    found = 0
+    while found < count:
+        n = int(rng.integers(4, 12))
+        pairs = int(rng.integers(1, 4))
+        rel = np.zeros((n, n), dtype=np.int64)
+        upper = np.triu_indices(n, 1)
+        lower = rng.integers(1, pairs + 1, len(upper[0]))
+        rel[upper] = lower
+        # a class c <= pairs transposes to itself when even, to c + pairs when odd
+        rel.T[upper] = np.where(lower % 2 == 0, lower, lower + pairs)
+        s = int(rel.max()) + 1
+        if len(np.unique(rel)) < s:
+            continue
+        most = np.array([(rel == q).sum(axis=0).max() for q in range(s)])
+        if (most > np.bincount(rel[0], minlength=s)).any():
+            found += 1
+            yield rel
+
+
+def test_uneven_columns_match_oracle():
+    rng = np.random.default_rng(69)
+    refused = 0
+    for rel in uneven_matrices(rng, 150):
+        n, s = len(rel), int(rel.max()) + 1
+        witnesses = naive_constant_witnesses(rel.tolist(), s)
+        result = sf.build_scheme(n, rel)
+        if witnesses:
+            refused += 1
+            assert [(v.axiom, v.witness) for v in result.violations] == [("constants", w) for w in witnesses]
+        else:
+            assert_matches_oracle(n, rel)
+    assert refused >= 100
 
 
 def test_one_point_and_one_class():
@@ -162,6 +220,44 @@ def test_earlier_axiom_refusals_are_unchanged():
     assert witnesses(4, rel) == [("star", (0, 2)), ("star", (3, 0)), ("star", (1, 3))]
     big = [[0] + [1] * 29] + [[1] * 30 for _ in range(29)]
     assert witnesses(30, big) == [("diagonal", (x, x)) for x in range(1, 26)]
+
+
+def limited_child(argv, cwd=HERE):
+    """Run a Python child whose address space is capped at 1 GB."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run([sys.executable] + argv, cwd=cwd, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), preexec_fn=cap)
+
+
+def test_oversized_class_label_costs_no_memory(tmp_path):
+    # a bincount sized by the largest label would ask for 8 TB here
+    code = (
+        "import schemeforge as sf\n"
+        "report = sf.build_scheme(2, [[0, 2 ** 40], [2 ** 40, 0]])\n"
+        "print([(v.axiom, v.witness) for v in report.violations])\n"
+    )
+    proc = limited_child(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str([("classes", (c,)) for c in range(1, 26)])
+
+    path = tmp_path / "huge-label.json"
+    path.write_text(json.dumps({"n": 2, "rel": [[0, 2 ** 40], [2 ** 40, 0]]}))
+    proc = limited_child(["-m", "schemeforge", "verify", "scheme", str(path), "--json"])
+    assert proc.returncode == 1, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["valid"] is False
+    assert [(v["axiom"], v["witness"]) for v in out["violations"]] == [("classes", [c]) for c in range(1, 26)]
+
+
+def test_missing_classes_are_the_first_gaps_in_the_labels():
+    def witnesses(n, rel):
+        return [v.witness for v in sf.build_scheme(n, rel).violations]
+
+    assert witnesses(3, [[0, 5, 5], [5, 0, 2], [5, 2, 0]]) == [(1,), (3,), (4,)]
+    rel = [[0] + [30 + x for x in range(1, 9)]] + [[30 + x] * x + [0] + [31] * (8 - x) for x in range(1, 9)]
+    assert witnesses(9, rel) == [(c,) for c in range(1, 26)]
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +301,77 @@ def test_hypergroup_check_matches_triple_loops_on_catalog_hypergroups():
             assert found == naive_hypergroup_violations(table, h.e, h.inv), name
             broken += any(axiom == "associativity" for axiom, _ in found)
     assert broken >= 5
+
+
+def test_hypergroup_check_in_blocks_matches_triple_loops(monkeypatch):
+    # a 256-byte block bound puts every table with 4 or more elements in several blocks of a
+    monkeypatch.setattr(hypergroup, "_BLOCK_BYTES", (1 << 16, 1 << 8))
+    rng = np.random.default_rng(72)
+    found = set()
+    for _ in range(800):
+        m = int(rng.integers(4, 8))
+        density = rng.random() * 0.6
+        table = [[set(np.flatnonzero(rng.random(m) < density).tolist()) | {int(rng.integers(m))}
+                  for _ in range(m)] for _ in range(m)]
+        for a in range(m):
+            table[0][a] = table[a][0] = {a}
+        expected = naive_hypergroup_violations(table, 0, list(range(m)))
+        assert violations(table, 0, list(range(m))) == expected, table
+        found |= {axiom for axiom, _ in expected}
+    assert {"associativity", "reversibility", "inverse"} <= found
+
+
+def test_cells_out_of_range_are_broken_in_row_major_order():
+    table = [[{0}, {1}, {2}], [{1}, {0, 3}, set()], [{2}, {-1}, {0, 2 ** 70}]]
+    expected = [("cell", (1, 1)), ("cell", (1, 2)), ("cell", (2, 1)), ("cell", (2, 2))]
+    assert violations(table, 0, [0, 1, 2]) == naive_hypergroup_violations(table, 0, [0, 1, 2]) == expected
+
+
+def test_hypergroup_check_spans_blocks_at_the_real_bound():
+    # Z/65 needs two words per cell, so its 65^3 * 2 words split into three blocks
+    m = 65
+    assert m * m * 2 * 8 * m > hypergroup._BLOCK_BYTES[1]
+    inv = [(-a) % m for a in range(m)]
+    table = [[{(a + b) % m} for b in range(m)] for a in range(m)]
+    assert violations(table, 0, inv) == []
+    for a, b, extra in ((40, 50, 7), (64, 1, 33)):
+        broken = [[set(cell) for cell in row] for row in table]
+        broken[a][b].add(extra)
+        assert violations(broken, 0, inv) == naive_hypergroup_violations(broken, 0, inv)
+
+
+def test_class_hypergroup_equals_the_public_route():
+    rng = np.random.default_rng(73)
+    for name in catalog.scheme_names():
+        base = catalog.catalog_scheme(name).rel
+        for rel in (base, relabelled(base, rng), relabelled(base, rng)):
+            scheme = sf.require(sf.build_scheme(len(rel), rel))
+            table = [[set(cell) for cell in row] for row in scheme.hypergroup.table]
+            assert sf.require(sf.build_hypergroup(table, 0, scheme.star)) == scheme.hypergroup, name
+
+
+def test_both_routes_report_alike_on_corrupted_supports():
+    rng = np.random.default_rng(74)
+    axioms = set()
+    for name in catalog.scheme_names():
+        scheme = catalog.catalog_scheme(name)
+        s = scheme.s
+        for _ in range(4):
+            support = scheme.constants > 0
+            for _ in range(int(rng.integers(1, 4))):
+                a, b, t = rng.integers(s, size=3)
+                support[a, b, t] = not support[a, b, t]
+            if rng.random() < 0.2:
+                support[rng.integers(s), rng.integers(s)] = False
+            inv = scheme.star if rng.random() < 0.8 else tuple(rng.integers(0, s, s).tolist())
+            table = [[set(np.flatnonzero(support[a, b]).tolist()) for b in range(s)] for a in range(s)]
+            public = sf.build_hypergroup(table, 0, inv)
+            assert support_hypergroup(support, 0, inv) == public, name
+            if isinstance(public, sf.Report):
+                axioms |= {v.axiom for v in public.violations}
+                if s <= 12:
+                    assert [(v.axiom, v.witness) for v in public.violations] == naive_hypergroup_violations(table, 0, inv)
+    assert {"cell", "identity", "inverse", "associativity", "reversibility"} <= axioms
 
 
 def test_class_hypergroup_of_a_large_group_scheme():

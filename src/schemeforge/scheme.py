@@ -23,6 +23,23 @@ bound[q] + 1, and ``count_radices`` fills column groups in class order while
 the product of their radices stays <= 2^53.  The packing is injective, and
 every partial sum of a product is an integer between 0 and the final sum, so
 below 2^53: float64 holds it exactly, with no rounding argument.
+
+The counts of a few classes settle all the others.  Let V be the span of the
+class matrices A_r, and L_g[r, q] = c[g, q, r] for a class g.  If every count
+of g checks out, A_g A_q = sum_r c[g, q, r] A_r for each q: A_g maps V into V,
+and L_g is its matrix there.  Let the counts of each g in a set G check out,
+and let the words in the L_g applied to e_0 (the diagonal, the identity) span
+rank s.  Those words are the coordinates of the words in the A_g, so
+V lies in alg(G), and V V lies in alg(G) V, which lies in V.  So A_p A_q is some
+sum_r d_r A_r for every p and q.  Its entry at the first pair of class r is
+d_r, and it is also the count read there, c[p, q, r].  So every count equals
+its constant, though only G's were checked.  The words are integer vectors,
+and rank s mod a prime gives s of them whose determinant is nonzero mod the
+prime, so nonzero: rank s over Q.  ``_PRIME`` < 2^20 keeps the float64
+products of residues exact.  ``generating_classes`` finds G from the constants
+as read; the argument trusts nothing but the two checks, so on a matrix that
+is no scheme some row of G fails.  Class 0's counts always hold: c[0, q, r]
+is 1 when q = r and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -96,6 +113,79 @@ def count_radices(rel: np.ndarray, s: int) -> tuple[list[int], list[int], list[i
     return radix, group, place
 
 
+_PRIME = 1048573  # the largest prime below 2^20, so a product of two residues is below 2^40
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b mod _PRIME for int64 residues, by float64 BLAS over slices of the
+    inner axis short enough that every partial sum is an integer below 2^53."""
+    step = (2 ** 53 - _PRIME) // (_PRIME - 1) ** 2
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for j in range(0, a.shape[1], step):
+        out = (out + (a[:, j:j + step].astype(float) @ b[j:j + step].astype(float)).astype(np.int64)) % _PRIME
+    return out
+
+
+def _extend(basis: np.ndarray, pivots: list[int], new: np.ndarray) -> np.ndarray:
+    """The reduced echelon basis mod _PRIME of span(basis) + span(new).  pivots
+    grows in place, and the rows after the old ones span what is new."""
+    rest = (new - _mulmod(new[:, pivots], basis)) % _PRIME
+    rows = basis[:0]
+    while len(rest := rest[rest.any(axis=1)]):
+        # rows with distinct leading columns, each zero at the others' leads,
+        # are independent and go in at once; else the first of them goes alone
+        at = np.full(len(rest[0]), len(rest))
+        np.minimum.at(at, np.argmax(rest != 0, axis=1), np.arange(len(rest)))
+        leads = np.flatnonzero(at < len(rest))
+        at = at[leads]
+        if np.count_nonzero(rest[at[:, None], leads]) > len(at):
+            leads, at = leads[:1], at[:1]
+        inverse = [pow(a, -1, _PRIME) for a in rest[at, leads].tolist()]
+        take = rest[at] * np.array(inverse)[:, None] % _PRIME
+        rest = (rest - _mulmod(rest[:, leads], take)) % _PRIME
+        rows = np.vstack([(rows - _mulmod(rows[:, leads], take)) % _PRIME, take])
+        pivots += leads.tolist()
+    if not len(rows):
+        return basis
+    return np.vstack([(basis - _mulmod(basis[:, pivots[len(basis):]], rows)) % _PRIME, rows])
+
+
+def generating_classes(constants: np.ndarray, order) -> list[int] | None:
+    """Classes G whose words reach every class from the diagonal: the words in
+    the L_g, L_g[r, q] = constants[g, q, r], applied to e_0 span rank s mod
+    _PRIME.  Each g is the first class in ``order`` whose e_g lies outside the
+    span reached so far; None if ``order`` runs out first.
+
+    The span is closed under every L_g in rounds.  A round applies each L_g to
+    the rows new in the last round, and the newest generator's L_g^(2^j) to
+    the whole span, so a long orbit takes log-many rounds.  Soundness does not
+    depend on the order, the prime or the constants being right (see the
+    module docstring).
+    """
+    s = len(constants)
+    basis, pivots = np.eye(1, s, dtype=np.int64), [0]
+    gens, stack, fresh = [], np.zeros((s, 0), dtype=np.int64), basis[:0]
+    while len(pivots) < s:
+        if len(fresh):
+            power = _mulmod(power, power)
+            new = np.vstack([_mulmod(fresh, stack).reshape(-1, s), _mulmod(basis, power)])
+        else:
+            # the span is closed under every L_g so far: add a class outside it
+            inside = np.zeros(s, dtype=bool)
+            inside[np.array(pivots)[np.count_nonzero(basis, axis=1) == 1]] = True
+            g = next((p for p in order if not inside[p]), None)
+            if g is None:
+                return None
+            gens.append(g)
+            power = constants[g] % _PRIME
+            stack = np.hstack([stack, power])
+            new = _mulmod(basis, power)
+        k = len(basis)
+        basis = _extend(basis, pivots, new)
+        fresh = basis[k:]
+    return gens
+
+
 def _counted_constants(rel: np.ndarray, s: int, first: np.ndarray) -> tuple[np.ndarray, list[Violation]]:
     """The constants read at each class's first pair, and in (p, q, r) order the
     first pair of class r where the count of (p, q) differs (see build_scheme)."""
@@ -108,30 +198,60 @@ def _counted_constants(rel: np.ndarray, s: int, first: np.ndarray) -> tuple[np.n
     groups = group[-1] + 1 if s else 0
     weights = np.zeros((s, groups))
     weights[np.arange(s), group] = place
-    expect = constants.transpose(0, 2, 1) @ weights
     packed = weights[rel].reshape(n, n * groups)
-
-    witness = np.full(s ** 3, n * n)  # by (p, q, r); n * n while none is found
     # a block's product takes no more bytes than packed itself, within the bounds
     block = min(max(packed.nbytes, _BLOCK_BYTES[0]), _BLOCK_BYTES[1])
     step = max(1, block // (8 * max(n * groups, 1)))
-    for start in range(0, s * n, step):
-        ps, ys = np.divmod(np.arange(start, min(start + step, s * n)), n)
+
+    # G pays off only when the check is more than one largest block, and only
+    # when every column holds row 0's count of each class, as a scheme's do
+    gens = []
+    if (s - 1) * packed.nbytes > _BLOCK_BYTES[1] and np.array_equal(np.bincount(rel[0], minlength=s) + 1, radix):
+        gens = generating_classes(constants, range(1, s))
+        if packed.nbytes > _BLOCK_BYTES[1] and len(gens) > 1:
+            # one class's rows fill several blocks: the later finds may do without
+            # the first (on a matrix that is no scheme they may reach less)
+            gens = generating_classes(constants, gens[::-1]) or gens
+    # rows of class 0 always pass; G's go first, and if they pass they settle the rest
+    order = np.array(gens + [p for p in range(1, s) if p not in gens], dtype=np.int64)
+    cut, end = len(gens) * n, len(order) * n
+    bounds = [*range(0, cut, step), *range(cut, end, step), end]
+    expect = np.zeros((s, s, groups))  # class p's packed constants, made before p's rows
+    if gens:
+        expect[gens] = constants[gens].transpose(0, 2, 1) @ weights
+    done = np.zeros(s + 1, dtype=bool)  # classes whose rows are all checked
+    done[0] = True
+    found = np.zeros(s, dtype=np.int64)  # witnesses so far, by class p
+    witness = None  # by (p, q, r); n * n where none is found; made at the first one
+    for start, stop in zip(bounds, bounds[1:]):
+        if start == cut:
+            if gens and witness is None:
+                break
+            others = order[len(gens):]
+            expect[others] = constants[others].transpose(0, 2, 1) @ weights
+        ps, ys = np.divmod(np.arange(start, stop), n)
+        ps = order[ps]
         rows = rel[ys]
         counts = ((rows == ps[:, None]) @ packed).reshape(len(ps), n, groups)
         differ = np.flatnonzero(counts != expect[ps[:, None], rows])
-        if not differ.size:
-            continue
-        i, z, j = np.unravel_index(differ, counts.shape)
-        got, want = counts[i, z, j].astype(np.int64), expect[ps[i], rows[i, z], j].astype(np.int64)
-        # class q's count is the digit of radix radix[q] at place[q] in group group[q]
-        for q in range(s):
-            off = (j == group[q]) & (got // place[q] % radix[q] != want // place[q] % radix[q])
-            key = (ps[i[off]] * s + q) * s + rows[i[off], z[off]]
-            np.minimum.at(witness, key, ys[i[off]] * n + z[off])
-        # the classes p whose rows all lie in blocks done are complete
-        if np.count_nonzero(witness[: (start + len(ps)) // n * s * s] < n * n) >= _WITNESS_CAP:
+        done[order[: stop // n]] = True
+        if differ.size:
+            if witness is None:
+                witness = np.full(s ** 3, n * n)
+            i, z, j = np.unravel_index(differ, counts.shape)
+            got, want = counts[i, z, j].astype(np.int64), expect[ps[i], rows[i, z], j].astype(np.int64)
+            # class q's count is the digit of radix radix[q] at place[q] in group group[q]
+            for q in range(s):
+                off = (j == group[q]) & (got // place[q] % radix[q] != want // place[q] % radix[q])
+                key = (ps[i[off]] * s + q) * s + rows[i[off], z[off]]
+                np.minimum.at(witness, key, ys[i[off]] * n + z[off])
+            hit = order[start // n: (stop - 1) // n + 1]  # the classes of this block
+            found[hit] = np.count_nonzero(witness.reshape(s, s * s)[hit] < n * n, axis=1)
+        # the classes below the first one not done are complete
+        if witness is not None and found[: np.argmin(done)].sum() >= _WITNESS_CAP:
             break
+    if witness is None:
+        return constants, []
     keys = np.flatnonzero(witness < n * n)[:_WITNESS_CAP]
     return constants, [
         Violation("constants", (key // (s * s), key // s % s, key % s) + divmod(at, n))
@@ -150,9 +270,18 @@ def build_scheme(n: int, rel) -> AssociationScheme | Report:
     (p, y) of A_p @ R then packs, at each (y, z), the counts of the classes q
     of each column group, where R holds class q's place value at (x, z) in
     q's group for q = rel[x, z]; it must equal the same packing of the
-    constants.  That is s * groups * n^3 multiply-adds, in row blocks of at
-    most 2 MB.  Missing classes are found from the distinct labels, so a
-    huge label costs no memory.
+    constants.  Each class p costs groups * n^3 multiply-adds, in row blocks
+    of at most 2 MB.  Class 0 is never checked, and the rows of a generating
+    set G go first; if they pass, the matrix is a scheme (the module docstring
+    says why), so a scheme costs |G| * groups * n^3.  G is sought only when
+    the whole check is more than one 2 MB block, and only when every column
+    holds row 0's count of each class.  If a row of G fails, the other
+    classes follow in order until 25 witnesses are settled, so a refusal
+    names the same witnesses in the same order as a check of every class.
+
+    Missing classes are found from the distinct labels, so a huge label
+    costs no memory.  Every class of a scheme occurs in row 0, so a matrix
+    with more classes than points is refused there, before any s^3 array.
     """
     rel = np.asarray(rel)
     if rel.ndim != 2 or rel.shape != (n, n) or not np.issubdtype(rel.dtype, np.integer):
@@ -195,6 +324,11 @@ def build_scheme(n: int, rel) -> AssociationScheme | Report:
         return Report(tuple(
             Violation("star", divmod(int(k), n)) for k in moved[at[:_WITNESS_CAP]]
         ))
+
+    # every class of a scheme occurs in row 0: name the classes missing there
+    if s > n:
+        absent = np.flatnonzero(np.bincount(rel[0], minlength=s) == 0)[:_WITNESS_CAP]
+        return Report(tuple(Violation("valency", (c,) + divmod(int(first[c]), n)) for c in absent.tolist()))
 
     constants, bad = _counted_constants(rel, s, first)
     if bad:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 
 def _pair_counts(rel):
@@ -47,6 +48,27 @@ def naive_constant_witnesses(rel, s: int, cap: int = 25) -> list[tuple[int, int,
             if first[(p, q)] != counts[(p, q)]:
                 witness.setdefault((p, q, r), (y, z))
     return [key + witness[key] for key in sorted(witness)[:cap]]
+
+
+def naive_generated_rank(constants, gens) -> int:
+    """Rank over Q of the words in the matrices L_g, L_g[r][q] = constants[g][q][r]
+    for g in gens, applied to e_0: exact Fraction elimination, each new
+    independent vector multiplied by every L_g in turn."""
+    s = len(constants)
+    rows: list[tuple[int, list[Fraction]]] = []  # (pivot, row with 1 there), each zero at earlier pivots
+    todo = [[Fraction(int(r == 0)) for r in range(s)]]
+    while todo:
+        v = todo.pop()
+        for pivot, row in rows:
+            if v[pivot]:
+                v = [a - v[pivot] * b for a, b in zip(v, row)]
+        lead = next((r for r in range(s) if v[r]), None)
+        if lead is None:
+            continue
+        rows.append((lead, [a / v[lead] for a in v]))
+        for g in gens:
+            todo.append([sum(int(constants[g][q][r]) * v[q] for q in range(s) if v[q]) for r in range(s)])
+    return len(rows)
 
 
 def naive_complex_mult(constants, s: int, pset, qset) -> set[int]:

@@ -13,7 +13,7 @@ from math import inf, prod
 import numpy as np
 
 import schemeforge as sf
-from schemeforge import catalog, hypergroup
+from schemeforge import catalog, hypergroup, scheme
 from schemeforge.constructions import ValuedRing
 from schemeforge.hypergroup import hypergroup_violations, support_hypergroup
 from schemeforge.scheme import count_radices
@@ -21,6 +21,7 @@ from schemeforge.scheme import count_radices
 from helpers import (
     naive_constant_witnesses,
     naive_constants,
+    naive_generated_rank,
     naive_hypergroup_violations,
     naive_star,
     naive_triangle_violations,
@@ -131,6 +132,148 @@ def test_refusal_witnesses_match_oracle_across_row_blocks():
             rel = perturbed(base, naive_star(base.tolist(), n), rng)
             result = sf.build_scheme(n, rel)
             assert [v.witness for v in result.violations] == naive_constant_witnesses(rel.tolist(), n), n
+
+
+def switched(rel, star, rng, avoid=()):
+    """Swap two classes p, q on a 2 x 2 pattern rel[a, c] = rel[b, d] = p,
+    rel[a, d] = rel[b, c] = q, and their transposes: every row and column keeps
+    its count of each class, so only the count check can refuse it.  The
+    classes moved avoid those given.  None if no pattern turns up."""
+    n = len(rel)
+    free = np.ones(int(rel.max()) + 1, dtype=bool)
+    free[[0, *avoid]] = free[[star[c] for c in avoid]] = False
+    for _ in range(4 * n if n >= 4 else 0):
+        a, b = rng.choice(n, size=2, replace=False)
+        p, q = rel[a][:, None], rel[a][None, :]  # p = rel[a, c], q = rel[a, d]
+        fits = (rel[b][None, :] == p) & (rel[b][:, None] == q) & (p != q) & free[p] & free[q]
+        fits[[a, b], :] = fits[:, [a, b]] = False
+        cs, ds = np.nonzero(fits)
+        if len(cs):
+            k = int(rng.integers(len(cs)))
+            c, d = cs[k], ds[k]
+            p, q = rel[a, c], rel[a, d]
+            rel = rel.copy()
+            rel[a, c] = rel[b, d] = q
+            rel[a, d] = rel[b, c] = p
+            rel[c, a] = rel[d, b] = star[q]
+            rel[d, a] = rel[c, b] = star[p]
+            return rel
+    return None
+
+
+def spy_on_generators(monkeypatch):
+    """Force the generator path with one-row blocks, and record each G found."""
+    monkeypatch.setattr(scheme, "_BLOCK_BYTES", (1, 1))
+    found = []
+    find = scheme.generating_classes
+
+    def spy(constants, order):
+        gens = find(constants, order)
+        found.append(gens)
+        return gens
+
+    monkeypatch.setattr(scheme, "generating_classes", spy)
+    return found
+
+
+def test_generator_path_matches_oracle_on_small_catalog_schemes(monkeypatch):
+    found = spy_on_generators(monkeypatch)
+    rng = np.random.default_rng(75)
+    for name in SMALL_SCHEMES:
+        rel = catalog.catalog_scheme(name).rel
+        for _ in range(2):
+            base = relabelled(rel, rng)
+            found.clear()
+            assert_matches_oracle(len(base), base)
+            # the last G found is the one checked; it reaches rank s over Q
+            assert found and found[-1], name
+            constants = sf.require(sf.build_scheme(len(base), base)).constants.tolist()
+            assert naive_generated_rank(constants, found[-1]) == len(constants), name
+
+
+def test_generator_path_refusals_match_oracle(monkeypatch):
+    found = spy_on_generators(monkeypatch)
+    rng = np.random.default_rng(76)
+    refused = via_generators = 0
+    for name in SMALL_SCHEMES:
+        built = catalog.catalog_scheme(name)
+        if built.n > 24 or built.s < 3:
+            continue
+        for _ in range(6):
+            base = relabelled(built.rel, rng)
+            star = naive_star(base.tolist(), built.s)
+            found.clear()
+            sf.build_scheme(len(base), base)
+            # a moved pair leaves uneven columns, so G is not sought; a switch
+            # keeps them even, and these switch only classes outside the base's G
+            away = [switched(base, star, rng, avoid=found[-1]) for _ in range(2)]
+            for rel in [perturbed(base, star, rng)] + away:
+                if rel is None:
+                    continue
+                found.clear()
+                witnesses = naive_constant_witnesses(rel.tolist(), built.s)
+                result = sf.build_scheme(len(rel), rel)
+                if not witnesses:
+                    assert_matches_oracle(len(rel), rel)
+                    continue
+                refused += 1
+                via_generators += bool(found)
+                assert [(v.axiom, v.witness) for v in result.violations] == [
+                    ("constants", w) for w in witnesses
+                ], name
+    assert refused >= 100 and via_generators >= 25, (refused, via_generators)
+
+
+def test_generator_path_refusals_match_oracle_across_row_blocks(monkeypatch):
+    # blocks of 4 KB end inside the rows of a class, and G's rows come first
+    monkeypatch.setattr(scheme, "_BLOCK_BYTES", (1, 1 << 12))
+    rng = np.random.default_rng(77)
+    for n in range(24, 41, 4):
+        base = relabelled(sf.group_scheme(sf.cyclic_group(n)).rel, rng)
+        star = naive_star(base.tolist(), n)
+        for rel in (perturbed(base, star, rng), switched(base, star, rng), switched(base, star, rng)):
+            if rel is None:
+                continue
+            result = sf.build_scheme(n, rel)
+            assert [v.witness for v in result.violations] == naive_constant_witnesses(rel.tolist(), n), n
+
+
+def test_generating_classes_run_out_of_order():
+    z12 = sf.group_scheme(sf.cyclic_group(12))
+    assert scheme.generating_classes(z12.constants, [1]) == [1]
+    # 4 and 6 generate the subgroup of order 6 only
+    assert scheme.generating_classes(z12.constants, [4, 6]) is None
+    gens = scheme.generating_classes(z12.constants, [4, 6, 3])
+    assert gens == [4, 6, 3] and naive_generated_rank(z12.constants.tolist(), gens) == 12
+
+
+def test_more_classes_than_points_refused_by_row_0():
+    # each unordered pair its own class: every earlier axiom holds
+    rel = np.zeros((5, 5), dtype=np.int64)
+    upper = np.triu_indices(5, 1)
+    rel[upper] = np.arange(1, 11)
+    rel.T[upper] = rel[upper]
+    expected = [(c, int(y), int(z)) for c, (y, z) in enumerate(zip(*upper), start=1) if y > 0]
+    assert [(v.axiom, v.witness) for v in sf.build_scheme(5, rel).violations] == [
+        ("valency", w) for w in expected
+    ]
+
+
+def test_more_classes_than_points_costs_no_memory():
+    # n = 40 with s = 781: a constants array would ask for 3.55 GiB
+    code = (
+        "import numpy as np\n"
+        "import schemeforge as sf\n"
+        "rel = np.zeros((40, 40), dtype=np.int64)\n"
+        "upper = np.triu_indices(40, 1)\n"
+        "rel[upper] = np.arange(1, 781)\n"
+        "rel.T[upper] = rel[upper]\n"
+        "print([(v.axiom, v.witness) for v in sf.build_scheme(40, rel).violations])\n"
+    )
+    proc = limited_child(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    # row 0 holds classes 1..39; class 39 + k is the pair (1, 1 + k)
+    assert proc.stdout.strip() == str([("valency", (39 + k, 1, 1 + k)) for k in range(1, 26)])
 
 
 def test_radix_groups_are_greedy_and_exact():

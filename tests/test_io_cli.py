@@ -6,6 +6,8 @@ import schemeforge as sf
 from schemeforge import catalog, io
 from schemeforge.cli import run
 
+import cli_transcript
+
 
 # ---------------------------------------------------------------------------
 # canonical JSON round-trips
@@ -243,3 +245,15 @@ def test_cli_triangle_unknown_ring_is_a_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unknown valued ring 'no-such-ring'" in captured.err
+
+
+def test_cli_transcript_replays_byte_for_byte(tmp_path, monkeypatch):
+    with open(cli_transcript.TRANSCRIPT, encoding="utf-8") as fh:
+        table = json.load(fh)
+    rows = cli_transcript.rows()
+    assert [{"argv": row["argv"], "threads": row["threads"]} for row in table] == rows
+    for i, (row, expected) in enumerate(zip(rows, table)):
+        work = tmp_path / str(i)
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert cli_transcript.replay(row) == expected

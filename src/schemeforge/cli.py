@@ -8,9 +8,11 @@ unknown names, missing files, malformed JSON, or exceeded size bounds.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+from collections.abc import Callable
 
 from . import catalog, io
 from .constructions import check_triangle_condition, geometry_from_hypergroup
@@ -18,7 +20,6 @@ from .errors import Report, VerificationError
 from .hypergroup import Hypergroup, product_hypergroup, quotient_hypergroup, sub_hypergroups
 from .realize import search_realization, to_hypergroup
 from .scheme import (
-    AssociationScheme,
     closed_subsets,
     complex_mult,
     is_commutative,
@@ -45,24 +46,6 @@ def thread_cap() -> int:
         raise _UsageError(f"SCHEME_FORGE_THREADS must be an integer, got {raw!r}") from None
 
 
-def _witness_json(w) -> object:
-    if isinstance(w, tuple):
-        return [_witness_json(x) for x in w]
-    return w
-
-
-def _violations_json(violations) -> list[dict]:
-    return [{"axiom": v.axiom, "witness": _witness_json(v.witness)} for v in violations]
-
-
-def _read_file(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc}") from exc
-
-
 def _parse_class_set(spec: str) -> list[int]:
     try:
         return [int(tok) for tok in spec.split(",") if tok != ""]
@@ -70,70 +53,95 @@ def _parse_class_set(spec: str) -> list[int]:
         raise _UsageError(f"expected a comma-separated index list, got {spec!r}") from None
 
 
-def _load_scheme(token: str):
-    if token in catalog.scheme_names():
-        return catalog.catalog_scheme(token)
-    if os.path.exists(token):
-        try:
-            return io.load_scheme(_read_file(token))
-        except (ValueError, TypeError) as exc:  # a JSONDecodeError is a ValueError
-            raise _UsageError(f"malformed scheme file {token}: {exc}") from exc
-    raise _UsageError(f"unknown scheme {token!r}: not a catalog name or file")
+def _read_hypergroup(text: str):
+    """A hypergroup file, or a scheme file read as its class hypergroup; with
+    the word for what the file held."""
+    obj = json.loads(text)
+    if isinstance(obj, dict) and "rel" in obj:
+        scheme = io.load_scheme(text)
+        return "scheme", scheme if isinstance(scheme, Report) else to_hypergroup(scheme)
+    return "hypergroup", io.load_hypergroup(text)
 
 
-def _load_hypergroup(token: str):
-    if token in catalog.hypergroup_names() or token in catalog.scheme_names():
-        return catalog.catalog_hypergroup(token)
-    if os.path.exists(token):
-        text = _read_file(token)
-        try:
-            obj = json.loads(text)
-            if isinstance(obj, dict) and "rel" in obj:
-                scheme = io.load_scheme(text)
-                return scheme if isinstance(scheme, Report) else to_hypergroup(scheme)
-            return io.load_hypergroup(text)
-        except (ValueError, TypeError) as exc:
-            raise _UsageError(f"malformed hypergroup file {token}: {exc}") from exc
-    raise _UsageError(f"unknown hypergroup {token!r}: not a catalog name or file")
+@dataclasses.dataclass(frozen=True)
+class _Kind:
+    """How the verbs read, write and operate on one kind of object."""
+
+    word: str
+    names: Callable[[], list[str]]
+    get: Callable[[str], object]
+    parse: Callable[[str], tuple[str, object]]  # (word, value or Report)
+    dump: Callable[[object], str]
+    size: str  # the attribute that counts classes or elements
+    commutative: Callable[[object], bool]
+    sub: Callable
+    quotient: Callable
+    product: Callable
+
+
+_KINDS = {
+    "scheme": _Kind(
+        "scheme", catalog.scheme_names, catalog.catalog_scheme,
+        lambda text: ("scheme", io.load_scheme(text)), io.dump_scheme,
+        "s", is_commutative, closed_subsets, quotient_scheme, product_scheme,
+    ),
+    # a scheme name or file stands for its class hypergroup
+    "hyper": _Kind(
+        "hypergroup", lambda: catalog.hypergroup_names() + catalog.scheme_names(),
+        catalog.catalog_hypergroup, _read_hypergroup, io.dump_hypergroup,
+        "m", Hypergroup.is_commutative, sub_hypergroups, quotient_hypergroup, product_hypergroup,
+    ),
+}
+
+
+def _load(kind: str, token: str, args):
+    """The verified value of a catalog name or file, or exit 1 after reporting
+    why the file fails verification."""
+    spec = _KINDS[kind]
+    if token in spec.names():
+        return spec.get(token)
+    if not os.path.exists(token):
+        raise _UsageError(f"unknown {spec.word} {token!r}: not a catalog name or file")
+    try:
+        with open(token, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise _UsageError(f"cannot read {token}: {exc}") from exc
+    try:
+        word, result = spec.parse(text)
+    except (ValueError, TypeError) as exc:  # a JSONDecodeError is a ValueError
+        raise _UsageError(f"malformed {spec.word} file {token}: {exc}") from exc
+    if isinstance(result, Report):
+        _emit_report(result, args, f"invalid {word}: {len(result.violations)} violation(s) recorded")
+        raise SystemExit(1)
+    return result
 
 
 def _emit_report(report: Report, args, verdict: str, key: str = "valid") -> None:
     """Print a verdict: JSON {key: ok, violations}, or the capped witnesses and a last line."""
     if args.json:
-        print(io.canonical_json({key: report.ok, "violations": _violations_json(report.violations)}))
+        # a witness tuple is written as a JSON array
+        violations = [{"axiom": v.axiom, "witness": v.witness} for v in report.violations]
+        print(io.canonical_json({key: report.ok, "violations": violations}))
         return
     for v in report.violations[:args.witnesses]:
         print(v.text())
     print(verdict)
 
 
-def _require(result, args, kind: str):
-    """A loaded value, or exit 1 after reporting why it failed verification."""
-    if isinstance(result, Report):
-        _emit_report(result, args, f"invalid {kind}: {len(result.violations)} violation(s) recorded")
-        raise SystemExit(1)
-    return result
-
-
-def _require_scheme(token: str, args) -> AssociationScheme:
-    return _require(_load_scheme(token), args, "scheme")
-
-
-def _require_hypergroup(token: str, args) -> Hypergroup:
-    return _require(_load_hypergroup(token), args, "hypergroup")
-
-
-def _write_out(text: str, args) -> bool:
-    """Write text to --out when the verb has one and it is given."""
-    if not getattr(args, "out", None):
-        return False
-    with open(args.out, "w", encoding="utf-8") as fh:
+def _write_out(text: str, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
-    return True
 
 
-def _write_or_print(text: str, args) -> None:
-    if not _write_out(text, args):
+def _emit_value(text: str, args, summary: str | None = None) -> None:
+    """Write the JSON text to --out if given.  Print the summary, or the text
+    with --json or when there is no summary, unless it went to --out."""
+    if args.out:
+        _write_out(text, args.out)
+    if summary is not None and not args.json:
+        print(summary)
+    elif not args.out:
         print(text)
 
 
@@ -159,19 +167,16 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_verify(args) -> int:
     """verify scheme|hyper TARGET; build FILE is verify scheme with --out."""
-    if args.kind == "scheme":
-        result = _require_scheme(args.target, args)
-        label, size, commutative = "s", result.s, is_commutative(result)
-    else:
-        result = _require_hypergroup(args.target, args)
-        label, size, commutative = "m", result.m, result.is_commutative()
+    spec = _KINDS[args.kind]
+    value = _load(args.kind, args.target, args)
+    size, commutative = getattr(value, spec.size), spec.commutative(value)
     if args.json:
-        print(io.canonical_json({"valid": True, label: size, "commutative": commutative}))
+        print(io.canonical_json({"valid": True, spec.size: size, "commutative": commutative}))
     else:
         word = "commutative" if commutative else "non-commutative"
-        print(f"valid, {label}={size}, {word}")
-    if args.kind == "scheme":
-        _write_out(io.dump_scheme(result), args)
+        print(f"valid, {spec.size}={size}, {word}")
+    if getattr(args, "out", None):
+        _write_out(spec.dump(value), args.out)
     return 0
 
 
@@ -180,21 +185,14 @@ def _format_cell(cell) -> str:
 
 
 def _cmd_hyper(args) -> int:
-    scheme = _require_scheme(args.target, args)
-    h = to_hypergroup(scheme)
-    if args.json:
-        _write_or_print(io.dump_hypergroup(h), args)
-        return 0
-    _write_out(io.dump_hypergroup(h), args)
-    print(f"m={h.m} e={h.e} inv={list(h.inv)}")
-    for p in range(h.m):
-        for q in range(h.m):
-            print(f"{p}*{q}={_format_cell(h.table[p][q])}")
+    h = to_hypergroup(_load("scheme", args.target, args))
+    cells = [f"{p}*{q}={_format_cell(h.table[p][q])}" for p in range(h.m) for q in range(h.m)]
+    _emit_value(io.dump_hypergroup(h), args, "\n".join([f"m={h.m} e={h.e} inv={list(h.inv)}"] + cells))
     return 0
 
 
 def _cmd_mult(args) -> int:
-    scheme = _require_scheme(args.target, args)
+    scheme = _load("scheme", args.target, args)
     result = complex_mult(scheme, _parse_class_set(args.p), _parse_class_set(args.q))
     if args.json:
         print(io.canonical_json(sorted(result)))
@@ -204,10 +202,7 @@ def _cmd_mult(args) -> int:
 
 
 def _cmd_sub(args) -> int:
-    if args.kind == "scheme":
-        subsets = closed_subsets(_require_scheme(args.target, args))
-    else:
-        subsets = sub_hypergroups(_require_hypergroup(args.target, args))
+    subsets = _KINDS[args.kind].sub(_load(args.kind, args.target, args))
     if args.json:
         print(io.canonical_json([sorted(t) for t in subsets]))
     else:
@@ -218,36 +213,26 @@ def _cmd_sub(args) -> int:
 
 def _cmd_quotient(args) -> int:
     by = _parse_class_set(args.by)
-    if args.kind == "scheme":
-        result = quotient_scheme(_require_scheme(args.target, args), by)
-        _write_or_print(io.dump_scheme(result), args)
-    else:
-        result = quotient_hypergroup(_require_hypergroup(args.target, args), by)
-        _write_or_print(io.dump_hypergroup(result), args)
+    spec = _KINDS[args.kind]
+    _emit_value(spec.dump(spec.quotient(_load(args.kind, args.target, args), by)), args)
     return 0
 
 
 def _cmd_product(args) -> int:
-    if args.kind == "scheme":
-        result = product_scheme(_require_scheme(args.a, args), _require_scheme(args.b, args))
-        _write_or_print(io.dump_scheme(result), args)
-    else:
-        result = product_hypergroup(
-            _require_hypergroup(args.a, args), _require_hypergroup(args.b, args)
-        )
-        _write_or_print(io.dump_hypergroup(result), args)
+    spec = _KINDS[args.kind]
+    a, b = _load(args.kind, args.a, args), _load(args.kind, args.b, args)
+    _emit_value(spec.dump(spec.product(a, b)), args)
     return 0
 
 
 def _cmd_restrict(args) -> int:
-    scheme = _require_scheme(args.target, args)
-    result = restrict_scheme(scheme, _parse_class_set(args.set), args.point)
-    _write_or_print(io.dump_scheme(result), args)
+    scheme = _load("scheme", args.target, args)
+    _emit_value(io.dump_scheme(restrict_scheme(scheme, _parse_class_set(args.set), args.point)), args)
     return 0
 
 
 def _cmd_search(args) -> int:
-    h = _require_hypergroup(args.target, args)
+    h = _load("hyper", args.target, args)
     stream = sys.stderr if args.json else sys.stdout
     found = search_realization(h, args.nmax, progress=lambda line: print(line, file=stream))
     if found is None:
@@ -256,29 +241,26 @@ def _cmd_search(args) -> int:
         else:
             print(f"no realization on ≤ {args.nmax} points")
         return 1
+    text = io.dump_scheme(found)
     if args.json:
-        print(io.canonical_json(
-            {"found": True, "n": found.n, "scheme": json.loads(io.dump_scheme(found))}
-        ))
+        print(io.canonical_json({"found": True, "n": found.n, "scheme": json.loads(text)}))
     else:
         print(f"found on n={found.n} points")
-        print(io.dump_scheme(found))
-    _write_out(io.dump_scheme(found), args)
+        print(text)
+    if args.out:
+        _write_out(text, args.out)
     return 0
 
 
 def _cmd_geometry(args) -> int:
-    h = _require_hypergroup(args.target, args)
+    h = _load("hyper", args.target, args)
     try:
         geom = geometry_from_hypergroup(h)
     except VerificationError as exc:
         _emit_report(Report(exc.violations), args, "geometry axioms fail")
         return 1
-    if args.json:
-        _write_or_print(io.dump_geometry(geom), args)
-        return 0
-    _write_out(io.dump_geometry(geom), args)
-    print(f"points={geom.n_points} lines={len(geom.lines)} degenerate={str(geom.degenerate).lower()}")
+    summary = f"points={geom.n_points} lines={len(geom.lines)} degenerate={str(geom.degenerate).lower()}"
+    _emit_value(io.dump_geometry(geom), args, summary)
     return 0
 
 
@@ -294,13 +276,11 @@ def _cmd_triangle(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    if args.name in catalog.scheme_names():
-        text = io.dump_scheme(catalog.catalog_scheme(args.name))
-    elif args.name in catalog.hypergroup_names():
-        text = io.dump_hypergroup(catalog.catalog_hypergroup(args.name))
-    else:
+    # a scheme name is exported as the scheme, not as its class hypergroup
+    spec = next((k for k in _KINDS.values() if args.name in k.names()), None)
+    if spec is None:
         raise _UsageError(f"unknown catalog entry {args.name!r}")
-    _write_or_print(text, args)
+    _emit_value(spec.dump(spec.get(args.name)), args)
     return 0
 
 
@@ -313,81 +293,69 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="schemeforge", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    sub.add_parser("catalog", parents=[common], help="list built-in named instances")
+    def verb(name: str, handler, about: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common], help=about)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("build", parents=[common], help="verify a scheme file")
+    verb("catalog", _cmd_catalog, "list built-in named instances")
+
+    p = verb("build", _cmd_verify, "verify a scheme file")
     p.add_argument("target", metavar="file")
     p.add_argument("--out", help="write the canonical scheme JSON here")
     p.set_defaults(kind="scheme")
 
-    p = sub.add_parser("verify", parents=[common], help="verify a scheme or hypergroup")
-    p.add_argument("kind", choices=["scheme", "hyper"])
+    p = verb("verify", _cmd_verify, "verify a scheme or hypergroup")
+    p.add_argument("kind", choices=list(_KINDS))
     p.add_argument("target")
 
-    p = sub.add_parser("hyper", parents=[common], help="class hypergroup of a scheme")
+    p = verb("hyper", _cmd_hyper, "class hypergroup of a scheme")
     p.add_argument("target")
     p.add_argument("--out")
 
-    p = sub.add_parser("mult", parents=[common], help="complex product of class sets")
+    p = verb("mult", _cmd_mult, "complex product of class sets")
     p.add_argument("target")
     p.add_argument("p")
     p.add_argument("q")
 
-    p = sub.add_parser("sub", parents=[common], help="closed subsets / sub-hypergroups")
-    p.add_argument("kind", choices=["scheme", "hyper"])
+    p = verb("sub", _cmd_sub, "closed subsets / sub-hypergroups")
+    p.add_argument("kind", choices=list(_KINDS))
     p.add_argument("target")
 
-    p = sub.add_parser("quotient", parents=[common], help="quotient by a normal subset")
-    p.add_argument("kind", choices=["scheme", "hyper"])
+    p = verb("quotient", _cmd_quotient, "quotient by a normal subset")
+    p.add_argument("kind", choices=list(_KINDS))
     p.add_argument("target")
     p.add_argument("--by", required=True, help="comma-separated class/element indices")
     p.add_argument("--out")
 
-    p = sub.add_parser("product", parents=[common], help="direct product")
-    p.add_argument("kind", choices=["scheme", "hyper"])
+    p = verb("product", _cmd_product, "direct product")
+    p.add_argument("kind", choices=list(_KINDS))
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--out")
 
-    p = sub.add_parser("restrict", parents=[common], help="restrict to a closed subset")
+    p = verb("restrict", _cmd_restrict, "restrict to a closed subset")
     p.add_argument("target")
     p.add_argument("--set", required=True, help="comma-separated closed class set")
     p.add_argument("--point", type=int, required=True)
     p.add_argument("--out")
 
-    p = sub.add_parser("search", parents=[common], help="search for a realizing scheme")
+    p = verb("search", _cmd_search, "search for a realizing scheme")
     p.add_argument("target")
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--out")
 
-    p = sub.add_parser("geometry", parents=[common], help="geometry of a vector-space hypergroup")
+    p = verb("geometry", _cmd_geometry, "geometry of a vector-space hypergroup")
     p.add_argument("target")
     p.add_argument("--out")
 
-    p = sub.add_parser("triangle", parents=[common], help="triangle condition of a valued ring")
+    p = verb("triangle", _cmd_triangle, "triangle condition of a valued ring")
     p.add_argument("name")
 
-    p = sub.add_parser("export", parents=[common], help="canonical JSON of a catalog entry")
+    p = verb("export", _cmd_export, "canonical JSON of a catalog entry")
     p.add_argument("name")
     p.add_argument("--out")
     return parser
-
-
-_HANDLERS = {
-    "catalog": _cmd_catalog,
-    "build": _cmd_verify,
-    "verify": _cmd_verify,
-    "hyper": _cmd_hyper,
-    "mult": _cmd_mult,
-    "sub": _cmd_sub,
-    "quotient": _cmd_quotient,
-    "product": _cmd_product,
-    "restrict": _cmd_restrict,
-    "search": _cmd_search,
-    "geometry": _cmd_geometry,
-    "triangle": _cmd_triangle,
-    "export": _cmd_export,
-}
 
 
 def run(argv: list[str]) -> int:
@@ -398,8 +366,10 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
+        if args.witnesses < 0:
+            raise _UsageError(f"--witnesses needs N >= 0, got {args.witnesses}")
         thread_cap()
-        return _HANDLERS[args.verb](args)
+        return args.handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (_UsageError, ValueError, OSError) as exc:  # a SchemeForgeError is a ValueError

@@ -108,6 +108,23 @@ def test_cli_build_witness_cap(tmp_path, capsys):
     run(["build", str(bad), "--witnesses", "1"])
     out = capsys.readouterr().out
     assert out.count("AXIOM") == 1
+    # a negative count would slice the last witness away
+    assert run(["build", str(bad), "--witnesses", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--witnesses needs N >= 0" in captured.err
+
+
+def test_cli_invalid_scheme_file_under_hypergroup_verbs(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n":2,"rel":[[0,1],[1,1]]}')
+    for argv in (["verify", "hyper"], ["search", "--nmax", "3"], ["geometry"], ["sub", "hyper"]):
+        assert run(argv + [str(bad)]) == 1, argv
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["AXIOM diagonal WITNESS (1, 1)", "invalid scheme: 1 violation(s) recorded"], argv
+    assert run(["verify", "hyper", str(bad), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "valid": False, "violations": [{"axiom": "diagonal", "witness": [1, 1]}]
+    }
 
 
 def test_cli_mult(capsys):

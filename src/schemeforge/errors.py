@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 
+_WITNESS_CAP = 25  # the most witnesses a check records for one axiom
+
 
 @dataclasses.dataclass(frozen=True)
 class Violation:

@@ -30,11 +30,10 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .errors import Report, SizeGuardError, VerificationError, Violation, require
+from .errors import _WITNESS_CAP, Report, SizeGuardError, VerificationError, Violation, require
 
 SUB_HYPERGROUP_BOUND = 20
 ISOMORPHISM_BOUND = 24
-_WITNESS_CAP = 25
 _BLOCK_BYTES = (1 << 16, 1 << 21)  # bounds on each temporary of a blocked check
 
 HypergroupReport = Report  # former name, kept for existing callers
@@ -73,11 +72,6 @@ def _normalize_table(table) -> tuple[tuple[frozenset[int], ...], ...] | None:
     if any(len(row) != m for row in rows):
         return None
     return rows
-
-
-def hypergroup_violations(table, e: int, inv) -> list[Violation]:
-    """All axiom violations of a candidate table, in axiom order, capped per axiom."""
-    return _violations(_normalize_table(table), e, inv)
 
 
 def _violations(rows, e: int, inv) -> list[Violation]:

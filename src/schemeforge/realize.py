@@ -11,7 +11,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .errors import SizeGuardError, VerificationError, Violation
+from .errors import _WITNESS_CAP, SizeGuardError, VerificationError, Violation
 from .hypergroup import Hypergroup
 from .scheme import (
     AssociationScheme,
@@ -23,7 +23,6 @@ from .scheme import (
 )
 
 SEARCH_POINT_BOUND = 8
-_WITNESS_CAP = 25
 
 
 def to_hypergroup(scheme: AssociationScheme) -> Hypergroup:

@@ -49,7 +49,7 @@ import functools
 
 import numpy as np
 
-from .errors import Report, SizeGuardError, VerificationError, Violation, require
+from .errors import _WITNESS_CAP, Report, SizeGuardError, VerificationError, Violation, require
 from .hypergroup import (
     _BLOCK_BYTES,
     Hypergroup,
@@ -62,7 +62,6 @@ from .hypergroup import (
 )
 
 CLOSED_SUBSET_CLASS_BOUND = 25
-_WITNESS_CAP = 25
 
 SchemeReport = Report  # former name, kept for existing callers
 
@@ -294,8 +293,13 @@ def build_scheme(n: int, rel) -> AssociationScheme | Report:
         return Report((Violation("classes", (x, y, int(rel[x, y]))),))
     s = int(rel.max()) + 1 if rel.size else 0
     # the distinct labels, sorted: a bincount no larger than rel, or a sort when
-    # some label exceeds n*n (and so leaves classes missing)
-    labels = np.flatnonzero(np.bincount(rel_flat, minlength=s)) if s <= rel.size else np.unique(rel_flat)
+    # some label exceeds n*n (and so leaves classes missing), not np.unique,
+    # which imports numpy.ma
+    if s <= rel.size:
+        labels = np.flatnonzero(np.bincount(rel_flat, minlength=s))
+    else:
+        labels = np.sort(rel_flat)
+        labels = labels[np.concatenate(([True], labels[1:] != labels[:-1]))]
     if len(labels) < s:
         # labels[i] - i classes are missing below labels[i], so missing class k
         # (from 0) is k plus the number of labels with at most k missing below them

@@ -79,8 +79,13 @@ def naive_complex_mult(constants, s: int, pset, qset) -> set[int]:
     }
 
 
-def hamming_distance(x: int, y: int) -> int:
-    return bin(x ^ y).count("1")
+def hamming_distance(x: int, y: int, q: int = 2) -> int:
+    """The number of base-q digits in which x and y differ."""
+    distance = 0
+    while x or y:
+        distance += x % q != y % q
+        x, y = x // q, y // q
+    return distance
 
 
 def set_product(table, aset, bset) -> frozenset[int]:

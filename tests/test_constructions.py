@@ -265,11 +265,11 @@ def test_hamming_1_is_z2_scheme():
 
 
 def test_hamming_matches_distance_oracle():
-    for n in [2, 3, 4]:
-        s = sf.hamming_scheme(n)
+    for n, q in [(2, 2), (3, 2), (4, 2), (3, 3), (2, 4)]:
+        s = sf.hamming_scheme(n, q)
         assert s.s == n + 1
-        for x, y in itertools.product(range(2 ** n), repeat=2):
-            assert s.rel[x, y] == hamming_distance(x, y)
+        for x, y in itertools.product(range(q ** n), repeat=2):
+            assert s.rel[x, y] == hamming_distance(x, y, q)
 
 
 def test_hamming_3_hypergroup_is_not_a_group():

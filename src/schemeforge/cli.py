@@ -8,11 +8,10 @@ unknown names, missing files, malformed JSON, or exceeded size bounds.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
-from collections.abc import Callable
+from types import SimpleNamespace
 
 from . import catalog, io
 from .constructions import check_triangle_condition, geometry_from_hypergroup
@@ -54,8 +53,8 @@ def _parse_class_set(spec: str) -> list[int]:
 
 
 def _read_hypergroup(text: str):
-    """A hypergroup file, or a scheme file read as its class hypergroup; with
-    the word for what the file held."""
+    """(word, value or Report) of a hypergroup file, or of a scheme file read
+    as its class hypergroup."""
     obj = json.loads(text)
     if isinstance(obj, dict) and "rel" in obj:
         scheme = io.load_scheme(text)
@@ -63,33 +62,23 @@ def _read_hypergroup(text: str):
     return "hypergroup", io.load_hypergroup(text)
 
 
-@dataclasses.dataclass(frozen=True)
-class _Kind:
-    """How the verbs read, write and operate on one kind of object."""
-
-    word: str
-    names: Callable[[], list[str]]
-    get: Callable[[str], object]
-    parse: Callable[[str], tuple[str, object]]  # (word, value or Report)
-    dump: Callable[[object], str]
-    size: str  # the attribute that counts classes or elements
-    commutative: Callable[[object], bool]
-    sub: Callable
-    quotient: Callable
-    product: Callable
-
-
+# Each kind of object: the word for messages, the catalog names and getter, the
+# file parser, which returns the word for what the file held and its value or
+# Report, the dumper, the attribute that counts classes or elements, and the
+# operations of the verbs.
 _KINDS = {
-    "scheme": _Kind(
-        "scheme", catalog.scheme_names, catalog.catalog_scheme,
-        lambda text: ("scheme", io.load_scheme(text)), io.dump_scheme,
-        "s", is_commutative, closed_subsets, quotient_scheme, product_scheme,
+    "scheme": SimpleNamespace(
+        word="scheme", names=catalog.scheme_names, get=catalog.catalog_scheme,
+        parse=lambda text: ("scheme", io.load_scheme(text)), dump=io.dump_scheme,
+        size="s", commutative=is_commutative,
+        sub=closed_subsets, quotient=quotient_scheme, product=product_scheme,
     ),
     # a scheme name or file stands for its class hypergroup
-    "hyper": _Kind(
-        "hypergroup", lambda: catalog.hypergroup_names() + catalog.scheme_names(),
-        catalog.catalog_hypergroup, _read_hypergroup, io.dump_hypergroup,
-        "m", Hypergroup.is_commutative, sub_hypergroups, quotient_hypergroup, product_hypergroup,
+    "hyper": SimpleNamespace(
+        word="hypergroup", names=lambda: catalog.hypergroup_names() + catalog.scheme_names(),
+        get=catalog.catalog_hypergroup, parse=_read_hypergroup, dump=io.dump_hypergroup,
+        size="m", commutative=Hypergroup.is_commutative,
+        sub=sub_hypergroups, quotient=quotient_hypergroup, product=product_hypergroup,
     ),
 }
 

@@ -175,8 +175,9 @@ def _format_cell(cell) -> str:
 
 def _cmd_hyper(args) -> int:
     h = to_hypergroup(_load("scheme", args.target, args))
-    cells = [f"{p}*{q}={_format_cell(h.table[p][q])}" for p in range(h.m) for q in range(h.m)]
-    _emit_value(io.dump_hypergroup(h), args, "\n".join([f"m={h.m} e={h.e} inv={list(h.inv)}"] + cells))
+    lines = [f"m={h.m} e={h.e} inv={list(h.inv)}"]
+    lines += [f"{p}*{q}={_format_cell(h.table[p][q])}" for p in range(h.m) for q in range(h.m)]
+    _emit_value(io.dump_hypergroup(h), args, "\n".join(lines))
     return 0
 
 
@@ -216,7 +217,8 @@ def _cmd_product(args) -> int:
 
 def _cmd_restrict(args) -> int:
     scheme = _load("scheme", args.target, args)
-    _emit_value(io.dump_scheme(restrict_scheme(scheme, _parse_class_set(args.set), args.point)), args)
+    result = restrict_scheme(scheme, _parse_class_set(args.set), args.point)
+    _emit_value(io.dump_scheme(result), args)
     return 0
 
 

@@ -4,8 +4,9 @@ stderr and the bytes they wrote to --out.
 Every command runs in process through ``cli.run`` in a working directory that
 holds the input files of ``FILES``; a command that takes --out writes
 ``out.json`` there.  ``test_io_cli`` replays the table and requires every
-field byte for byte.  After a deliberate change of CLI output, record the
-table again and review the diff of the JSON file:
+field byte for byte.  The usage and --help rows are argparse's text, whose
+wording can differ between Python versions.  After a deliberate change of
+CLI output, record the table again and review the diff of the JSON file:
 
     PYTHONPATH=src python tests/cli_transcript.py
 """

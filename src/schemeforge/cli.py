@@ -52,24 +52,23 @@ def _parse_class_set(spec: str) -> list[int]:
         raise _UsageError(f"expected a comma-separated index list, got {spec!r}") from None
 
 
-def _read_hypergroup(text: str):
+def _read_hypergroup(obj):
     """(word, value or Report) of a hypergroup file, or of a scheme file read
-    as its class hypergroup."""
-    obj = json.loads(text)
+    as its class hypergroup, from its parsed JSON."""
     if isinstance(obj, dict) and "rel" in obj:
-        scheme = io.load_scheme(text)
+        scheme = io._scheme_from(obj)
         return "scheme", scheme if isinstance(scheme, Report) else to_hypergroup(scheme)
-    return "hypergroup", io.load_hypergroup(text)
+    return "hypergroup", io._hypergroup_from(obj)
 
 
 # Each kind of object: the word for messages, the catalog names and getter, the
-# file parser, which returns the word for what the file held and its value or
-# Report, the dumper, the attribute that counts classes or elements, and the
-# operations of the verbs.
+# parser of a file's JSON, which returns the word for what the file held and its
+# value or Report, the dumper, the attribute that counts classes or elements,
+# and the operations of the verbs.
 _KINDS = {
     "scheme": SimpleNamespace(
         word="scheme", names=catalog.scheme_names, get=catalog.catalog_scheme,
-        parse=lambda text: ("scheme", io.load_scheme(text)), dump=io.dump_scheme,
+        parse=lambda obj: ("scheme", io._scheme_from(obj)), dump=io.dump_scheme,
         size="s", commutative=is_commutative,
         sub=closed_subsets, quotient=quotient_scheme, product=product_scheme,
     ),
@@ -97,7 +96,7 @@ def _load(kind: str, token: str, args):
     except OSError as exc:
         raise _UsageError(f"cannot read {token}: {exc}") from exc
     try:
-        word, result = spec.parse(text)
+        word, result = spec.parse(json.loads(text))
     except (ValueError, TypeError) as exc:  # a JSONDecodeError is a ValueError
         raise _UsageError(f"malformed {spec.word} file {token}: {exc}") from exc
     if isinstance(result, Report):

@@ -14,7 +14,7 @@ from math import inf
 
 import numpy as np
 
-from .errors import Report, SizeGuardError, VerificationError, Violation, require
+from .errors import _WITNESS_CAP, Report, SizeGuardError, VerificationError, Violation, require
 from .hypergroup import Hypergroup, build_hypergroup, group_as_hypergroup
 from .scheme import AssociationScheme, build_scheme
 
@@ -697,12 +697,17 @@ def geometry_from_hypergroup(h: Hypergroup) -> IncidenceGeometry:
     """Points are the nonidentity elements; the line through two points is their
     sum (minus the identity) together with the points themselves.
 
-    The extracted line set is verified against all geometry axioms; violations
-    raise VerificationError with witnesses.  Geometries with at most one point or
-    at most one line are flagged degenerate but accepted.
+    The hypergroup must be commutative with x*x = {e, x} for every point, and
+    the extracted line set is verified against all geometry axioms; violations
+    of either raise VerificationError with witnesses.  Geometries with at most
+    one point or at most one line are flagged degenerate but accepted.
     """
-    if not is_k_vector_space(h):
-        raise ValueError("hypergroup is not a vector space over the two-element hyperfield")
+    bad = [Violation("commutative", (a, b)) for a, b in itertools.combinations(range(h.m), 2)
+           if h.table[a][b] != h.table[b][a]][:_WITNESS_CAP]
+    bad += [Violation("vector_space", (x, tuple(sorted(h.table[x][x])))) for x in range(h.m)
+            if x != h.e and h.table[x][x] != {h.e, x}][:_WITNESS_CAP]
+    if bad:
+        raise VerificationError(bad, "hypergroup is not a vector space over the two-element hyperfield")
     elems = [x for x in range(h.m) if x != h.e]
     if len(elems) > GEOMETRY_POINT_BOUND:
         raise SizeGuardError(

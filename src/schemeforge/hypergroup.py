@@ -214,35 +214,47 @@ def closure_lattice(h: Hypergroup) -> list[frozenset[int]]:
     Starts from the closure of {e}, then joins each closed set found with one
     outside element at a time and closes again.  This reaches every closed K:
     joining a closed T inside K with an element of K outside T gives a larger
-    closed set, still inside K.
+    closed set, still inside K.  Sets are Python-int bitmasks.  A closure round
+    ORs sym[a][b] = a*b | b*a | {inv(a)} over the elements a added last and all
+    members b (older pairs lie inside already) until it adds nothing or is full.
     """
-    masks = [[sum(1 << t for t in cell) for cell in row] for row in h.table]  # a*b as a bitmask
+    m, full = h.m, (1 << h.m) - 1
+    masks = [[sum(1 << t for t in cell) for cell in row] for row in h.table]
+    sym = [[masks[a][b] | masks[b][a] | 1 << h.inv[a] for b in range(m)] for a in range(m)]
 
-    def bits(mask: int) -> list[int]:
-        return [x for x in range(h.m) if mask >> x & 1]
+    def members(mask: int) -> list[int]:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
 
-    def join(base: int, x: int) -> int:
-        mask, members, todo = base | 1 << x, bits(base) + [x], [x]
-        while todo:
-            a = todo.pop()
-            acc = 1 << h.inv[a]
-            for b in members:
-                acc |= masks[a][b] | masks[b][a]
-            fresh = bits(acc & ~mask)
-            mask |= acc
-            members += fresh
-            todo += fresh
-        return mask
+    def close(mask: int, fresh: int) -> int:
+        """The closure of mask, which is closed but for its elements in fresh."""
+        held = members(mask)
+        while True:
+            acc = 0
+            for a in members(fresh):
+                row = sym[a]
+                for b in held:
+                    acc |= row[b]
+            fresh = acc & ~mask
+            mask |= fresh
+            if not fresh or mask == full:
+                return mask
+            held += members(fresh)
 
-    todo = [join(0, h.e)]
+    todo = [close(1 << h.e, 1 << h.e)]
     seen = set(todo)
     while todo:
         base = todo.pop()
-        for joined in (join(base, x) for x in bits(~base)):
+        for x in members(full & ~base):
+            joined = close(base | 1 << x, 1 << x)
             if joined not in seen:
                 seen.add(joined)
                 todo.append(joined)
-    return sorted((frozenset(bits(k)) for k in seen), key=sorted)
+    return sorted((frozenset(members(k)) for k in seen), key=sorted)
 
 
 def sub_hypergroups(h: Hypergroup) -> list[frozenset[int]]:

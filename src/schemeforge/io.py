@@ -29,7 +29,10 @@ def dump_scheme(scheme: AssociationScheme) -> str:
 
 def load_scheme(text: str) -> AssociationScheme | Report:
     """Parse and rebuild a scheme; only the relation matrix is authoritative."""
-    obj = json.loads(text)
+    return _scheme_from(json.loads(text))
+
+
+def _scheme_from(obj) -> AssociationScheme | Report:
     if not isinstance(obj, dict) or "n" not in obj or "rel" not in obj:
         raise ValueError('scheme files need keys "n" and "rel"')
     return build_scheme(int(obj["n"]), obj["rel"])
@@ -45,7 +48,10 @@ def dump_hypergroup(h: Hypergroup) -> str:
 
 
 def load_hypergroup(text: str) -> Hypergroup | Report:
-    obj = json.loads(text)
+    return _hypergroup_from(json.loads(text))
+
+
+def _hypergroup_from(obj) -> Hypergroup | Report:
     needed = {"m", "e", "inv", "table"}
     if not isinstance(obj, dict) or not needed <= set(obj):
         raise ValueError(f'hypergroup files need keys {sorted(needed)}')

@@ -5,7 +5,8 @@ product, quotient, isomorphism testing).
 Questions about class sets are asked of the scheme's class hypergroup
 (``AssociationScheme.hypergroup``, built once per scheme): complex products,
 closed subsets and normal closed subsets are its products, sub-hypergroups and
-normal sub-hypergroups.  Isomorphism search runs on ``hypergroup.find_bijection``.
+normal sub-hypergroups.  Quotient blocks and double cosets are array passes over
+rel and the constants.  Isomorphism search runs on ``hypergroup.find_bijection``.
 
 A scheme lives on the point set 0..n-1.  Its relations ("classes") partition
 the n x n index square; class 0 is always the diagonal, and ``star`` maps each
@@ -53,7 +54,6 @@ from .errors import _WITNESS_CAP, Report, SizeGuardError, VerificationError, Vio
 from .hypergroup import (
     _BLOCK_BYTES,
     Hypergroup,
-    _is_normal,
     closure_lattice,
     find_bijection,
     is_normal_sub,
@@ -442,58 +442,71 @@ def product_scheme(s1: AssociationScheme, s2: AssociationScheme) -> AssociationS
     return require(build_scheme(s1.n * s2.n, rel))
 
 
+def _numbered(first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A partition read from each element's smallest partner: (the smallest
+    members, each element's part), parts numbered by smallest member."""
+    firsts = np.flatnonzero(first == np.arange(len(first)))
+    return firsts, np.searchsorted(firsts, first)
+
+
+def _members(part_of: np.ndarray) -> list[list[int]]:
+    """Each part's members, ascending, parts in index order."""
+    order = np.argsort(part_of, kind="stable")
+    return [p.tolist() for p in np.split(order, np.cumsum(np.bincount(part_of))[:-1])]
+
+
+def _point_blocks(scheme: AssociationScheme, nset: frozenset[int]):
+    """``_numbered`` of the blocks of a closed N: x ~ y is then an equivalence,
+    and x's smallest partner is the smallest y with rel[x, y] in N."""
+    return _numbered((np.bincount(sorted(nset), minlength=scheme.s) > 0)[scheme.rel].argmax(axis=1))
+
+
+def _double_cosets(scheme: AssociationScheme, nset: frozenset[int]):
+    """(each class's NpN double coset, numbered by smallest class, whether Np = pN
+    for every p): the boolean product of [p, r] = r in Np and r in pN is r in NpN."""
+    nlist = sorted(nset)
+    n_p, p_n = scheme.constants[nlist].any(axis=0), scheme.constants[:, nlist].any(axis=1)
+    npn = n_p @ p_n
+    first = npn.argmax(axis=1)
+    # the double cosets partition the classes: r in NpN exactly when p and r have one smallest class
+    bad = np.argwhere(npn != (first[:, None] == first))
+    if len(bad):
+        raise VerificationError([Violation("double_cosets", (int(p), int(r))) for p, r in bad[:_WITNESS_CAP]],
+                                "double cosets overlap")
+    return _numbered(first)[1], np.array_equal(n_p, p_n)
+
+
 def quotient_blocks(scheme: AssociationScheme, nset) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
     """Point blocks of a closed subset: x ~ y when rel[x][y] lies in N.
 
     Blocks are sorted by smallest member; returns (blocks, block index per point).
     """
-    nset = _closed_set(scheme, nset)
-    # N is closed, so x ~ y is an equivalence: each block first shows up at its smallest point
-    seen: dict[tuple[int, ...], int] = {}
-    block_of = tuple(
-        seen.setdefault(tuple(np.flatnonzero(row).tolist()), len(seen))
-        for row in np.isin(scheme.rel, sorted(nset))
-    )
-    return list(seen), block_of
+    _, block_of = _point_blocks(scheme, _closed_set(scheme, nset))
+    return [tuple(b) for b in _members(block_of)], tuple(block_of.tolist())
 
 
 def double_cosets(scheme: AssociationScheme, nset) -> tuple[list[frozenset[int]], tuple[int, ...]]:
     """Partition of the classes into NpN double cosets, sorted by smallest class."""
-    nset = _closed_set(scheme, nset)
-    cosets: list[frozenset[int]] = []
-    coset_of = [-1] * scheme.s
-    for p in range(scheme.s):
-        if coset_of[p] >= 0:
-            continue
-        npn = complex_mult(scheme, complex_mult(scheme, nset, {p}), nset)
-        cosets.append(npn)
-        for q in npn:
-            if coset_of[q] >= 0 and cosets[coset_of[q]] != npn:
-                raise VerificationError([Violation("double_cosets", (p, q))], "double cosets overlap")
-            coset_of[q] = len(cosets) - 1
-    order = sorted(range(len(cosets)), key=lambda i: min(cosets[i]))
-    renumber = {old: new for new, old in enumerate(order)}
-    return [cosets[i] for i in order], tuple(renumber[c] for c in coset_of)
+    coset_of, _ = _double_cosets(scheme, _closed_set(scheme, nset))
+    return [frozenset(c) for c in _members(coset_of)], tuple(coset_of.tolist())
 
 
 def quotient_scheme(scheme: AssociationScheme, nset) -> AssociationScheme:
     """Quotient by a closed normal subset: points become N-blocks, classes double cosets."""
     nset = _closed_set(scheme, nset)
-    if not _is_normal(scheme.hypergroup, nset):
+    coset_of, normal = _double_cosets(scheme, nset)
+    if not normal:
         raise ValueError(f"class set {sorted(nset)} is not normal")
-    blocks, block_of = quotient_blocks(scheme, nset)
-    _, coset_of = double_cosets(scheme, nset)
-    coset_rel = np.array(coset_of, dtype=np.int64)[scheme.rel]
-    firsts = [b[0] for b in blocks]
+    firsts, block_of = _point_blocks(scheme, nset)
+    coset_rel = coset_of[scheme.rel]
     q_rel = coset_rel[np.ix_(firsts, firsts)]
     # representative independence across whole blocks
-    block_arr = np.array(block_of, dtype=np.int64)
-    moved = np.argwhere(coset_rel != q_rel[block_arr][:, block_arr])
+    moved = np.argwhere(coset_rel != q_rel[block_of][:, block_of])
     if len(moved):
         witness = tuple(int(x) for x in moved[0])
         raise VerificationError([Violation("representatives", witness)],
                                 "quotient relation depends on representatives")
-    return require(build_scheme(len(blocks), q_rel))
+    return require(build_scheme(len(firsts), q_rel))
 
 
 def scheme_isomorphic(

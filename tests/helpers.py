@@ -244,6 +244,31 @@ def naive_quotient_hypergroup(table, e: int, inv, nset):
     return tuple(rows), coset_of[e], tuple(min(i) for i in inverses)
 
 
+def naive_quotient_scheme(rel, constants, s: int, nset):
+    """Quotient by a closed subset N by its definition: the blocks
+    {y : rel[x][y] in N}, numbered by smallest member; the double cosets NpN by
+    naive_complex_mult, numbered by smallest class; and the class of two blocks
+    read at their smallest points, passed to build_scheme.  Raises ValueError
+    when the blocks or the double cosets do not partition.  Returns (blocks,
+    block_of, cosets, coset_of, the scheme or its Report) in the form of
+    quotient_blocks, double_cosets and quotient_scheme."""
+    from schemeforge import build_scheme
+
+    n, nset = len(rel), set(nset)
+    blocks = sorted({tuple(y for y in range(n) if rel[x][y] in nset) for x in range(n)})
+    cosets = sorted({
+        frozenset(naive_complex_mult(constants, s, naive_complex_mult(constants, s, nset, {p}), nset))
+        for p in range(s)
+    }, key=min)
+    if sum(map(len, blocks)) != n or sum(map(len, cosets)) != s:
+        raise ValueError("blocks or double cosets do not partition")
+    block_of = tuple(next(i for i, b in enumerate(blocks) if x in b) for x in range(n))
+    coset_of = tuple(next(i for i, c in enumerate(cosets) if p in c) for p in range(s))
+    firsts = [b[0] for b in blocks]
+    q_rel = [[coset_of[rel[x][y]] for y in firsts] for x in firsts]
+    return blocks, block_of, cosets, coset_of, build_scheme(len(blocks), q_rel)
+
+
 def naive_orbits(perms, n: int, e: int):
     """Orbits as the closures of each {x} under the permutations, identity
     orbit first, the rest by smallest member: (orbit list, orbit index per element)."""

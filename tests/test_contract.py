@@ -137,8 +137,10 @@ def test_isomorphism_searches_share_one_backtracker():
 
 
 def test_constants_support_is_read_in_one_place():
-    """constants > 0 is the class hypergroup's table; it is read only where that
-    hypergroup is built, and every class-set question goes through it."""
+    """constants > 0 is the class hypergroup's table; it is formed only where
+    that hypergroup is built, and every class-set question but the quotient
+    pass goes through it (``scheme._double_cosets`` reads the constants of N's
+    rows and columns as arrays)."""
     found = []
     for path in sorted((SRC / "schemeforge").rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -149,3 +151,32 @@ def test_constants_support_is_read_in_one_place():
                         and getattr(cmp.comparators[0], "value", None) == 0):
                     found.append(f"{path.name}:{qualified}")
     assert found == ["scheme.py:AssociationScheme.hypergroup"]
+
+
+def test_caches_stay_where_they_are():
+    """functools.cached_property and lru_cache (and functools.cache) decorate
+    only the class hypergroup of a scheme and the catalog getters.  A cache on
+    a scheme's or hypergroup's answers would let a repeated question time a
+    dict lookup, so lattices, quotients and products are computed afresh."""
+    caches = {"cached_property", "lru_cache", "cache"}
+    decorated, stray = [], []
+    for path in sorted((SRC / "schemeforge").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        for qualified, node in _functions(tree):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(target, "attr", getattr(target, "id", None)) in caches:
+                    decorated.append(f"{path.stem}:{qualified}")
+                    allowed.add(id(target))
+        for node in ast.walk(tree):
+            named = getattr(node, "attr", getattr(node, "id", None))
+            if isinstance(node, ast.alias):
+                named = node.asname or node.name
+            if named in caches and id(node) not in allowed:
+                stray.append(f"{path.name}:{node.lineno}")
+    assert sorted(decorated) == [
+        "catalog:_valued_rings", "catalog:catalog_hypergroup", "catalog:catalog_scheme",
+        "scheme:AssociationScheme.hypergroup",
+    ]
+    assert stray == []

@@ -202,6 +202,30 @@ def test_cli_geometry_json(capsys):
     assert obj["points"] == 5 and len(obj["lines"]) == 1
 
 
+def test_cli_geometry_of_a_non_vector_space_is_a_verification_failure(capsys):
+    # S: 1 * 1 = {1} and 2 * 2 = {2}, where a vector space over K needs {0, x}
+    assert run(["geometry", "S"]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out.splitlines() == [
+        "AXIOM vector_space WITNESS (1, (1,))",
+        "AXIOM vector_space WITNESS (2, (2,))",
+        "geometry axioms fail",
+    ]
+    assert run(["geometry", "S", "--json", "--witnesses", "1"]) == 1
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["valid"] is False and verdict["violations"][0] == {"axiom": "vector_space", "witness": [1, [1]]}
+    with pytest.raises(sf.VerificationError) as info:
+        sf.geometry_from_hypergroup(sf.sign_hypergroup())
+    assert [v.witness for v in info.value.violations] == [(1, (1,)), (2, (2,))]
+    # a non-commutative hypergroup is refused with the pairs that do not commute
+    s3 = sf.group_hypergroup(sf.symmetric_group(3))
+    with pytest.raises(sf.VerificationError) as info:
+        sf.geometry_from_hypergroup(s3)
+    commuting = [v.witness for v in info.value.violations if v.axiom == "commutative"]
+    assert commuting and all(s3.table[a][b] != s3.table[b][a] for a, b in commuting)
+
+
 def test_cli_triangle(capsys):
     assert run(["triangle", "Z9-3adic"]) == 0
     assert capsys.readouterr().out.strip() == "triangle condition holds"

@@ -1,8 +1,10 @@
-"""Closed subsets, sub-hypergroups, closedness and normality against the
-power-set and complex-product oracles in helpers.py."""
+"""Closed subsets, sub-hypergroups, closedness, normality and scheme quotients
+against the power-set, complex-product and quotient oracles in helpers.py."""
 
 import functools
 import itertools
+import re
+import sys
 from math import inf
 
 import numpy as np
@@ -17,6 +19,7 @@ from helpers import (
     naive_is_closed,
     naive_is_sub_hypergroup,
     naive_quotient_hypergroup,
+    naive_quotient_scheme,
     naive_star,
     naive_sub_hypergroups,
     set_product,
@@ -26,6 +29,8 @@ from helpers import (
 SMALL_SCHEMES = [name for name in catalog.scheme_names() if catalog.catalog_scheme(name).s <= 12]
 # every catalog class hypergroup within SUB_HYPERGROUP_BOUND
 QUOTIENT_SCHEMES = [name for name in catalog.scheme_names() if catalog.catalog_scheme(name).s <= 20]
+# every catalog scheme within CLOSED_SUBSET_CLASS_BOUND
+LATTICE_SCHEMES = [name for name in catalog.scheme_names() if catalog.catalog_scheme(name).s <= 25]
 
 
 def small_hypergroups():
@@ -237,3 +242,149 @@ def test_sub_hypergroups_z20_are_the_subgroups():
     assert len(subs) == 6
     for t in subs:
         assert naive_is_sub_hypergroup(h.table, h.e, h.inv, t), sorted(t)
+
+
+# ---------------------------------------------------------------------------
+# the bitmask closure and the array quotient against their definitions
+
+def test_closure_lattice_matches_power_set_oracle_under_relabellings():
+    k = sf.krasner_hypergroup()
+    z2 = sf.cyclic_group(2)
+    hypergroups = {
+        "KxKxK": sf.product_hypergroup(sf.product_hypergroup(k, k), k),
+        "S3xZ2": sf.group_hypergroup(sf.product_group(sf.symmetric_group(3), z2)),
+        "A4": sf.group_hypergroup(sf.alternating_group(4)),
+        "SxS": sf.product_hypergroup(sf.sign_hypergroup(), sf.sign_hypergroup()),
+    }
+    rng = np.random.default_rng(20261)
+    counts = {}
+    for name, h in hypergroups.items():
+        assert h.m <= 12, name
+        for _ in range(2):
+            moved, _ = relabel_hypergroup(h, rng)
+            got = sf.hypergroup.closure_lattice(moved)
+            assert got == naive_sub_hypergroups(moved.table, moved.e, moved.inv), name
+            counts[name] = len(got)
+    # subgroups of S3 x Z2 and of A4; S x S has only the products of {0} and S,
+    # since {0, 1} is closed under * but not under inv in S
+    assert counts["S3xZ2"] == 16 and counts["A4"] == 10 and counts["SxS"] == 4
+
+
+def test_closure_lattice_of_z2_to_the_fifth_counts_subspaces():
+    z2 = sf.cyclic_group(2)
+    g = z2
+    for _ in range(4):
+        g = sf.product_group(g, z2)
+    h = sf.group_hypergroup(g)
+    assert h.m == 32
+    lattice = sf.hypergroup.closure_lattice(h)
+    # the subspaces of F_2^5, by dimension: Gaussian binomials [5 choose k]_2
+    sizes = sorted(len(t) for t in lattice)
+    assert [sizes.count(2 ** d) for d in range(6)] == [1, 31, 155, 155, 31, 1]
+    assert len(lattice) == 374 == len(set(lattice))
+    assert lattice == sorted(lattice, key=sorted)
+
+
+def test_closure_stops_once_the_set_is_full():
+    """A closure that fills the set runs no further round: in each closure
+    frame, once its mask is full, only the check and the return execute."""
+    for p in (13, 31):
+        h = sf.group_hypergroup(sf.cyclic_group(p))
+        full = (1 << p) - 1
+        after_full = []
+
+        def tracer(frame, event, arg):
+            if frame.f_code.co_name != "close":
+                return None
+            seen = [0]
+            after_full.append(seen)
+
+            def local(frame, event, arg):
+                if event == "line" and frame.f_locals.get("mask") == full:
+                    seen[0] += 1
+                return local
+            return local
+
+        sys.settrace(tracer)
+        try:
+            lattice = sf.hypergroup.closure_lattice(h)
+        finally:
+            sys.settrace(None)
+        # Z/p has no subgroup but {0} and itself, and each join of {0} fills
+        assert lattice == [frozenset({0}), frozenset(range(p))]
+        assert len(after_full) == p  # the closure of {e}, then one join per element
+        assert max(seen for seen, in after_full) <= 2, p
+
+
+def _dense(constants, s: int) -> np.ndarray:
+    if isinstance(constants, np.ndarray):
+        return constants
+    dense = np.zeros((s, s, s), dtype=np.int64)
+    for key, value in constants.items():
+        dense[key] = value
+    return dense
+
+
+def test_quotients_match_definition_on_every_closed_subset():
+    rng = np.random.default_rng(20262)
+    normal = closed = 0
+    for name in LATTICE_SCHEMES:
+        base = catalog.catalog_scheme(name)
+        c = _dense(oracle_constants(name), base.s)
+        for _ in range(2):
+            sigma, pi = rng.permutation(base.n), np.concatenate([[0], 1 + rng.permutation(base.s - 1)])
+            rel = np.empty_like(base.rel)
+            rel[np.ix_(sigma, sigma)] = pi[base.rel]
+            moved = sf.build_scheme(base.n, rel)
+            moved_c = np.empty_like(c)
+            moved_c[np.ix_(pi, pi, pi)] = c
+            rel_list = moved.rel.tolist()
+            for t in sf.closed_subsets(moved):
+                closed += 1
+                blocks, block_of, cosets, coset_of, quotient = naive_quotient_scheme(
+                    rel_list, moved_c, moved.s, t)
+                assert sf.quotient_blocks(moved, t) == (blocks, block_of), (name, sorted(t))
+                assert sf.double_cosets(moved, t) == (cosets, coset_of), (name, sorted(t))
+                if all(naive_complex_mult(moved_c, moved.s, {p}, t) == naive_complex_mult(moved_c, moved.s, t, {p})
+                       for p in range(moved.s)):
+                    normal += 1
+                    got = sf.quotient_scheme(moved, t)
+                    assert isinstance(quotient, sf.AssociationScheme), (name, sorted(t))
+                    assert np.array_equal(got.rel, quotient.rel), (name, sorted(t))
+                else:
+                    with pytest.raises(ValueError) as info:
+                        sf.quotient_scheme(moved, t)
+                    assert str(info.value) == f"class set {sorted(t)} is not normal"
+    # per relabelling: 112 closed subsets of the catalog schemes, 100 of them normal
+    assert (closed, normal) == (224, 200)
+
+
+def test_quotient_refusals_keep_their_errors():
+    s = catalog.catalog_scheme("S3")
+    rng = np.random.default_rng(20263)
+    calls = (sf.quotient_blocks, sf.double_cosets, sf.quotient_scheme)
+    closed = set(sf.closed_subsets(s))
+    refused = 0
+    for k in range(1, s.s + 1):
+        for t in itertools.combinations(range(s.s), k):
+            if frozenset(t) in closed:
+                continue
+            refused += 1
+            for call in calls:
+                with pytest.raises(ValueError, match=re.escape(f"class set {list(t)} is not closed")):
+                    call(s, t)
+    assert refused == 2 ** 6 - 1 - len(closed)
+    for call in calls:
+        with pytest.raises(ValueError, match="^class set must be nonempty$"):
+            call(s, [])
+        with pytest.raises(ValueError, match=re.escape("class indices out of range 0..5: [0, 6]")):
+            call(s, [0, 6])
+    # the transposition subgroup {e, (01)} of S3 is closed but not normal
+    moved, pi = relabel_classes(s, rng)
+    for t in sf.closed_subsets(s):
+        if not sf.is_normal_closed(s, t)[0]:
+            image_t = sorted(int(pi[x]) for x in t)
+            with pytest.raises(ValueError) as info:
+                sf.quotient_scheme(moved, image_t)
+            assert type(info.value) is ValueError
+            assert str(info.value) == f"class set {image_t} is not normal"

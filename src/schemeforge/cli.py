@@ -247,7 +247,7 @@ def _cmd_geometry(args) -> int:
     try:
         geom = geometry_from_hypergroup(h)
     except VerificationError as exc:
-        _emit_report(Report(exc.violations), args, "geometry axioms fail")
+        _emit_report(Report(exc.violations), args, exc.what)
         return 1
     summary = f"points={geom.n_points} lines={len(geom.lines)} degenerate={str(geom.degenerate).lower()}"
     _emit_value(io.dump_geometry(geom), args, summary)

@@ -630,11 +630,20 @@ def valuation_scheme(v: ValuedRing) -> AssociationScheme:
 # ---------------------------------------------------------------------------
 # projective geometries from hypergroups
 
+def _vector_space_violations(h: Hypergroup) -> list[Violation]:
+    """Pairs that do not commute, then nonidentity x with x + x != {identity, x}."""
+    bad = [Violation("commutative", (a, b)) for a, b in itertools.combinations(range(h.m), 2)
+           if h.table[a][b] != h.table[b][a]][:_WITNESS_CAP]
+    return bad + [Violation("vector_space", (x, tuple(sorted(h.table[x][x])))) for x in range(h.m)
+                  if x != h.e and h.table[x][x] != {h.e, x}][:_WITNESS_CAP]
+
+
 def is_k_vector_space(h: Hypergroup) -> bool:
     """True when x + x = {identity, x} for every nonidentity element."""
-    if not h.is_commutative():
+    bad = _vector_space_violations(h)
+    if bad and bad[0].axiom == "commutative":
         raise ValueError("hypergroup is not commutative")
-    return all(h.table[x][x] == frozenset({h.e, x}) for x in range(h.m) if x != h.e)
+    return not bad
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -697,15 +706,11 @@ def geometry_from_hypergroup(h: Hypergroup) -> IncidenceGeometry:
     """Points are the nonidentity elements; the line through two points is their
     sum (minus the identity) together with the points themselves.
 
-    The hypergroup must be commutative with x*x = {e, x} for every point, and
-    the extracted line set is verified against all geometry axioms; violations
-    of either raise VerificationError with witnesses.  Geometries with at most
-    one point or at most one line are flagged degenerate but accepted.
+    A hypergroup that is no vector space over K, or whose line set fails a
+    geometry axiom, raises VerificationError with witnesses.  Geometries with at
+    most one point or at most one line are flagged degenerate but accepted.
     """
-    bad = [Violation("commutative", (a, b)) for a, b in itertools.combinations(range(h.m), 2)
-           if h.table[a][b] != h.table[b][a]][:_WITNESS_CAP]
-    bad += [Violation("vector_space", (x, tuple(sorted(h.table[x][x])))) for x in range(h.m)
-            if x != h.e and h.table[x][x] != {h.e, x}][:_WITNESS_CAP]
+    bad = _vector_space_violations(h)
     if bad:
         raise VerificationError(bad, "hypergroup is not a vector space over the two-element hyperfield")
     elems = [x for x in range(h.m) if x != h.e]

@@ -52,10 +52,10 @@ class SizeGuardError(SchemeForgeError):
 
 
 class VerificationError(SchemeForgeError):
-    """A verification failed; ``violations`` carry the witnesses."""
+    """A verification failed: ``what`` names the check, ``violations`` carry the witnesses."""
 
     def __init__(self, violations, what: str = "verification fails"):
-        self.violations = tuple(violations)
+        self.violations, self.what = tuple(violations), what
         super().__init__(f"{what}: {self.violations[0].text()}")
 
 

@@ -225,9 +225,8 @@ def closure_lattice(h: Hypergroup) -> list[frozenset[int]]:
     def members(mask: int) -> list[int]:
         out = []
         while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
+            out.append((mask & -mask).bit_length() - 1)
+            mask &= mask - 1
         return out
 
     def close(mask: int, fresh: int) -> int:

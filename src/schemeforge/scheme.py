@@ -444,21 +444,11 @@ def product_scheme(s1: AssociationScheme, s2: AssociationScheme) -> AssociationS
 
 def _numbered(first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A partition read from each element's smallest partner: (the smallest
-    members, each element's part), parts numbered by smallest member."""
+    members, each element's part), parts numbered by smallest member.  A closed
+    N makes x ~ y an equivalence on points, with x's smallest partner the first
+    y where rel[x, y] is in N: the argmax over rel of N's indicator."""
     firsts = np.flatnonzero(first == np.arange(len(first)))
     return firsts, np.searchsorted(firsts, first)
-
-
-def _members(part_of: np.ndarray) -> list[list[int]]:
-    """Each part's members, ascending, parts in index order."""
-    order = np.argsort(part_of, kind="stable")
-    return [p.tolist() for p in np.split(order, np.cumsum(np.bincount(part_of))[:-1])]
-
-
-def _point_blocks(scheme: AssociationScheme, nset: frozenset[int]):
-    """``_numbered`` of the blocks of a closed N: x ~ y is then an equivalence,
-    and x's smallest partner is the smallest y with rel[x, y] in N."""
-    return _numbered((np.bincount(sorted(nset), minlength=scheme.s) > 0)[scheme.rel].argmax(axis=1))
 
 
 def _double_cosets(scheme: AssociationScheme, nset: frozenset[int]):
@@ -481,14 +471,17 @@ def quotient_blocks(scheme: AssociationScheme, nset) -> tuple[list[tuple[int, ..
 
     Blocks are sorted by smallest member; returns (blocks, block index per point).
     """
-    _, block_of = _point_blocks(scheme, _closed_set(scheme, nset))
-    return [tuple(b) for b in _members(block_of)], tuple(block_of.tolist())
+    in_n = np.bincount(sorted(_closed_set(scheme, nset)), minlength=scheme.s)
+    firsts, block_of = _numbered(in_n[scheme.rel].argmax(axis=1))
+    blocks = [tuple(np.flatnonzero(block_of == b).tolist()) for b in range(len(firsts))]
+    return blocks, tuple(block_of.tolist())
 
 
 def double_cosets(scheme: AssociationScheme, nset) -> tuple[list[frozenset[int]], tuple[int, ...]]:
     """Partition of the classes into NpN double cosets, sorted by smallest class."""
     coset_of, _ = _double_cosets(scheme, _closed_set(scheme, nset))
-    return [frozenset(c) for c in _members(coset_of)], tuple(coset_of.tolist())
+    cosets = [frozenset(np.flatnonzero(coset_of == c).tolist()) for c in range(coset_of.max() + 1)]
+    return cosets, tuple(coset_of.tolist())
 
 
 def quotient_scheme(scheme: AssociationScheme, nset) -> AssociationScheme:
@@ -497,7 +490,7 @@ def quotient_scheme(scheme: AssociationScheme, nset) -> AssociationScheme:
     coset_of, normal = _double_cosets(scheme, nset)
     if not normal:
         raise ValueError(f"class set {sorted(nset)} is not normal")
-    firsts, block_of = _point_blocks(scheme, nset)
+    firsts, block_of = _numbered(np.bincount(sorted(nset), minlength=scheme.s)[scheme.rel].argmax(axis=1))
     coset_rel = coset_of[scheme.rel]
     q_rel = coset_rel[np.ix_(firsts, firsts)]
     # representative independence across whole blocks

@@ -210,7 +210,7 @@ def test_cli_geometry_of_a_non_vector_space_is_a_verification_failure(capsys):
     assert out.out.splitlines() == [
         "AXIOM vector_space WITNESS (1, (1,))",
         "AXIOM vector_space WITNESS (2, (2,))",
-        "geometry axioms fail",
+        "hypergroup is not a vector space over the two-element hyperfield",
     ]
     assert run(["geometry", "S", "--json", "--witnesses", "1"]) == 1
     verdict = json.loads(capsys.readouterr().out)

@@ -305,14 +305,17 @@ def test_closure_stops_once_the_set_is_full():
                 return local
             return local
 
+        previous = sys.gettrace()
         sys.settrace(tracer)
         try:
             lattice = sf.hypergroup.closure_lattice(h)
         finally:
-            sys.settrace(None)
+            sys.settrace(previous)
         # Z/p has no subgroup but {0} and itself, and each join of {0} fills
         assert lattice == [frozenset({0}), frozenset(range(p))]
         assert len(after_full) == p  # the closure of {e}, then one join per element
+        # every join was seen full, so the trace reads the closure's frames and mask
+        assert [seen > 0 for seen, in after_full] == [False] + [True] * (p - 1)
         assert max(seen for seen, in after_full) <= 2, p
 
 

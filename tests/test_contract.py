@@ -136,6 +136,20 @@ def test_isomorphism_searches_share_one_backtracker():
     assert recursive == ["hypergroup.py:find_bijection.place"]
 
 
+def test_normality_and_quotients_share_one_coset_pass():
+    """is_normal_sub and quotient_hypergroup form their cosets in _cosets, and
+    a scheme's normality is asked of its class hypergroup through is_normal_sub."""
+    calls = {}
+    for name in ("hypergroup.py", "scheme.py"):
+        tree = ast.parse((SRC / "schemeforge" / name).read_text(encoding="utf-8"))
+        for qualified, node in _functions(tree):
+            calls[f"{name}:{qualified}"] = _called_names(node)
+    assert "_cosets" in calls["hypergroup.py:is_normal_sub"]
+    assert "_cosets" in calls["hypergroup.py:quotient_hypergroup"]
+    assert "is_normal_sub" in calls["scheme.py:is_normal_closed"]
+    assert "hypergroup.py:_is_normal" not in calls
+
+
 def test_constants_support_is_read_in_one_place():
     """constants > 0 is the class hypergroup's table; it is formed only where
     that hypergroup is built, and every class-set question but the quotient

@@ -1,4 +1,5 @@
 import itertools
+from math import inf
 
 import pytest
 
@@ -154,6 +155,17 @@ def test_is_normal_sub():
 def test_is_normal_sub_rejects_non_sub():
     with pytest.raises(ValueError, match="not a sub-hypergroup"):
         sf.is_normal_sub(sf.sign_hypergroup(), {0, 1})
+    with pytest.raises(ValueError, match=r"^\[0, 1\] is not a sub-hypergroup$"):
+        sf.quotient_hypergroup(sf.sign_hypergroup(), {0, 1})
+
+
+def test_normality_and_quotient_name_an_empty_or_out_of_range_set():
+    k = sf.krasner_hypergroup()
+    for call in (sf.is_normal_sub, sf.quotient_hypergroup):
+        with pytest.raises(ValueError, match="^element set must be nonempty$"):
+            call(k, set())
+        with pytest.raises(ValueError, match=r"^element set out of range: \(0, 5\)$"):
+            call(k, {0, 5})
 
 
 def test_non_normal_sub_in_group():
@@ -253,6 +265,47 @@ def test_projection_strictness():
     blocks = {x: c.block_of[x] for x in range(6)}
     for x, y in itertools.product(range(6), repeat=2):
         assert q.table[blocks[x]][blocks[y]] == frozenset(blocks[z] for z in h.table[x][y])
+
+
+def set_partitions(m):
+    """Every partition of 0..m-1 as an element -> block map, blocks numbered by
+    smallest member (restricted growth strings)."""
+    def grow(prefix, k):
+        if len(prefix) == m:
+            yield tuple(prefix)
+            return
+        for b in range(k + 1):
+            yield from grow(prefix + [b], max(k, b + 1))
+
+    return list(grow([], 0))
+
+
+def test_congruence_quotient_is_strict_on_every_partition():
+    """From the definition, over every partition of a few small hypergroups:
+    either the congruence check refuses it, or the quotient's cell at
+    ([x], [y]) is the set of blocks that x*y meets, for every x and y."""
+    k, s3 = sf.krasner_hypergroup(), sf.symmetric_group(3)
+    # with the number of congruences: for groups, one per normal subgroup
+    cases = [
+        (sf.product_hypergroup(k, k), 4), (z_hypergroup(6), 4), (sf.group_hypergroup(s3), 3),
+        (sf.partition_hypergroup(s3, sf.inner_automorphisms(s3)), 3),
+        (sf.linear_hypergroup((0, 1, inf)), 3),
+    ]
+    for h, congruences in cases:
+        partitions = set_partitions(h.m)
+        assert len(partitions) <= 203
+        accepted = 0
+        for block_of in partitions:
+            c = sf.CongruenceRelation(block_of)
+            if sf.congruence_violations(h, c):
+                with pytest.raises(sf.VerificationError, match="not a congruence relation"):
+                    sf.congruence_quotient(h, c)
+                continue
+            q = sf.congruence_quotient(h, c)
+            accepted += 1
+            for x, y in itertools.product(range(h.m), repeat=2):
+                assert q.table[block_of[x]][block_of[y]] == {block_of[t] for t in h.table[x][y]}
+        assert accepted == congruences
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,13 @@ def test_cli_quotient_and_restrict(capsys):
     assert json.loads(capsys.readouterr().out) == {"n": 2, "rel": [[0, 1], [1, 0]]}
 
 
+def test_cli_quotient_names_an_empty_or_out_of_range_set(capsys):
+    assert run(["quotient", "hyper", "K", "--by", ""]) == 2
+    assert capsys.readouterr().err == "error: element set must be nonempty\n"
+    assert run(["quotient", "hyper", "K", "--by", "0,5"]) == 2
+    assert capsys.readouterr().err == "error: element set out of range: (0, 5)\n"
+
+
 def test_cli_product(capsys):
     assert run(["product", "hyper", "K", "K"]) == 0
     obj = json.loads(capsys.readouterr().out)

@@ -195,12 +195,11 @@ def _valency_vectors(h: Hypergroup, n: int):
         for v in range(1, (left - rest_min) // w + 1):
             yield from rec(i + 1, left - w * v, acc + [v])
 
+    # every caller passes h identity-first, and the row and column of e = 0
+    # always pass: e*q = {q} and val[0] = 1
+    cells = [(p, q, tuple(h.table[p][q])) for p in range(1, h.m) for q in range(1, h.m)]
     for val in rec(0, n - 1, []):
-        ok = all(
-            sum(val[r] for r in h.table[p][q]) <= val[p] * val[q]
-            for p in range(h.m) for q in range(h.m)
-        )
-        if ok:
+        if all(sum(val[r] for r in cell) <= val[p] * val[q] for p, q, cell in cells):
             yield val
 
 
@@ -252,12 +251,29 @@ def _search_at_size(h: Hypergroup, n: int):
     support that differs from h's cell, so its class table is not h's; either
     way the literal comparison below would reject it too.  Every leaf is
     counted, filtered or not.  Returns (scheme or None, leaf count).
+
+    Lex-leader pruning (Crawford, Ginsberg, Luks and Roy, KR 1996) drops
+    leaves that are relabellings of smaller ones.  For a fixed val, row 0 is
+    [0] followed by the sorted classes.  Take 1 <= y < n - 1 with
+    rel[0][y] == rel[0][y + 1] and let t swap the points y and y + 1.  The
+    matrix tM, tM[a][b] = M[t(a)][t(b)], has the same row 0, valencies and
+    class table as M, so t maps accepted leaves to accepted leaves.  Classes
+    are tried in ascending order, so the first accepted leaf M is the least
+    in fill order, and M <= tM there.  Requiring cells(M) <= cells(tM) for
+    every such t therefore drops only leaves that are not least, and the
+    search returns the same matrix as without it.  In fill order, M and tM
+    first differ at one of these positions P, where M[P] < M[t(P)] must hold:
+    (u, y) for u = 1..y-1, then (y, y + 1), then (y, z) for z > y + 1.  Each
+    is checked when the later of P and t(P) is placed, while every earlier
+    position of the chain is tied; ``tied`` holds one flag per cell of the
+    chain, written when the cell is entered, so nothing is undone.
     """
     m = h.m
     star = h.inv
     table = h.table
     supports = None  # built at the first leaf; many sizes have none
     cells = [(x, z) for z in range(1, n) for x in range(z)]
+    index = {cell: i for i, cell in enumerate(cells)}
     leaves = 0
 
     for val in _valency_vectors(h, n):
@@ -265,6 +281,22 @@ def _search_at_size(h: Hypergroup, n: int):
         # path has set it, so nothing is reset on backtracking
         rel = [[0] * n for _ in range(n)]
         counts = [[0] * m for _ in range(n)]
+        # links[i]: for each chain whose check falls on cell i, its flags, its
+        # previous cell and the positions P and t(P) as (row, column)
+        links = [[] for _ in cells]
+        row0 = [0] + [c for c in range(1, m) for _ in range(val[c])]
+        for y in range(1, n - 1):
+            if row0[y] != row0[y + 1]:
+                continue
+            v = y + 1
+            tied = [False] * len(cells) + [True]  # tied[-1]: a chain starts tied
+            prev = -1
+            chain = [(u, y, u, v) for u in range(1, y)] + [(y, v, v, y)]
+            chain += [(y, z, v, z) for z in range(v + 1, n)]
+            for pr, pc, qr, qc in chain:
+                i = index[min(qr, qc), max(qr, qc)]
+                links[i].append((tied, prev, rel[pr], pc, rel[qr], qc))
+                prev = i
 
         def assign(i: int):
             nonlocal leaves, supports
@@ -283,27 +315,37 @@ def _search_at_size(h: Hypergroup, n: int):
                 return None
             x, z = cells[i]
             row_x, count_x, count_z = rel[x], counts[x], counts[z]
+            lex = links[i]
             lo = rel[0][z - 1] if x == 0 and z >= 2 else 1
             for c in range(lo, m):
                 cs = star[c]
                 if count_x[c] >= val[c] or count_z[cs] >= val[cs]:
                     continue
-                # triangles {w, x, z} whose last edge is (x, z): only w < x
-                # have both other edges assigned in this fill order.  Each
-                # needs c in rel[x][w]*rel[w][z]; h is reversible, so that puts
-                # its other two orientations in h's table as well
-                for w in range(x):
-                    if c not in table[row_x[w]][rel[w][z]]:
-                        break
+                row_x[z], rel[z][x] = c, cs
+                # lex-leader: rel[P] <= rel[t(P)] while the chain is tied
+                for tied, prev, p_row, p, q_row, q in lex:
+                    if tied[prev]:
+                        if p_row[p] > q_row[q]:
+                            break
+                        tied[i] = p_row[p] == q_row[q]
+                    else:
+                        tied[i] = False
                 else:
-                    row_x[z], rel[z][x] = c, cs
-                    count_x[c] += 1
-                    count_z[cs] += 1
-                    result = assign(i + 1)
-                    if result is not None:
-                        return result
-                    count_x[c] -= 1
-                    count_z[cs] -= 1
+                    # triangles {w, x, z} whose last edge is (x, z): only w < x
+                    # have both other edges assigned in this fill order.  Each
+                    # needs c in rel[x][w]*rel[w][z]; h is reversible, so that
+                    # puts its other two orientations in h's table as well
+                    for w in range(x):
+                        if c not in table[row_x[w]][rel[w][z]]:
+                            break
+                    else:
+                        count_x[c] += 1
+                        count_z[cs] += 1
+                        result = assign(i + 1)
+                        if result is not None:
+                            return result
+                        count_x[c] -= 1
+                        count_z[cs] -= 1
             return None
 
         found = assign(0)
@@ -321,7 +363,8 @@ def search_realization(
     exactly one class per element; the identity of h is relabelled 0 first.
     Deterministic: the first scheme in the fixed enumeration order is
     returned; per exhausted size a progress line
-    "n=<k> exhausted: <count> candidate matrices, 0 matches" is emitted.
+    "n=<k> exhausted: <count> candidate matrices, 0 matches" is emitted,
+    where <count> is the number of leaves of the lex-leader-pruned tree.
     """
     if n_max > SEARCH_POINT_BOUND:
         raise SizeGuardError(

@@ -322,7 +322,8 @@ def naive_search_at_size(h, n: int):
     Backtracking over class matrices with s = m classes at a fixed point count.
     Cells fill column by column so each triangle is checked the moment its last
     edge appears; the target table's zero pattern, per-row class counts, and a
-    sorted first row prune the tree.  Returns (scheme or None, leaf count).
+    sorted first row prune the tree.  It has no symmetry breaking.  Returns
+    (scheme or None, the leaf matrices as lists in visiting order).
     """
     import numpy as np
 
@@ -333,7 +334,7 @@ def naive_search_at_size(h, n: int):
     star = h.inv
     table = h.table
     cells = [(x, z) for z in range(1, n) for x in range(z)]
-    leaves = 0
+    leaves = []
 
     for val in _valency_vectors(h, n):
         rel = np.zeros((n, n), dtype=np.int64)
@@ -346,9 +347,8 @@ def naive_search_at_size(h, n: int):
         filled = [0] * n
 
         def assign(i: int):
-            nonlocal leaves
             if i == len(cells):
-                leaves += 1
+                leaves.append(rel.tolist())
                 candidate = build_scheme(n, rel.copy())
                 # a literal match of table and inverses: the identity map is an
                 # isomorphism, so no isomorphism search is needed

@@ -47,19 +47,65 @@ TARGETS = {
 }
 
 
-def outcome(result):
-    found, leaves = result
-    return (None if found is None else found.rel.tolist()), leaves
+def fill_order(n):
+    return [(x, z) for z in range(1, n) for x in range(z)]
+
+
+def adjacent_swaps(rel):
+    """For each point y >= 1 with rel[0][y] == rel[0][y + 1], the point
+    permutation that swaps y and y + 1."""
+    n = len(rel)
+    for y in range(1, n - 1):
+        if rel[0][y] == rel[0][y + 1]:
+            t = list(range(n))
+            t[y], t[y + 1] = y + 1, y
+            yield t
+
+
+def is_lex_leader(rel) -> bool:
+    """No adjacent swap of one row-0 class gives a matrix whose cells, in
+    fill order, come first: the swap is applied literally and the two cell
+    sequences compared."""
+    order = fill_order(len(rel))
+    cells = [rel[x][z] for x, z in order]
+    return all(cells <= [rel[t[x]][t[z]] for x, z in order] for t in adjacent_swaps(rel))
 
 
 def test_search_tree_matches_naive_oracle():
     # every size up to the search bound, so the leaf-heavy n = 8 trees of
-    # dense (1,106 leaves) and petersen (97) are compared too
+    # dense (1,106 leaves unbroken) and petersen (97) are compared too.  The
+    # oracle walks the tree without symmetry breaking; the fast tree must
+    # visit exactly its lex-leader leaves and find the same matrix
     for name, h in TARGETS.items():
         for g in identity_fixing_labellings(h):
             for n in range(g.m, realize.SEARCH_POINT_BOUND + 1):
-                expected = outcome(naive_search_at_size(g, n))
-                assert outcome(realize._search_at_size(g, n)) == expected, (name, g.table, n)
+                naive, leaves = naive_search_at_size(g, n)
+                expected = (None if naive is None else naive.rel.tolist(),
+                            sum(map(is_lex_leader, leaves)))
+                found, count = realize._search_at_size(g, n)
+                got = (None if found is None else found.rel.tolist(), count)
+                assert got == expected, (name, g.table, n)
+
+
+def test_adjacent_swaps_of_a_realization_keep_its_table_and_order():
+    # the premise of the lex-leader argument: an adjacent swap inside one
+    # row-0 class maps a found realization to a scheme with the same class
+    # table, which does not come before it in fill order
+    swaps = 0
+    for name, h in TARGETS.items():
+        for g in identity_fixing_labellings(h):
+            found = realize.search_realization(g, realize.SEARCH_POINT_BOUND)
+            if found is None:
+                continue
+            rel = found.rel
+            order = fill_order(found.n)
+            for t in adjacent_swaps(rel.tolist()):
+                image = rel[np.ix_(t, t)]
+                swapped = sf.require(sf.build_scheme(found.n, image))
+                assert swapped.hypergroup.table == g.table and swapped.hypergroup.inv == g.inv, (name, t)
+                assert [image[x, z] for x, z in order] >= [rel[x, z] for x, z in order], (name, t)
+                swaps += 1
+    assert swaps > 0
 
 
 def accepts(rel, h) -> bool:

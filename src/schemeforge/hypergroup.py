@@ -20,12 +20,20 @@ ab and a(bc) the OR of bits[a, t] over t in bc, formed for a block of a at a
 time, each block no larger than 2 MB unless one a needs more; reversibility is
 two gathers over the nonzero cells.  Witnesses come in ascending (a, b, c)
 order, at most 25 per axiom.
+
+A cell is held in two forms: ``table[a][b]``, the frozenset a*b, and
+``masks[a][b]``, the Python int with bit t set for each t in a*b.  Both
+builders take the masks from the words bits[a, b] of their check.  Every
+class-set question (sub-hypergroups, the closure lattice, cosets, congruence
+images) is answered on the masks: a product of sets is an OR of ints.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
+import operator
 from collections.abc import Iterable
 
 import numpy as np
@@ -41,10 +49,26 @@ HypergroupReport = Report  # former name, kept for existing callers
 
 @dataclasses.dataclass(frozen=True)
 class Hypergroup:
+    """A hypergroup on 0..m-1 with identity e and inverses inv.
+
+    Each cell a*b is held twice: ``table[a][b]`` is the frozenset and
+    ``masks[a][b]`` the int sum of 2^t over t in a*b.  The builders hand the
+    masks in as ``packed``; a Hypergroup made directly (or by
+    ``dataclasses.replace``) derives them from its table.  Equality, hash and
+    repr read the table alone.
+    """
+
     m: int
     table: tuple[tuple[frozenset[int], ...], ...]
     e: int
     inv: tuple[int, ...]
+    packed: dataclasses.InitVar[tuple[tuple[int, ...], ...] | None] = None
+    masks: tuple[tuple[int, ...], ...] = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self, packed) -> None:
+        if packed is None:
+            packed = tuple(tuple(sum(1 << t for t in cell) for cell in row) for row in self.table)
+        object.__setattr__(self, "masks", packed)
 
     def product(self, aset: Iterable[int], bset: Iterable[int]) -> frozenset[int]:
         out: set[int] = set()
@@ -71,12 +95,12 @@ def _normalize_table(table) -> tuple[tuple[frozenset[int], ...], ...] | None:
     return rows
 
 
-def _violations(rows, e: int, inv) -> list[Violation]:
+def _violations(rows, e: int, inv) -> tuple[list[Violation], np.ndarray | None]:
     """``_axiom_violations`` of a normalized table's support tensor (rows is None
     when the table is not square); a cell with an element outside 0..m-1 is
     broken like an empty one."""
     if rows is None:
-        return [Violation("shape", ())]
+        return [Violation("shape", ())], None
     m = len(rows)
     cells = [cell for row in rows for cell in row]
     flat = [k * m + t for k, cell in enumerate(cells) for t in cell if 0 <= t < m]
@@ -88,8 +112,10 @@ def _violations(rows, e: int, inv) -> list[Violation]:
     return _axiom_violations(support.reshape(m, m, m), e, inv, outside)
 
 
-def _axiom_violations(support: np.ndarray, e: int, inv, outside=False) -> list[Violation]:
-    """The axioms read from support[a, b, t] = (t in a*b), in axiom order.
+def _axiom_violations(support: np.ndarray, e: int, inv, outside=False) -> tuple[list[Violation], np.ndarray | None]:
+    """The axioms read from support[a, b, t] = (t in a*b), in axiom order, and
+    the cells packed into uint64 words bits[a, b] (None when a cell or the
+    shape is broken, as the check then stops before packing).
 
     ``outside`` marks, by a*m + b, cells that the tensor cannot show broken
     (an element out of range); an empty cell is broken too.
@@ -97,10 +123,10 @@ def _axiom_violations(support: np.ndarray, e: int, inv, outside=False) -> list[V
     m = len(support)
     broken = (outside | ~support.any(axis=2).ravel()).nonzero()[0]
     if broken.size:
-        return [Violation("cell", divmod(k, m)) for k in broken[:_WITNESS_CAP].tolist()]
+        return [Violation("cell", divmod(k, m)) for k in broken[:_WITNESS_CAP].tolist()], None
     inv = tuple(int(x) for x in inv)
     if not (0 <= e < m) or len(inv) != m or not all(0 <= g < m for g in inv):
-        return [Violation("shape", (e, inv))]
+        return [Violation("shape", (e, inv))], None
     bad: list[Violation] = []
 
     # c is an identity when c*x = {x} = x*c for every x; identities c and d give
@@ -149,7 +175,7 @@ def _axiom_violations(support: np.ndarray, e: int, inv, outside=False) -> list[V
     reversed_ok = support[elem, inv_arr[b], a] & support[inv_arr[a], elem, b]
     for x in (~reversed_ok).nonzero()[0][:_WITNESS_CAP]:
         bad.append(Violation("reversibility", (int(a[x]), int(b[x]), int(elem[x]))))
-    return bad
+    return bad, bits
 
 
 def _or_rows(rows: np.ndarray, first: np.ndarray, k: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -161,20 +187,30 @@ def _or_rows(rows: np.ndarray, first: np.ndarray, k: np.ndarray, t: np.ndarray) 
     return out
 
 
+def _cell_masks(bits: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The words bits[a, b] (element t at bit t % 64 of word t // 64) joined
+    into one int per cell."""
+    masks = bits[:, :, 0].tolist()
+    for w in range(1, bits.shape[2]):
+        masks = [[low | high << 64 * w for low, high in zip(*rows)] for rows in zip(masks, bits[:, :, w].tolist())]
+    return tuple(map(tuple, masks))
+
+
 def build_hypergroup(table, e: int, inv) -> Hypergroup | Report:
     """Exhaustively verify all hypergroup axioms; return the value or a report."""
     rows = _normalize_table(table)
-    bad = _violations(rows, e, inv)
+    bad, bits = _violations(rows, e, inv)
     if bad:
         return Report(tuple(bad))
-    return Hypergroup(m=len(rows), table=rows, e=int(e), inv=tuple(int(x) for x in inv))
+    return Hypergroup(m=len(rows), table=rows, e=int(e), inv=tuple(int(x) for x in inv),
+                      packed=_cell_masks(bits))
 
 
 def support_hypergroup(support: np.ndarray, e: int, inv) -> Hypergroup | Report:
     """``build_hypergroup`` of the table whose cell a*b is {t : support[a, b, t]},
     checked on the m x m x m bool tensor itself; the frozenset table is built
     only for the returned value."""
-    bad = _axiom_violations(support, e, inv)
+    bad, bits = _axiom_violations(support, e, inv)
     if bad:
         return Report(tuple(bad))
     m = len(support)
@@ -182,13 +218,22 @@ def support_hypergroup(support: np.ndarray, e: int, inv) -> Hypergroup | Report:
     bounds, t = np.searchsorted(cell, np.arange(m * m + 1)).tolist(), t.tolist()
     cells = [frozenset(t[bounds[k]:bounds[k + 1]]) for k in range(m * m)]
     table = tuple(tuple(cells[a * m:a * m + m]) for a in range(m))
-    return Hypergroup(m=m, table=table, e=int(e), inv=tuple(int(x) for x in inv))
+    return Hypergroup(m=m, table=table, e=int(e), inv=tuple(int(x) for x in inv), packed=_cell_masks(bits))
 
 
 def group_as_hypergroup(cayley, e: int, inv) -> Hypergroup:
     """Wrap a group's Cayley table in singleton cells."""
     table = [[{cayley[a][b]} for b in range(len(cayley))] for a in range(len(cayley))]
     return require(build_hypergroup(table, e, inv))
+
+
+def _members(mask: int) -> list[int]:
+    """The elements of a mask, ascending."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
 
 
 def is_sub_hypergroup(h: Hypergroup, kset) -> bool:
@@ -200,9 +245,13 @@ def is_sub_hypergroup(h: Hypergroup, kset) -> bool:
         raise ValueError("element set must be nonempty")
     if not all(0 <= x < h.m for x in members):
         raise ValueError(f"element set out of range: {tuple(sorted(members))}")
-    return h.e in members and all(
-        h.inv[a] in members and h.table[a][b] <= members for a in members for b in members
-    )
+    mask, reached = sum(1 << x for x in members), 1 << h.e
+    for a in members:
+        row = h.masks[a]
+        reached |= 1 << h.inv[a]
+        for b in members:
+            reached |= row[b]
+    return reached | mask == mask
 
 
 def closure_lattice(h: Hypergroup) -> list[frozenset[int]]:
@@ -216,23 +265,15 @@ def closure_lattice(h: Hypergroup) -> list[frozenset[int]]:
     ORs sym[a][b] = a*b | b*a | {inv(a)} over the elements a added last and all
     members b (older pairs lie inside already) until it adds nothing or is full.
     """
-    m, full = h.m, (1 << h.m) - 1
-    masks = [[sum(1 << t for t in cell) for cell in row] for row in h.table]
+    m, full, masks = h.m, (1 << h.m) - 1, h.masks
     sym = [[masks[a][b] | masks[b][a] | 1 << h.inv[a] for b in range(m)] for a in range(m)]
-
-    def members(mask: int) -> list[int]:
-        out = []
-        while mask:
-            out.append((mask & -mask).bit_length() - 1)
-            mask &= mask - 1
-        return out
 
     def close(mask: int, fresh: int) -> int:
         """The closure of mask, which is closed but for its elements in fresh."""
-        held = members(mask)
+        held = _members(mask)
         while True:
             acc = 0
-            for a in members(fresh):
+            for a in _members(fresh):
                 row = sym[a]
                 for b in held:
                     acc |= row[b]
@@ -240,18 +281,18 @@ def closure_lattice(h: Hypergroup) -> list[frozenset[int]]:
             mask |= fresh
             if not fresh or mask == full:
                 return mask
-            held += members(fresh)
+            held += _members(fresh)
 
     todo = [close(1 << h.e, 1 << h.e)]
     seen = set(todo)
     while todo:
         base = todo.pop()
-        for x in members(full & ~base):
+        for x in _members(full & ~base):
             joined = close(base | 1 << x, 1 << x)
             if joined not in seen:
                 seen.add(joined)
                 todo.append(joined)
-    return sorted((frozenset(members(k)) for k in seen), key=sorted)
+    return sorted((frozenset(_members(k)) for k in seen), key=sorted)
 
 
 def sub_hypergroups(h: Hypergroup) -> list[frozenset[int]]:
@@ -263,18 +304,24 @@ def sub_hypergroups(h: Hypergroup) -> list[frozenset[int]]:
     return closure_lattice(h)
 
 
-def _cosets(h: Hypergroup, lset):
-    """(L, [L*x for every x], [x*L for every x]) for a sub-hypergroup L."""
+def _cosets(h: Hypergroup, lset) -> tuple[int, list[int], list[int]]:
+    """(L, [L*x for every x], [x*L for every x]) for a sub-hypergroup L, each
+    set as a mask: L*x ORs column x of L's rows, x*L row x at L's columns."""
     lset = frozenset(int(x) for x in lset)
     if not is_sub_hypergroup(h, lset):
         raise ValueError(f"{sorted(lset)} is not a sub-hypergroup")
-    return lset, [h.product(lset, {x}) for x in range(h.m)], [h.product({x}, lset) for x in range(h.m)]
+    lx = [functools.reduce(operator.or_, col) for col in zip(*(h.masks[x] for x in lset))]
+    xl = [functools.reduce(operator.or_, map(row.__getitem__, lset)) for row in h.masks]
+    return sum(1 << x for x in lset), lx, xl
 
 
 def is_normal_sub(h: Hypergroup, lset) -> tuple[bool, bool]:
     """(Lx == xL for all x,  inv(x)*L*x == L for all x) for a sub-hypergroup L."""
-    lset, lx, xl = _cosets(h, lset)
-    return lx == xl, all(h.product(xl[h.inv[x]], {x}) == lset for x in range(h.m))
+    lmask, lx, xl = _cosets(h, lset)
+    return lx == xl, all(
+        functools.reduce(operator.or_, (h.masks[t][x] for t in _members(xl[h.inv[x]]))) == lmask
+        for x in range(h.m)
+    )
 
 
 def quotient_hypergroup(h: Hypergroup, nset) -> Hypergroup:
@@ -285,12 +332,15 @@ def quotient_hypergroup(h: Hypergroup, nset) -> Hypergroup:
     x*e, inside x*N, and z in x*n puts x in z*inv(n), so x*N and z*N are equal
     and each coset is first met, in increasing x, at its smallest member.
     That the coset products do not depend on the representatives is the
-    congruence check, with a ``product_congruence`` witness.
+    congruence check, with a ``product_congruence`` witness.  By {e} alone the
+    cosets are {x}, numbered x, so the quotient is h itself and is returned.
     """
-    nset, nx, xn = _cosets(h, nset)
+    nmask, nx, xn = _cosets(h, nset)
     if nx != xn:
-        raise ValueError(f"{sorted(nset)} is not normal")
-    first: dict[frozenset[int], int] = {}
+        raise ValueError(f"{_members(nmask)} is not normal")
+    if nmask == 1 << h.e:
+        return h
+    first: dict[int, int] = {}
     return congruence_quotient(h, CongruenceRelation(tuple(first.setdefault(c, len(first)) for c in xn)))
 
 
@@ -335,8 +385,9 @@ def congruence_violations(h: Hypergroup, c: CongruenceRelation) -> list[Violatio
 
 
 def _congruence(h: Hypergroup, c: CongruenceRelation):
-    """(blocks by smallest member, each element's index among them, the blocks
-    that each cell a*b meets, the congruence violations read from those images).
+    """(blocks by smallest member, each element's index among them, the mask of
+    the blocks that each cell a*b meets, the congruence violations read from
+    those images).
 
     In row-major order the first pair of a block pair is its smallest members,
     so each image is compared with the image at those representatives.
@@ -346,7 +397,11 @@ def _congruence(h: Hypergroup, c: CongruenceRelation):
     blocks, first = c.blocks(), {}  # blocks() lists them by first appearance
     block_of = [first.setdefault(b, len(first)) for b in c.block_of]
     rep = [blocks[i][0] for i in block_of]
-    images = [[frozenset(map(block_of.__getitem__, cell)) for cell in row] for row in h.table]
+    to_block = [1 << i for i in block_of]
+    # an image depends on the cell's mask alone, so each distinct mask is mapped once
+    image = {cell: functools.reduce(operator.or_, map(to_block.__getitem__, _members(cell)), 0)
+             for cell in set(itertools.chain.from_iterable(h.masks))}
+    images = [[image[cell] for cell in row] for row in h.masks]
     bad = [
         Violation("product_congruence", ((rep[a], rep[b]), (a, b)))
         for a, b in itertools.product(range(h.m), repeat=2) if images[a][b] != images[rep[a]][rep[b]]
@@ -365,7 +420,7 @@ def congruence_quotient(h: Hypergroup, c: CongruenceRelation) -> Hypergroup:
     blocks, block_of, images, bad = _congruence(h, c)
     if bad:
         raise VerificationError(bad, "not a congruence relation")
-    table = [[images[bi[0]][bj[0]] for bj in blocks] for bi in blocks]
+    table = [[_members(images[bi[0]][bj[0]]) for bj in blocks] for bi in blocks]
     return require(build_hypergroup(table, block_of[h.e], [block_of[h.inv[b[0]]] for b in blocks]))
 
 

@@ -485,8 +485,14 @@ def double_cosets(scheme: AssociationScheme, nset) -> tuple[list[frozenset[int]]
 
 
 def quotient_scheme(scheme: AssociationScheme, nset) -> AssociationScheme:
-    """Quotient by a closed normal subset: points become N-blocks, classes double cosets."""
+    """Quotient by a closed normal subset: points become N-blocks, classes double cosets.
+
+    By {0} alone every block is a point and every double coset a class, each
+    numbered as itself, so the quotient is the scheme itself and is returned.
+    """
     nset = _closed_set(scheme, nset)
+    if nset == {0}:
+        return scheme
     coset_of, normal = _double_cosets(scheme, nset)
     if not normal:
         raise ValueError(f"class set {sorted(nset)} is not normal")

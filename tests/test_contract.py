@@ -150,6 +150,24 @@ def test_normality_and_quotients_share_one_coset_pass():
     assert "hypergroup.py:_is_normal" not in calls
 
 
+def test_class_sets_are_read_off_the_masks():
+    """The closure lattice, sub-hypergroup test, cosets and congruence images
+    read Hypergroup.masks, and only Hypergroup.__post_init__ turns a table
+    into masks (a function that reads ``table`` and shifts bits)."""
+    reads, from_table = {}, []
+    for path in sorted((SRC / "schemeforge").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for qualified, node in _functions(tree):
+            names = {getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(node)}
+            reads[f"{path.name}:{qualified}"] = names
+            shifts = any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.LShift) for n in ast.walk(node))
+            if "table" in names and shifts:
+                from_table.append(f"{path.name}:{qualified}")
+    for name in ("closure_lattice", "is_sub_hypergroup", "_cosets", "_congruence"):
+        assert "masks" in reads[f"hypergroup.py:{name}"], name
+    assert from_table == ["hypergroup.py:Hypergroup.__post_init__"]
+
+
 def test_constants_support_is_read_in_one_place():
     """constants > 0 is the class hypergroup's table; it is formed only where
     that hypergroup is built, and every class-set question but the quotient

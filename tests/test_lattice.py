@@ -1,6 +1,7 @@
 """Closed subsets, sub-hypergroups, closedness, normality and scheme quotients
 against the power-set, complex-product and quotient oracles in helpers.py."""
 
+import dataclasses
 import functools
 import itertools
 import re
@@ -391,3 +392,85 @@ def test_quotient_refusals_keep_their_errors():
                 sf.quotient_scheme(moved, image_t)
             assert type(info.value) is ValueError
             assert str(info.value) == f"class set {image_t} is not normal"
+
+
+# ---------------------------------------------------------------------------
+# the two forms of a cell, and the quotient by the identity
+
+def _route_values():
+    """(route, hypergroup) for every way a Hypergroup is made: both builders,
+    relabellings, lattice quotients, products, the identity-first relabelling
+    of the search, dataclasses.replace and a direct Hypergroup(...)."""
+    rng = np.random.default_rng(20264)
+    out = []
+    for name in catalog.hypergroup_names() + catalog.scheme_names():
+        h = catalog.catalog_hypergroup(name)
+        out.append((name, h))
+        for k in range(2):
+            moved, _ = relabel_hypergroup(h, rng)
+            out += [(f"{name}~{k}", moved), (f"{name}~{k}/identity-first", sf.realize._identity_first(moved))]
+        if name in catalog.scheme_names():
+            for k in range(2):
+                moved, _ = relabel_classes(catalog.catalog_scheme(name), rng)
+                out.append((f"{name}:classes~{k}", moved.hypergroup))
+        for t in sf.hypergroup.closure_lattice(h):
+            if sf.is_normal_sub(h, t)[0]:
+                out.append((f"{name}//{sorted(t)}", sf.quotient_hypergroup(h, t)))
+    k, sign, s3 = sf.krasner_hypergroup(), sf.sign_hypergroup(), catalog.catalog_hypergroup("S3")
+    f64, h3 = catalog.catalog_hypergroup("F64/F4"), catalog.catalog_hypergroup("hamming-3")
+    out += [("KxS", sf.product_hypergroup(k, sign)), ("S3xK", sf.product_hypergroup(s3, k)),
+            ("F64/F4 x hamming-3", sf.product_hypergroup(f64, h3))]  # 88 elements: two words a cell
+    out.append(("replace(table)", dataclasses.replace(k, table=sign.table, m=3, inv=sign.inv)))
+    out.append(("replace(inv)", dataclasses.replace(s3, inv=s3.inv)))
+    out.append(("direct", sf.Hypergroup(m=sign.m, table=sign.table, e=sign.e, inv=sign.inv)))
+    return out
+
+
+def test_masks_match_the_table_on_every_route():
+    routes = _route_values()
+    assert max(h.m for _, h in routes) > 64
+    for route, h in routes:
+        assert h.masks == tuple(tuple(sum(1 << t for t in cell) for cell in row) for row in h.table), route
+        assert all(type(mask) is int for row in h.masks for mask in row), route
+        direct = sf.Hypergroup(m=h.m, table=h.table, e=h.e, inv=h.inv)
+        assert h == direct and hash(h) == hash(direct) and repr(h) == repr(direct), route
+        assert "masks" not in repr(h) and "packed" not in repr(h), route
+    # equality reads the table alone, whatever masks a value holds
+    sign = sf.sign_hypergroup()
+    assert sf.Hypergroup(m=3, table=sign.table, e=0, inv=sign.inv, packed=((0,) * 3,) * 3) == sign
+
+
+def test_quotient_by_the_identity_returns_its_input():
+    rng = np.random.default_rng(20265)
+    for name in LATTICE_SCHEMES:
+        base = catalog.catalog_scheme(name)
+        for s in (base, relabel_classes(base, rng)[0]):
+            assert sf.quotient_scheme(s, {0}) is s, name
+            blocks, block_of, cosets, coset_of, naive = naive_quotient_scheme(
+                s.rel.tolist(), s.constants, s.s, {0})
+            assert np.array_equal(naive.rel, s.rel) and naive.star == s.star, name
+            assert np.array_equal(naive.constants, s.constants), name
+            morph, quotient = sf.quotient_projection(s, {0})
+            assert quotient is s, name
+            assert morph.point_map == tuple(range(s.n)) and morph.class_map == tuple(range(s.s)), name
+            for p in range(1, s.s):
+                with pytest.raises(ValueError) as info:
+                    sf.quotient_scheme(s, {p})
+                assert str(info.value) == f"class set {[p]} is not closed", name
+            with pytest.raises(ValueError, match="^class set must be nonempty$"):
+                sf.quotient_scheme(s, set())
+            with pytest.raises(ValueError, match=re.escape(f"class indices out of range 0..{s.s - 1}: [{s.s}]")):
+                sf.quotient_scheme(s, {s.s})
+    for name in catalog.hypergroup_names() + catalog.scheme_names():
+        base = catalog.catalog_hypergroup(name)
+        for h in (base, relabel_hypergroup(base, rng)[0]):
+            assert sf.quotient_hypergroup(h, {h.e}) is h, name
+            assert (h.table, h.e, h.inv) == naive_quotient_hypergroup(h.table, h.e, h.inv, {h.e}), name
+            for x in set(range(h.m)) - {h.e}:
+                with pytest.raises(ValueError) as info:
+                    sf.quotient_hypergroup(h, {x})
+                assert str(info.value) == f"{[x]} is not a sub-hypergroup", name
+            with pytest.raises(ValueError, match="^element set must be nonempty$"):
+                sf.quotient_hypergroup(h, set())
+            with pytest.raises(ValueError, match=re.escape(f"element set out of range: ({h.m},)")):
+                sf.quotient_hypergroup(h, {h.m})

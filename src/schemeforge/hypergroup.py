@@ -258,40 +258,47 @@ def closure_lattice(h: Hypergroup) -> list[frozenset[int]]:
     """Every sub-hypergroup (a subset that contains e and is closed under * and
     inv), in lexicographic order of its sorted members, with no size bound.
 
-    Starts from the closure of {e}, then joins each closed set found with one
-    outside element at a time and closes again.  This reaches every closed K:
-    joining a closed T inside K with an element of K outside T gives a larger
-    closed set, still inside K.  Sets are Python-int bitmasks.  A closure round
-    ORs sym[a][b] = a*b | b*a | {inv(a)} over the elements a added last and all
-    members b (older pairs lie inside already) until it adds nothing or is full.
+    Starts from the closure of {e}, then joins each closed set T found with
+    each distinct closure <x> of one element x outside T (x is outside T
+    exactly when <x> is, T being closed; <x> = <inv(x)> is formed once) and
+    closes again, once per union met.  This reaches every closed K: joining a
+    closed T inside K with x in K outside T, or with <x>, which lies in the
+    closure of T + {x}, gives a larger closed set, still inside K.  Sets are
+    Python-int bitmasks.  A closure round ORs sym[a][b] = a*b | b*a | {inv(a)}
+    over the elements a added last and all members b (other pairs lie inside
+    already) until it adds nothing or is full.
     """
     m, full, masks = h.m, (1 << h.m) - 1, h.masks
     sym = [[masks[a][b] | masks[b][a] | 1 << h.inv[a] for b in range(m)] for a in range(m)]
 
     def close(mask: int, fresh: int) -> int:
         """The closure of mask, which is closed but for its elements in fresh."""
-        held = _members(mask)
-        while True:
+        held, added = [], mask
+        while fresh and mask != full:
+            held += _members(added)
             acc = 0
             for a in _members(fresh):
                 row = sym[a]
                 for b in held:
                     acc |= row[b]
-            fresh = acc & ~mask
+            added = fresh = acc & ~mask
             mask |= fresh
-            if not fresh or mask == full:
-                return mask
-            held += _members(fresh)
+        return mask
 
-    todo = [close(1 << h.e, 1 << h.e)]
-    seen = set(todo)
+    bottom = close(1 << h.e, 1 << h.e)
+    outside = [x for x in _members(full & ~bottom) if h.inv[x] >= x]
+    singles = list(dict.fromkeys(close(bottom | 1 << x, 1 << x) for x in outside))
+    todo, seen, tried = [bottom], {bottom}, set()
     while todo:
         base = todo.pop()
-        for x in _members(full & ~base):
-            joined = close(base | 1 << x, 1 << x)
-            if joined not in seen:
-                seen.add(joined)
-                todo.append(joined)
+        for single in singles:
+            union = base | single
+            if union not in seen and union not in tried:
+                tried.add(union)
+                joined = close(union, single & ~base)
+                if joined not in seen:
+                    seen.add(joined)
+                    todo.append(joined)
     return sorted((frozenset(_members(k)) for k in seen), key=sorted)
 
 
@@ -306,12 +313,14 @@ def sub_hypergroups(h: Hypergroup) -> list[frozenset[int]]:
 
 def _cosets(h: Hypergroup, lset) -> tuple[int, list[int], list[int]]:
     """(L, [L*x for every x], [x*L for every x]) for a sub-hypergroup L, each
-    set as a mask: L*x ORs column x of L's rows, x*L row x at L's columns."""
+    set as a mask: L*x is the OR of L's rows, x*L of L's columns."""
     lset = frozenset(int(x) for x in lset)
     if not is_sub_hypergroup(h, lset):
         raise ValueError(f"{sorted(lset)} is not a sub-hypergroup")
-    lx = [functools.reduce(operator.or_, col) for col in zip(*(h.masks[x] for x in lset))]
-    xl = [functools.reduce(operator.or_, map(row.__getitem__, lset)) for row in h.masks]
+    lx = xl = [0] * h.m
+    for x in lset:
+        lx = list(map(operator.or_, lx, h.masks[x]))
+        xl = list(map(operator.or_, xl, map(operator.itemgetter(x), h.masks)))
     return sum(1 << x for x in lset), lx, xl
 
 
@@ -324,6 +333,9 @@ def is_normal_sub(h: Hypergroup, lset) -> tuple[bool, bool]:
     )
 
 
+_ONE_ELEMENT = require(build_hypergroup([[{0}]], 0, [0]))
+
+
 def quotient_hypergroup(h: Hypergroup, nset) -> Hypergroup:
     """Quotient by a normal sub-hypergroup N: ``congruence_quotient`` by the
     partition into cosets x*N, numbered by smallest member.
@@ -334,12 +346,15 @@ def quotient_hypergroup(h: Hypergroup, nset) -> Hypergroup:
     That the coset products do not depend on the representatives is the
     congruence check, with a ``product_congruence`` witness.  By {e} alone the
     cosets are {x}, numbered x, so the quotient is h itself and is returned.
+    By all of h it is the one-element hypergroup, built once at import.
     """
     nmask, nx, xn = _cosets(h, nset)
     if nx != xn:
         raise ValueError(f"{_members(nmask)} is not normal")
     if nmask == 1 << h.e:
         return h
+    if nmask == (1 << h.m) - 1:
+        return _ONE_ELEMENT
     first: dict[int, int] = {}
     return congruence_quotient(h, CongruenceRelation(tuple(first.setdefault(c, len(first)) for c in xn)))
 
@@ -390,7 +405,8 @@ def _congruence(h: Hypergroup, c: CongruenceRelation):
     those images).
 
     In row-major order the first pair of a block pair is its smallest members,
-    so each image is compared with the image at those representatives.
+    so each row of images is compared with its representative's row read at
+    the representatives, and only a row that differs is searched for witnesses.
     """
     if len(c.block_of) != h.m:
         return [], [], [], [Violation("shape", (len(c.block_of), h.m))]
@@ -401,10 +417,12 @@ def _congruence(h: Hypergroup, c: CongruenceRelation):
     # an image depends on the cell's mask alone, so each distinct mask is mapped once
     image = {cell: functools.reduce(operator.or_, map(to_block.__getitem__, _members(cell)), 0)
              for cell in set(itertools.chain.from_iterable(h.masks))}
-    images = [[image[cell] for cell in row] for row in h.masks]
+    images = [list(map(image.__getitem__, row)) for row in h.masks]
+    expect = {r: list(map(images[r].__getitem__, rep)) for r in set(rep)}
     bad = [
         Violation("product_congruence", ((rep[a], rep[b]), (a, b)))
-        for a, b in itertools.product(range(h.m), repeat=2) if images[a][b] != images[rep[a]][rep[b]]
+        for a, row in enumerate(images) if row != expect[rep[a]]
+        for b in range(h.m) if row[b] != expect[rep[a]][b]
     ]
     bad += [
         Violation("inverse_congruence", (rep[a], a)) for a in range(h.m)

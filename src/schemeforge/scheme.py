@@ -395,8 +395,8 @@ def closed_subsets(scheme: AssociationScheme) -> list[frozenset[int]]:
     A class set containing 0 has star(T)T inside T exactly when it is closed
     under complex product and star, so these are the closure lattice of the
     class hypergroup (``hypergroup.closure_lattice``): one closure per closed
-    subset and outside class.  Refused for schemes with more than
-    CLOSED_SUBSET_CLASS_BOUND classes.
+    subset and distinct closure of one class outside it.  Refused for schemes
+    with more than CLOSED_SUBSET_CLASS_BOUND classes.
     """
     s = scheme.s
     if s > CLOSED_SUBSET_CLASS_BOUND:
@@ -484,15 +484,22 @@ def double_cosets(scheme: AssociationScheme, nset) -> tuple[list[frozenset[int]]
     return cosets, tuple(coset_of.tolist())
 
 
+_ONE_POINT = require(build_scheme(1, np.zeros((1, 1), dtype=np.int64)))
+
+
 def quotient_scheme(scheme: AssociationScheme, nset) -> AssociationScheme:
     """Quotient by a closed normal subset: points become N-blocks, classes double cosets.
 
     By {0} alone every block is a point and every double coset a class, each
     numbered as itself, so the quotient is the scheme itself and is returned.
+    By every class it is the one-point scheme, built once at import: such
+    quotients of different schemes are one object (AssociationScheme has eq=False).
     """
     nset = _closed_set(scheme, nset)
     if nset == {0}:
         return scheme
+    if len(nset) == scheme.s:
+        return _ONE_POINT
     coset_of, normal = _double_cosets(scheme, nset)
     if not normal:
         raise ValueError(f"class set {sorted(nset)} is not normal")

@@ -308,6 +308,31 @@ def test_congruence_quotient_is_strict_on_every_partition():
         assert accepted == congruences
 
 
+def test_congruence_witnesses_match_definition_on_every_partition():
+    """Every witness list, from the definition: the cells (x, y), in row-major
+    order, whose block image differs from that of the smallest members of
+    their blocks, then each x whose inverse's block differs from that of its
+    block's smallest member's inverse, at most 25 in all."""
+    k, s3 = sf.krasner_hypergroup(), sf.symmetric_group(3)
+    for h in (sf.product_hypergroup(k, k), z_hypergroup(6), sf.group_hypergroup(s3),
+              sf.linear_hypergroup((0, 1, inf))):
+        many = 0
+        for block_of in set_partitions(h.m):
+            rep = [block_of.index(block_of[x]) for x in range(h.m)]
+
+            def image(x, y):
+                return {block_of[t] for t in h.table[x][y]}
+
+            expected = [("product_congruence", ((rep[x], rep[y]), (x, y)))
+                        for x, y in itertools.product(range(h.m), repeat=2) if image(x, y) != image(rep[x], rep[y])]
+            expected += [("inverse_congruence", (rep[x], x)) for x in range(h.m)
+                         if block_of[h.inv[x]] != block_of[h.inv[rep[x]]]]
+            got = sf.congruence_violations(h, sf.CongruenceRelation(block_of))
+            assert [(v.axiom, v.witness) for v in got] == expected[:25], (h.m, block_of)
+            many += sum(axiom == "product_congruence" for axiom, _ in expected[:25]) > 1
+        assert many > 0, h.m
+
+
 # ---------------------------------------------------------------------------
 # products
 

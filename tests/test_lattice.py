@@ -248,14 +248,29 @@ def test_sub_hypergroups_z20_are_the_subgroups():
 # ---------------------------------------------------------------------------
 # the bitmask closure and the array quotient against their definitions
 
+def _shared_closures(h, lattice) -> list[tuple[int, int]]:
+    """Pairs x < y, not inverse to each other, whose closures are one set:
+    the smallest closed set holding each element."""
+    single = {x: min((t for t in lattice if x in t), key=len) for x in range(h.m) if x != h.e}
+    return [(x, y) for x, y in itertools.combinations(single, 2) if y != h.inv[x] and single[x] == single[y]]
+
+
 def test_closure_lattice_matches_power_set_oracle_under_relabellings():
     k = sf.krasner_hypergroup()
     z2 = sf.cyclic_group(2)
+    s3 = sf.symmetric_group(3)
+    f7 = catalog.catalog_hypergroup("F7")
     hypergroups = {
         "KxKxK": sf.product_hypergroup(sf.product_hypergroup(k, k), k),
-        "S3xZ2": sf.group_hypergroup(sf.product_group(sf.symmetric_group(3), z2)),
+        "S3xZ2": sf.group_hypergroup(sf.product_group(s3, z2)),
         "A4": sf.group_hypergroup(sf.alternating_group(4)),
         "SxS": sf.product_hypergroup(sf.sign_hypergroup(), sf.sign_hypergroup()),
+        # not groups: one element's closure holds others, or several share it
+        "linear(0,1,inf)": sf.linear_hypergroup([0, 1, inf]),
+        "S3-inn": sf.partition_hypergroup(s3, sf.inner_automorphisms(s3)),
+        "F7": f7,
+        "fano-flags": catalog.catalog_hypergroup("fano-flags"),
+        "F7xF7": sf.product_hypergroup(f7, f7),
     }
     rng = np.random.default_rng(20261)
     counts = {}
@@ -269,6 +284,15 @@ def test_closure_lattice_matches_power_set_oracle_under_relabellings():
     # subgroups of S3 x Z2 and of A4; S x S has only the products of {0} and S,
     # since {0, 1} is closed under * but not under inv in S
     assert counts["S3xZ2"] == 16 and counts["A4"] == 10 and counts["SxS"] == 4
+    # {0, 1, 2} is the closure of 1 and holds 2, whose closure is {0, 2}
+    assert counts["linear(0,1,inf)"] == counts["S3-inn"] == 3 and counts["F7"] == 2
+    for name in ("linear(0,1,inf)", "S3-inn"):
+        h = hypergroups[name]
+        assert sf.hypergroup.closure_lattice(h) == [{0}, {0, 1, 2}, {0, 2}], name
+    # closures shared beyond inverse pairs, so the joins are deduplicated
+    for name in ("fano-flags", "F7xF7"):
+        h = hypergroups[name]
+        assert _shared_closures(h, sf.hypergroup.closure_lattice(h)), name
 
 
 def test_closure_lattice_of_z2_to_the_fifth_counts_subspaces():
@@ -288,7 +312,9 @@ def test_closure_lattice_of_z2_to_the_fifth_counts_subspaces():
 
 def test_closure_stops_once_the_set_is_full():
     """A closure that fills the set runs no further round: in each closure
-    frame, once its mask is full, only the check and the return execute."""
+    frame, once its mask is full, at most three lines execute (the first line
+    of a frame entered full, the loop check and the return), where a round
+    takes at least seven."""
     for p in (13, 31):
         h = sf.group_hypergroup(sf.cyclic_group(p))
         full = (1 << p) - 1
@@ -312,12 +338,15 @@ def test_closure_stops_once_the_set_is_full():
             lattice = sf.hypergroup.closure_lattice(h)
         finally:
             sys.settrace(previous)
-        # Z/p has no subgroup but {0} and itself, and each join of {0} fills
+        # Z/p has no subgroup but {0} and itself, and each element's closure fills
         assert lattice == [frozenset({0}), frozenset(range(p))]
-        assert len(after_full) == p  # the closure of {e}, then one join per element
-        # every join was seen full, so the trace reads the closure's frames and mask
-        assert [seen > 0 for seen, in after_full] == [False] + [True] * (p - 1)
-        assert max(seen for seen, in after_full) <= 2, p
+        # the closure of {e}, one closure per pair {x, -x} (x and its inverse
+        # have one closure), then one join of {e} with the one distinct closure
+        assert len(after_full) == (p - 1) // 2 + 2
+        # every frame after the first was seen full, so the trace reads the
+        # closure's frames and mask
+        assert [seen > 0 for seen, in after_full] == [False] + [True] * ((p - 1) // 2 + 1)
+        assert max(seen for seen, in after_full) <= 3, p
 
 
 def _dense(constants, s: int) -> np.ndarray:
@@ -474,3 +503,49 @@ def test_quotient_by_the_identity_returns_its_input():
                 sf.quotient_hypergroup(h, set())
             with pytest.raises(ValueError, match=re.escape(f"element set out of range: ({h.m},)")):
                 sf.quotient_hypergroup(h, {h.m})
+
+
+def test_quotient_by_every_class_is_one_point():
+    rng = np.random.default_rng(20266)
+    schemes, hypergroups = [], []
+    for name in LATTICE_SCHEMES:
+        base = catalog.catalog_scheme(name)
+        for s in (base, relabel_classes(base, rng)[0]):
+            every = set(range(s.s))
+            got = sf.quotient_scheme(s, every)
+            schemes.append(got)
+            blocks, block_of, cosets, coset_of, naive = naive_quotient_scheme(
+                s.rel.tolist(), s.constants, s.s, every)
+            assert (got.n, got.s, got.star, got.valency) == (naive.n, naive.s, naive.star, naive.valency) == (
+                1, 1, (0,), (1,)), name
+            assert np.array_equal(got.rel, naive.rel) and np.array_equal(got.constants, naive.constants), name
+            morph, quotient = sf.quotient_projection(s, every)
+            assert quotient is got, name
+            assert morph.point_map == (0,) * s.n and morph.class_map == (0,) * s.s, name
+            assert block_of == morph.point_map and coset_of == morph.class_map, name
+            with pytest.raises(ValueError) as info:
+                sf.quotient_scheme(s, every - {0})
+            assert str(info.value) == f"class set {list(range(1, s.s))} is not closed", name
+            with pytest.raises(ValueError, match="^class set must be nonempty$"):
+                sf.quotient_scheme(s, set())
+            wide = list(range(s.s + 1))
+            with pytest.raises(ValueError, match=re.escape(f"class indices out of range 0..{s.s - 1}: {wide}")):
+                sf.quotient_scheme(s, wide)
+            h = s.hypergroup
+            got = sf.quotient_hypergroup(h, every)
+            hypergroups.append(got)
+            assert (got.table, got.e, got.inv) == naive_quotient_hypergroup(h.table, h.e, h.inv, every), name
+            with pytest.raises(ValueError) as info:
+                sf.quotient_hypergroup(h, every - {h.e})
+            assert str(info.value) == f"{sorted(every - {h.e})} is not a sub-hypergroup", name
+            with pytest.raises(ValueError, match="^element set must be nonempty$"):
+                sf.quotient_hypergroup(h, set())
+            with pytest.raises(ValueError, match=re.escape(f"element set out of range: {tuple(wide)}")):
+                sf.quotient_hypergroup(h, wide)
+    for name in catalog.hypergroup_names():
+        h = catalog.catalog_hypergroup(name)
+        got = sf.quotient_hypergroup(h, range(h.m))
+        hypergroups.append(got)
+        assert (got.table, got.e, got.inv) == naive_quotient_hypergroup(h.table, h.e, h.inv, range(h.m)), name
+    # the one-point scheme and the one-element hypergroup are one value each
+    assert all(q is schemes[0] for q in schemes) and all(q is hypergroups[0] for q in hypergroups)

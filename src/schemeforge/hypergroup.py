@@ -15,17 +15,21 @@ table once and builds the tensor from it, and a scheme's class hypergroup
 (``support_hypergroup``) hands in constants > 0 directly, building its
 frozenset table only for the returned value.  Cells must be nonempty and in
 range, e the only identity and inv(x) x's only inverse.  The rows of the tensor
-are packed into bit words bits[a, b]: (ab)c is the OR of bits[t, c] over t in
-ab and a(bc) the OR of bits[a, t] over t in bc, formed for a block of a at a
-time, each block no larger than 2 MB unless one a needs more; reversibility is
-two gathers over the nonzero cells.  Witnesses come in ascending (a, b, c)
-order, at most 25 per axiom.
+are packed into bit words bits[a, b]: (ab)c is the OR of the rows bits[t]
+over t in ab and a(bc) the OR of the columns bits[a, t] over t in bc, both
+gathered straight into (a, b, c) order for a block of a at a time.  Larger
+cells are gathered whole and ORed by ``reduceat``, as many as fit in the
+block, and every temporary is at most 2 MB unless one a needs more.
+Reversibility is two gathers over the nonzero cells.  Witnesses come in
+ascending (a, b, c) order, at most 25 per axiom.
 
 A cell is held in two forms: ``table[a][b]``, the frozenset a*b, and
 ``masks[a][b]``, the Python int with bit t set for each t in a*b.  Both
-builders take the masks from the words bits[a, b] of their check.  Every
-class-set question (sub-hypergroups, the closure lattice, cosets, congruence
-images) is answered on the masks: a product of sets is an OR of ints.
+builders take the masks from the words bits[a, b] of their check; a class
+hypergroup's table holds one frozenset per distinct mask (Z/64 has 64 among
+4,096 cells).  Every class-set question (sub-hypergroups, the closure
+lattice, cosets, congruence images) is answered on the masks: a product of
+sets is an OR of ints.
 """
 
 from __future__ import annotations
@@ -84,50 +88,26 @@ class Hypergroup:
         )
 
 
-def _normalize_table(table) -> tuple[tuple[frozenset[int], ...], ...] | None:
-    try:
-        rows = tuple(tuple(frozenset(map(int, cell)) for cell in row) for row in table)
-    except TypeError:
-        return None
-    m = len(rows)
-    if any(len(row) != m for row in rows):
-        return None
-    return rows
-
-
-def _violations(rows, e: int, inv) -> tuple[list[Violation], np.ndarray | None]:
-    """``_axiom_violations`` of a normalized table's support tensor (rows is None
-    when the table is not square); a cell with an element outside 0..m-1 is
-    broken like an empty one."""
-    if rows is None:
-        return [Violation("shape", ())], None
-    m = len(rows)
-    cells = [cell for row in rows for cell in row]
-    flat = [k * m + t for k, cell in enumerate(cells) for t in cell if 0 <= t < m]
-    support = np.zeros(m ** 3, dtype=bool)
-    support[flat] = True
-    outside = False
-    if len(flat) < sum(map(len, cells)):
-        outside = np.array([any(not 0 <= t < m for t in cell) for cell in cells])
-    return _axiom_violations(support.reshape(m, m, m), e, inv, outside)
-
-
 def _axiom_violations(support: np.ndarray, e: int, inv, outside=False) -> tuple[list[Violation], np.ndarray | None]:
     """The axioms read from support[a, b, t] = (t in a*b), in axiom order, and
     the cells packed into uint64 words bits[a, b] (None when a cell or the
-    shape is broken, as the check then stops before packing).
+    shape is broken, as the check then stops).
 
     ``outside`` marks, by a*m + b, cells that the tensor cannot show broken
     (an element out of range); an empty cell is broken too.
     """
     m = len(support)
-    broken = (outside | ~support.any(axis=2).ravel()).nonzero()[0]
+    # bits[a, b]: support[a, b] as uint64 words, t padded to a multiple of 64
+    words = -(-m // 64)
+    padded = np.zeros((m, m, words * 64), dtype=bool)
+    padded[:, :, :m] = support
+    bits = np.packbits(padded, axis=2, bitorder="little").view("<u8")
+    broken = (outside | ~bits.any(axis=2).ravel()).nonzero()[0]
     if broken.size:
         return [Violation("cell", divmod(k, m)) for k in broken[:_WITNESS_CAP].tolist()], None
     inv = tuple(int(x) for x in inv)
     if not (0 <= e < m) or len(inv) != m or not all(0 <= g < m for g in inv):
         return [Violation("shape", (e, inv))], None
-    bad: list[Violation] = []
 
     # c is an identity when c*x = {x} = x*c for every x; identities c and d give
     # c = c*d = d, so the others are looked for only when e is none
@@ -136,8 +116,7 @@ def _axiom_violations(support: np.ndarray, e: int, inv, outside=False) -> tuple[
     def is_identity(c: int) -> bool:
         return bool((support[c] == eye).all() and (support[:, c] == eye).all())
 
-    if not is_identity(e):
-        bad.append(Violation("identity", tuple(c for c in range(m) if is_identity(c))))
+    bad = [] if is_identity(e) else [Violation("identity", tuple(c for c in range(m) if is_identity(c)))]
 
     # partners[x, g]: e lies in x*g and in g*x; inv(x) must be x's only one
     partners = support[:, :, e] & support[:, :, e].T
@@ -145,30 +124,23 @@ def _axiom_violations(support: np.ndarray, e: int, inv, outside=False) -> tuple[
     for x in (partners != eye[inv_arr]).any(axis=1).nonzero()[0].tolist():
         bad.append(Violation("inverse", (x, tuple(partners[x].nonzero()[0].tolist()))))
 
-    # bits[a, b]: support[a, b] as uint64 words, t padded to a multiple of 64
-    padded = np.zeros((m, m, -(-m // 64) * 64), dtype=bool)
-    padded[:, :, :m] = support
-    bits = np.packbits(padded, axis=2, bitorder="little").view("<u8")
-
-    # the entries (a*m + b, t) of the cells in C order: each cell's first, then the rest
+    # the entries (a*m + b, t) of the cells in C order; cell k's are at bounds[k]:bounds[k + 1]
     cell, elem = np.divmod(support.ravel().nonzero()[0], m)
-    rest = np.zeros(len(cell), dtype=bool)
-    rest[1:] = cell[1:] == cell[:-1]
-    first, k, t = elem[~rest], cell[rest], elem[rest]
-    # (ab)c and a(bc) for a block of a at a time, each as large as bits times the block
+    bounds = np.searchsorted(cell, np.arange(m * m + 1))
+    # (ab)c at [a*m + b - lo, c] joins the rows bits[t] = t*c, and a(bc) at
+    # [a - a0, b*m + c] the columns bits[a, t] = a*t, so both are in (a, b, c)
+    # order; a block of a at a time, each as large as bits times the block
     step = max(1, _BLOCK_BYTES[1] // bits.nbytes)
     differ: list[int] = []
     for a0 in range(0, m, step):
         lo, hi = a0 * m, min(a0 + step, m) * m
-        i, j = k.searchsorted([lo, hi])
-        left = _or_rows(bits, first[lo:hi], k[i:j] - lo, t[i:j])  # (ab)c at [a*m + b - lo, c]
-        # a(bc) at [b*m + c, a - a0], then moved to where left holds (ab)c
-        right = _or_rows(bits.transpose(1, 0, 2)[:, a0:a0 + step], first, k, t)
-        right = right.reshape(m, m, -1, bits.shape[2]).transpose(2, 0, 1, 3).reshape(left.shape)
-        differ += ((left != right).any(axis=2).ravel().nonzero()[0] + lo * m).tolist()
+        left = _or_cells(bits, elem, bounds[lo:hi + 1], 0).reshape(-1, words)
+        right = _or_cells(bits[a0:a0 + step], elem, bounds, 1).reshape(-1, words)
+        ne = left[:, 0] != right[:, 0] if words == 1 else (left != right).any(axis=1)
+        differ += (ne.nonzero()[0][:_WITNESS_CAP - len(differ)] + lo * m).tolist()
         if len(differ) >= _WITNESS_CAP:
             break
-    bad += [Violation("associativity", (x // (m * m), x // m % m, x % m)) for x in differ[:_WITNESS_CAP]]
+    bad += [Violation("associativity", (x // (m * m), x // m % m, x % m)) for x in differ]
 
     # c in ab needs a in c*inv(b) and b in inv(a)*c
     a, b = np.divmod(cell, m)
@@ -178,12 +150,25 @@ def _axiom_violations(support: np.ndarray, e: int, inv, outside=False) -> tuple[
     return bad, bits
 
 
-def _or_rows(rows: np.ndarray, first: np.ndarray, k: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """out[i] = rows[first[i]] OR each rows[t] of the entries (i, t) of k and t,
-    gathering no more rows at a time than out holds."""
-    out = rows[first]
-    for at in range(0, len(k), len(out)):
-        np.bitwise_or.at(out, k[at:at + len(out)], rows[t[at:at + len(out)]])
+def _or_cells(rows: np.ndarray, elem: np.ndarray, bounds: np.ndarray, axis: int) -> np.ndarray:
+    """Along axis, out[i] = the OR of rows[t] over the entries t of the i-th
+    cell, elem[bounds[i]:bounds[i + 1]].  Rows are gathered for as many cells
+    at a time as fit in the block bound, and for one cell (m rows) at least."""
+    n = len(bounds) - 1
+    entries = elem[bounds[0]:bounds[n]]
+    if len(entries) == n:  # one element per cell
+        return np.take(rows, entries, axis=axis)
+    limit = max(rows.shape[axis], _BLOCK_BYTES[1] * rows.shape[axis] // rows.nbytes)
+    if len(entries) <= limit:
+        return np.bitwise_or.reduceat(np.take(rows, entries, axis=axis), bounds[:n] - bounds[0], axis=axis)
+    out = np.empty(rows.shape[:axis] + (n,) + rows.shape[axis + 1:], rows.dtype)
+    c0 = 0
+    while c0 < n:
+        c1 = int(np.searchsorted(bounds, bounds[c0] + limit, "right")) - 1
+        part = np.take(rows, elem[bounds[c0]:bounds[c1]], axis=axis)
+        at = (slice(None),) * axis + (slice(c0, c1),)
+        np.bitwise_or.reduceat(part, bounds[c0:c1] - bounds[c0], axis=axis, out=out[at])
+        c0 = c1
     return out
 
 
@@ -197,28 +182,41 @@ def _cell_masks(bits: np.ndarray) -> tuple[tuple[int, ...], ...]:
 
 
 def build_hypergroup(table, e: int, inv) -> Hypergroup | Report:
-    """Exhaustively verify all hypergroup axioms; return the value or a report."""
-    rows = _normalize_table(table)
-    bad, bits = _violations(rows, e, inv)
+    """Exhaustively verify all hypergroup axioms; return the value or a report.
+    The table is normalized once and its support tensor checked; a cell with
+    an element outside 0..m-1 is broken like an empty one."""
+    try:
+        rows = tuple(tuple(frozenset(map(int, cell)) for cell in row) for row in table)
+    except TypeError:
+        rows = ((),)  # not a table of cells: a shape violation below
+    m = len(rows)
+    if any(len(row) != m for row in rows):
+        return Report((Violation("shape", ()),))
+    cells = [cell for row in rows for cell in row]
+    flat = [k * m + t for k, cell in enumerate(cells) for t in cell if 0 <= t < m]
+    support = np.zeros(m ** 3, dtype=bool)
+    support[flat] = True
+    outside = False
+    if len(flat) < sum(map(len, cells)):
+        outside = np.array([any(not 0 <= t < m for t in cell) for cell in cells])
+    bad, bits = _axiom_violations(support.reshape(m, m, m), e, inv, outside)
     if bad:
         return Report(tuple(bad))
-    return Hypergroup(m=len(rows), table=rows, e=int(e), inv=tuple(int(x) for x in inv),
-                      packed=_cell_masks(bits))
+    return Hypergroup(m=m, table=rows, e=int(e), inv=tuple(int(x) for x in inv), packed=_cell_masks(bits))
 
 
 def support_hypergroup(support: np.ndarray, e: int, inv) -> Hypergroup | Report:
     """``build_hypergroup`` of the table whose cell a*b is {t : support[a, b, t]},
-    checked on the m x m x m bool tensor itself; the frozenset table is built
-    only for the returned value."""
+    checked on the m x m x m bool tensor itself.  The frozenset table is built
+    for the returned value with one frozenset per distinct cell, shared by
+    every cell that holds it."""
     bad, bits = _axiom_violations(support, e, inv)
     if bad:
         return Report(tuple(bad))
-    m = len(support)
-    cell, t = np.divmod(np.flatnonzero(support), m)
-    bounds, t = np.searchsorted(cell, np.arange(m * m + 1)).tolist(), t.tolist()
-    cells = [frozenset(t[bounds[k]:bounds[k + 1]]) for k in range(m * m)]
-    table = tuple(tuple(cells[a * m:a * m + m]) for a in range(m))
-    return Hypergroup(m=m, table=table, e=int(e), inv=tuple(int(x) for x in inv), packed=_cell_masks(bits))
+    masks = _cell_masks(bits)
+    sets = {mask: frozenset(_members(mask)) for mask in dict.fromkeys(itertools.chain.from_iterable(masks))}
+    table = tuple(tuple(map(sets.__getitem__, row)) for row in masks)
+    return Hypergroup(m=len(support), table=table, e=int(e), inv=tuple(int(x) for x in inv), packed=masks)
 
 
 def group_as_hypergroup(cayley, e: int, inv) -> Hypergroup:

@@ -248,9 +248,12 @@ def _search_at_size(h: Hypergroup, n: int):
     so each partial row can still be completed and needs no separate test.
     At a leaf, ``_counts_fit`` must hold before ``build_scheme`` runs: a leaf
     it rejects has a count that varies on a class, so it is no scheme, or a
-    support that differs from h's cell, so its class table is not h's; either
-    way the literal comparison below would reject it too.  Every leaf is
-    counted, filtered or not.  Returns (scheme or None, leaf count).
+    support that differs from h's cell, so its class table is not h's.  A
+    scheme that passes is returned without its class hypergroup, which is h
+    literally: the class pairs at every pair of class r are those at its
+    first, which are supports[r], the (p, q) with r in p*q, and ``assign``
+    writes inv(c) beside each c, so the stars are h's inverses.  Every leaf
+    is counted, filtered or not.  Returns (scheme or None, leaf count).
 
     Lex-leader pruning (Crawford, Ginsberg, Luks and Roy, KR 1996) drops
     leaves that are relabellings of smaller ones.  For a fixed val, row 0 is
@@ -306,13 +309,7 @@ def _search_at_size(h: Hypergroup, n: int):
                 if not _counts_fit(rel, supports):
                     return None
                 candidate = build_scheme(n, np.array(rel, dtype=np.int64))
-                # a literal match of table and inverses: the identity map is an
-                # isomorphism, so no isomorphism search is needed
-                if isinstance(candidate, AssociationScheme):
-                    found = to_hypergroup(candidate)
-                    if found.table == table and found.inv == star:
-                        return candidate
-                return None
+                return candidate if isinstance(candidate, AssociationScheme) else None
             x, z = cells[i]
             row_x, count_x, count_z = rel[x], counts[x], counts[z]
             lex = links[i]

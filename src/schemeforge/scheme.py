@@ -412,8 +412,13 @@ def is_primitive(scheme: AssociationScheme) -> bool:
 
 
 def is_normal_closed(scheme: AssociationScheme, tset) -> tuple[bool, bool]:
-    """Normality of a closed subset: (pT == Tp for all p, star(p)Tp == T for all p)."""
-    return is_normal_sub(scheme.hypergroup, _closed_set(scheme, tset))
+    """Normality of a closed subset: (pT == Tp for all p, star(p)Tp == T for all p),
+    its closedness checked once, by the coset pass of ``is_normal_sub``."""
+    (tset,), h = _check_class_sets(scheme, tset), scheme.hypergroup
+    try:
+        return is_normal_sub(h, tset)
+    except ValueError:
+        raise ValueError(f"class set {sorted(tset)} is not closed") from None
 
 
 def restrict_scheme(scheme: AssociationScheme, tset, x0: int) -> AssociationScheme:

@@ -8,6 +8,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from math import inf, prod
 
 import numpy as np
@@ -485,6 +486,44 @@ def test_hypergroup_check_spans_blocks_at_the_real_bound():
         broken = [[set(cell) for cell in row] for row in table]
         broken[a][b].add(extra)
         assert violations(broken, 0, inv) == naive_hypergroup_violations(broken, 0, inv)
+    # cells of one or two elements, the orbits {x, -x} of Z/129 numbered 0..64:
+    # about 2 m^2 entries, so the ORs of the two full blocks of a run in two chunks or more
+    fold = [min(x, 129 - x) for x in range(129)]
+    table = [[{fold[(a + b) % 129], fold[(a - b) % 129]} for b in range(m)] for a in range(m)]
+    identity = list(range(m))
+    assert violations(table, 0, identity) == []
+    mutated = [(table, identity[:60] + [61, 60] + identity[62:])]  # associative, every block compared
+    broken = [[set(cell) for cell in row] for row in table]
+    broken[2][3] |= {7, 64}  # some witnesses differ only at 64, in the second word
+    mutated.append((broken, identity))
+    for broken, inv in mutated:
+        assert violations(broken, 0, inv) == naive_hypergroup_violations(broken, 0, inv) != []
+
+
+def test_hypergroup_check_peak_memory_on_a_dense_table():
+    # every cell off the identity's row and column is the whole set: 96^3
+    # entries, whose rows gathered at once would take 14 * 96^3 * 16 bytes
+    # (190 MB) for one block of a.  160.4 MB is the peak of the earlier check,
+    # which transposed the a(bc) block, Python objects of the table included
+    # (Python 3.11, numpy 2.4)
+    m = 96
+    full = frozenset(range(m))
+    table = [[full if a and b else {a + b} for b in range(m)] for a in range(m)]
+    tracemalloc.start()
+    try:
+        report = sf.build_hypergroup(table, 0, range(m))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert {v.axiom for v in report.violations} == {"inverse", "reversibility"}
+    assert peak <= 1.1 * 160.4 * 2 ** 20, peak / 2 ** 20
+
+
+def test_class_hypergroup_shares_one_frozenset_per_distinct_cell():
+    for h, distinct in ((sf.to_hypergroup(sf.group_scheme(sf.cyclic_group(64))), 64),
+                        (sf.to_hypergroup(catalog.catalog_scheme("F64/F4")), 253)):
+        cells = [cell for row in h.table for cell in row]
+        assert len({id(cell) for cell in cells}) == len(set(cells)) == distinct
 
 
 def test_class_hypergroup_equals_the_public_route():

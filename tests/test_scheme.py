@@ -217,8 +217,24 @@ def test_is_normal_closed_non_normal_case():
 
 def test_is_normal_closed_rejects_non_closed():
     z4 = catalog.catalog_scheme("Z4")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         sf.is_normal_closed(z4, {0, 1})
+    assert str(info.value) == "class set [0, 1] is not closed"
+
+
+def test_is_normal_closed_checks_closedness_once(monkeypatch):
+    # the coset pass of is_normal_sub checks it; nothing in the scheme layer again
+    calls = []
+
+    def counted(h, kset, check=sf.is_sub_hypergroup):
+        calls.append(sorted(kset))
+        return check(h, kset)
+
+    monkeypatch.setattr("schemeforge.hypergroup.is_sub_hypergroup", counted)
+    monkeypatch.setattr("schemeforge.scheme.is_sub_hypergroup", counted)
+    z4 = catalog.catalog_scheme("Z4")
+    assert sf.is_normal_closed(z4, {0, 2}) == (True, True)
+    assert calls == [[0, 2]]
 
 
 def test_double_cosets_rejects_non_closed():

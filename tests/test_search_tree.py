@@ -1,6 +1,6 @@
 """The realization search tree against the slow oracle in helpers.py, and its
 leaf filter ``realize._counts_fit`` against ``build_scheme`` and the literal
-table comparison it stands in front of."""
+table comparison it makes unneeded."""
 
 import itertools
 from math import inf
@@ -85,6 +85,9 @@ def test_search_tree_matches_naive_oracle():
                 found, count = realize._search_at_size(g, n)
                 got = (None if found is None else found.rel.tolist(), count)
                 assert got == expected, (name, g.table, n)
+                if found is not None:
+                    # a leaf is returned without its class hypergroup: it is h's literally
+                    assert found.hypergroup == realize._identity_first(g), (name, g.table, n)
 
 
 def test_adjacent_swaps_of_a_realization_keep_its_table_and_order():

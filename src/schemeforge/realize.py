@@ -174,33 +174,42 @@ def compose_morphisms(g: SchemeMorphism, f: SchemeMorphism) -> SchemeMorphism:
     )
 
 
-def _valency_vectors(h: Hypergroup, n: int):
-    """Candidate class valencies: positive, star-paired, summing to n-1 beyond the
-    diagonal, and compatible with the target product supports."""
+def _valency_vectors(h: Hypergroup, n: int) -> list[tuple[int, ...]]:
+    """Candidate class valencies, ascending: positive, star-paired, summing to
+    n-1 beyond the diagonal, and at most val[p] * val[q] summed over each p*q.
+    One list is filled per star-pair representative; the last is forced."""
     star = h.inv
     reps = [p for p in range(1, h.m) if p <= star[p]]
+    if not reps:
+        return [(1,)] if n == 1 else []
     weights = [1 if star[p] == p else 2 for p in reps]
-
-    def rec(i: int, left: int, acc: list[int]):
-        if i == len(reps):
-            if left == 0:
-                val = [1] * h.m
-                for rep, v in zip(reps, acc):
-                    val[rep] = v
-                    val[star[rep]] = v
-                yield tuple(val)
-            return
-        w = weights[i]
-        rest_min = sum(weights[i + 1:])
-        for v in range(1, (left - rest_min) // w + 1):
-            yield from rec(i + 1, left - w * v, acc + [v])
-
     # every caller passes h identity-first, and the row and column of e = 0
     # always pass: e*q = {q} and val[0] = 1
     cells = [(p, q, tuple(h.table[p][q])) for p in range(1, h.m) for q in range(1, h.m)]
-    for val in rec(0, n - 1, []):
-        if all(sum(val[r] for r in cell) <= val[p] * val[q] for p, q, cell in cells):
-            yield val
+    val = [1] * h.m
+    out = []
+
+    def fill(i: int, left: int) -> None:
+        p, w = reps[i], weights[i]
+        if i + 1 < len(reps):
+            for v in range(1, (left - sum(weights[i + 1:])) // w + 1):
+                val[p] = val[star[p]] = v
+                fill(i + 1, left - w * v)
+            return
+        v, r = divmod(left, w)
+        if r or v < 1:
+            return
+        val[p] = val[star[p]] = v
+        for a, b, cell in cells:
+            total = 0
+            for t in cell:
+                total += val[t]
+            if total > val[a] * val[b]:
+                return
+        out.append(tuple(val))
+
+    fill(0, n - 1)
+    return out
 
 
 def _identity_first(h: Hypergroup) -> Hypergroup:
@@ -217,35 +226,36 @@ def _identity_first(h: Hypergroup) -> Hypergroup:
     return Hypergroup(m=h.m, table=table, e=0, inv=tuple(swap[h.inv[swap[a]]] for a in range(h.m)))
 
 
-def _class_supports(table) -> list[frozenset[tuple[int, int]]]:
-    """For each class r, the pairs (p, q) with r in p*q."""
+def _class_supports(table) -> np.ndarray:
+    """Row r flags, at p * m + q, whether r is in p*q."""
     m = len(table)
-    return [frozenset((p, q) for p in range(m) for q in range(m) if r in table[p][q]) for r in range(m)]
+    return np.array([[r in table[p][q] for p in range(m) for q in range(m)] for r in range(m)], dtype=bool)
 
 
-def _counts_fit(rel: list[list[int]], supports) -> bool:
-    """True when the multiset of class pairs (rel[x][y], rel[y][z]) over y is
-    the same at every pair (x, z) of a class, and at the first pair of each
-    class r, row-major, its set of pairs is supports[r]."""
-    cols = list(zip(*rel))
-    first: dict[int, list[tuple[int, int]]] = {}
-    for row in rel:
-        for r, col in zip(row, cols):
-            paths = sorted(zip(row, col))
-            known = first.setdefault(r, paths)
-            if paths != known or (known is paths and set(paths) != supports[r]):
-                return False
-    return True
+def _counts_fit(rel, supports: np.ndarray) -> bool:
+    """True when the multiset of class pairs (rel[x][y], rel[y][z]) over y, a
+    row of one histogram over (x * n + z, rel[x][y], rel[y][z]), is the same at
+    every pair (x, z) of a class r as at its first, with support supports[r]."""
+    a = np.asarray(rel)
+    n, m = len(a), len(supports)
+    keys = (np.arange(n * n).reshape(n, 1, n) * m + a[:, :, None]) * m + a
+    hist = np.bincount(keys.ravel(), minlength=n * n * m * m).reshape(n * n, m * m)
+    flat = a.ravel()
+    first = (flat[:, None] == flat).argmax(1)  # each pair's first pair of its class
+    return bool(((hist > 0) == supports[flat]).all() and (hist == hist[first]).all())
 
 
 def _search_at_size(h: Hypergroup, n: int):
     """Backtracking over class matrices with s = m classes at a fixed point count.
 
-    Cells fill column by column so each triangle is checked the moment its last
-    edge appears; the target table's zero pattern and a sorted first row prune
-    the tree.  Row counts are bounded only by the valency guard: every class
-    c >= 1 enters row v at most val[c] times, and these valencies sum to n - 1,
-    so each partial row can still be completed and needs no separate test.
+    Cells fill column by column, and the classes tried at (x, z), ascending,
+    are the bits of the AND over w < x of h.masks[rel[x][w]][rel[w][z]]: each
+    triangle is checked the moment its last edge appears, and h is reversible,
+    so its other two orientations are in h's table as well.  Row counts are
+    bounded only by the valency guard: every class c >= 1 enters row v at most
+    val[c] times, and these valencies sum to n - 1, so each partial row can
+    still be completed and needs no separate test.  So every leaf's row 0 is
+    [0] and val[c] copies of each c, ascending; cell (0, z) offers only that.
     At a leaf, ``_counts_fit`` must hold before ``build_scheme`` runs: a leaf
     it rejects has a count that varies on a class, so it is no scheme, or a
     support that differs from h's cell, so its class table is not h's.  A
@@ -269,14 +279,15 @@ def _search_at_size(h: Hypergroup, n: int):
     (u, y) for u = 1..y-1, then (y, y + 1), then (y, z) for z > y + 1.  Each
     is checked when the later of P and t(P) is placed, while every earlier
     position of the chain is tied; ``tied`` holds one flag per cell of the
-    chain, written when the cell is entered, so nothing is undone.
+    chain, written when the cell is entered, so nothing is undone.  Only a
+    class that passed the mask and the guard reaches the chain and writes
+    tied[i]; the flag is read only below cell i on the current path, so it
+    was always written for the class now at i.
     """
-    m = h.m
-    star = h.inv
-    table = h.table
+    m, star, masks = h.m, h.inv, h.masks
     supports = None  # built at the first leaf; many sizes have none
-    cells = [(x, z) for z in range(1, n) for x in range(z)]
-    index = {cell: i for i, cell in enumerate(cells)}
+    cells = [(x, z) for z in range(1, n) for x in range(z)]  # (x, z) is cell z(z-1)/2 + x
+    size = len(cells)
     leaves = 0
 
     for val in _valency_vectors(h, n):
@@ -292,29 +303,36 @@ def _search_at_size(h: Hypergroup, n: int):
             if row0[y] != row0[y + 1]:
                 continue
             v = y + 1
-            tied = [False] * len(cells) + [True]  # tied[-1]: a chain starts tied
+            tied = [False] * size + [True]  # tied[-1]: a chain starts tied
             prev = -1
             chain = [(u, y, u, v) for u in range(1, y)] + [(y, v, v, y)]
             chain += [(y, z, v, z) for z in range(v + 1, n)]
             for pr, pc, qr, qc in chain:
-                i = index[min(qr, qc), max(qr, qc)]
+                i = qr * (qr - 1) // 2 + qc if qc < qr else qc * (qc - 1) // 2 + qr
                 links[i].append((tied, prev, rel[pr], pc, rel[qr], qc))
                 prev = i
 
         def assign(i: int):
             nonlocal leaves, supports
-            if i == len(cells):
+            if i == size:
                 leaves += 1
-                supports = supports or _class_supports(table)
-                if not _counts_fit(rel, supports):
+                supports = supports if supports is not None else _class_supports(h.table)
+                matrix = np.array(rel, dtype=np.int64)
+                if not _counts_fit(matrix, supports):
                     return None
-                candidate = build_scheme(n, np.array(rel, dtype=np.int64))
+                candidate = build_scheme(n, matrix)
                 return candidate if isinstance(candidate, AssociationScheme) else None
             x, z = cells[i]
             row_x, count_x, count_z = rel[x], counts[x], counts[z]
             lex = links[i]
-            lo = rel[0][z - 1] if x == 0 and z >= 2 else 1
-            for c in range(lo, m):
+            # e*c = {c} forces row 0; elsewhere -2 keeps every class but 0
+            allowed = masks[0][row0[z]] if x == 0 else -2
+            for w in range(x):
+                allowed &= masks[row_x[w]][rel[w][z]]
+            while allowed:
+                bit = allowed & -allowed
+                allowed ^= bit
+                c = bit.bit_length() - 1
                 cs = star[c]
                 if count_x[c] >= val[c] or count_z[cs] >= val[cs]:
                     continue
@@ -328,21 +346,13 @@ def _search_at_size(h: Hypergroup, n: int):
                     else:
                         tied[i] = False
                 else:
-                    # triangles {w, x, z} whose last edge is (x, z): only w < x
-                    # have both other edges assigned in this fill order.  Each
-                    # needs c in rel[x][w]*rel[w][z]; h is reversible, so that
-                    # puts its other two orientations in h's table as well
-                    for w in range(x):
-                        if c not in table[row_x[w]][rel[w][z]]:
-                            break
-                    else:
-                        count_x[c] += 1
-                        count_z[cs] += 1
-                        result = assign(i + 1)
-                        if result is not None:
-                            return result
-                        count_x[c] -= 1
-                        count_z[cs] -= 1
+                    count_x[c] += 1
+                    count_z[cs] += 1
+                    result = assign(i + 1)
+                    if result is not None:
+                        return result
+                    count_x[c] -= 1
+                    count_z[cs] -= 1
             return None
 
         found = assign(0)

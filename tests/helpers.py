@@ -313,11 +313,47 @@ def naive_isomorphic(a, b):
     return None
 
 
+def naive_valency_vectors(h, n: int) -> list[tuple[int, ...]]:
+    """Oracle for ``realize._valency_vectors``: every vector of valencies in
+    1..n-1 for the classes 1..m-1, in lexicographic order, kept when star pairs
+    agree, the valencies sum to n - 1 and, for every p, q, the valencies over
+    p*q sum to at most val[p] * val[q].  h must have identity 0."""
+    out = []
+    for rest in itertools.product(range(1, n), repeat=h.m - 1):
+        if sum(rest) != n - 1:
+            continue
+        val = (1, *rest)
+        if (all(val[h.inv[p]] == val[p] for p in range(h.m))
+                and all(sum(val[r] for r in h.table[p][q]) <= val[p] * val[q]
+                        for p in range(h.m) for q in range(h.m))):
+            out.append(val)
+    return out
+
+
+def naive_counts_fit(rel, table) -> bool:
+    """Oracle for ``realize._counts_fit``: the sorted list of class pairs
+    (rel[x][y], rel[y][z]) over y is the same at every pair (x, z) of a class
+    as at its first pair, row-major, and there its set of pairs is the (p, q)
+    with r in table[p][q]."""
+    m = len(table)
+    supports = [{(p, q) for p in range(m) for q in range(m) if r in table[p][q]} for r in range(m)]
+    cols = list(zip(*rel))
+    first: dict[int, list[tuple[int, int]]] = {}
+    for row in rel:
+        for r, col in zip(row, cols):
+            paths = sorted(zip(row, col))
+            known = first.setdefault(r, paths)
+            if paths != known or (known is paths and set(paths) != supports[r]):
+                return False
+    return True
+
+
 def naive_search_at_size(h, n: int):
     """Oracle for ``realize._search_at_size``: the same tree written the slow
     way, with a numpy ``rel``, a row-feasibility test at every node and
     ``build_scheme`` at every leaf.  It imports the library itself, so the
-    other oracles here stay independent of it.
+    other oracles here stay independent of it; its valencies come from
+    ``naive_valency_vectors``, not from the code under test.
 
     Backtracking over class matrices with s = m classes at a fixed point count.
     Cells fill column by column so each triangle is checked the moment its last
@@ -327,7 +363,7 @@ def naive_search_at_size(h, n: int):
     """
     import numpy as np
 
-    from schemeforge.realize import _valency_vectors, to_hypergroup
+    from schemeforge.realize import to_hypergroup
     from schemeforge.scheme import AssociationScheme, build_scheme
 
     m = h.m
@@ -336,7 +372,7 @@ def naive_search_at_size(h, n: int):
     cells = [(x, z) for z in range(1, n) for x in range(z)]
     leaves = []
 
-    for val in _valency_vectors(h, n):
+    for val in naive_valency_vectors(h, n):
         rel = np.zeros((n, n), dtype=np.int64)
         counts = [[0] * m for _ in range(n)]
 

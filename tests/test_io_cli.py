@@ -171,6 +171,14 @@ def test_cli_search_found(tmp_path, capsys):
     assert isinstance(saved, sf.AssociationScheme)
 
 
+def test_cli_search_krasner_below_three_points(capsys):
+    assert run(["search", "K", "--nmax", "2"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "n=2 exhausted: 0 candidate matrices, 0 matches",
+        "no realization on ≤ 2 points",
+    ]
+
+
 def test_cli_search_accepts_scheme_files(tmp_path, capsys):
     # a scheme file is searched through its class hypergroup
     scheme_file = tmp_path / "f3.json"

@@ -181,6 +181,18 @@ def test_search_finds_z2_at_two_points():
     assert np.array_equal(found.rel, [[0, 1], [1, 0]])
 
 
+def test_search_realizes_the_one_element_hypergroup_on_one_point():
+    found = sf.search_realization(sf.require(sf.build_hypergroup([[{0}]], 0, [0])), 1)
+    assert found is not None
+    assert np.array_equal(found.rel, [[0]])
+
+
+def test_search_finds_z3_at_three_points():
+    found = sf.search_realization(sf.group_hypergroup(sf.cyclic_group(3)), 3)
+    assert found is not None
+    assert np.array_equal(found.rel, [[0, 1, 2], [2, 0, 1], [1, 2, 0]])
+
+
 def test_search_finds_krasner_on_three_points():
     lines = []
     found = sf.search_realization(sf.krasner_hypergroup(), 3, progress=lines.append)

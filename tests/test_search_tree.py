@@ -1,6 +1,7 @@
-"""The realization search tree against the slow oracle in helpers.py, and its
-leaf filter ``realize._counts_fit`` against ``build_scheme`` and the literal
-table comparison it makes unneeded."""
+"""The realization search tree against the slow oracle in helpers.py, its
+valency vectors against ``naive_valency_vectors``, and its leaf filter
+``realize._counts_fit`` against ``naive_counts_fit``, ``build_scheme`` and the
+literal table comparison it makes unneeded."""
 
 import itertools
 from math import inf
@@ -10,7 +11,7 @@ import numpy as np
 import schemeforge as sf
 from schemeforge import catalog, realize
 
-from helpers import naive_search_at_size
+from helpers import naive_counts_fit, naive_search_at_size, naive_valency_vectors
 
 
 def relabelled(h, perm):
@@ -90,6 +91,24 @@ def test_search_tree_matches_naive_oracle():
                     assert found.hypergroup == realize._identity_first(g), (name, g.table, n)
 
 
+def test_valency_vectors_match_the_naive_enumeration():
+    # the same list in the same order, lexicographic ascending, for every
+    # labelling of every target at each size, and for one and two elements
+    trivial = sf.require(sf.build_hypergroup([[{0}]], 0, [0]))
+    z2 = sf.group_hypergroup(sf.cyclic_group(2))
+    cases = [(g, n) for h in TARGETS.values() for g in identity_fixing_labellings(h)
+             for n in range(g.m, realize.SEARCH_POINT_BOUND + 1)]
+    cases += [(h, n) for h in (trivial, z2) for n in range(1, realize.SEARCH_POINT_BOUND + 1)]
+    vectors = 0
+    for g, n in cases:
+        got = realize._valency_vectors(g, n)
+        assert got == naive_valency_vectors(g, n), (g.table, n)
+        vectors += len(got)
+    assert realize._valency_vectors(trivial, 1) == [(1,)]
+    assert realize._valency_vectors(trivial, 2) == []
+    assert vectors > 200
+
+
 def test_adjacent_swaps_of_a_realization_keep_its_table_and_order():
     # the premise of the lex-leader argument: an adjacent swap inside one
     # row-0 class maps a found realization to a scheme with the same class
@@ -112,7 +131,10 @@ def test_adjacent_swaps_of_a_realization_keep_its_table_and_order():
 
 
 def accepts(rel, h) -> bool:
-    return realize._counts_fit(rel, realize._class_supports(h.table))
+    # the histogram filter agrees with the sorted-paths oracle on every draw
+    fit = realize._counts_fit(rel, realize._class_supports(h.table))
+    assert fit == naive_counts_fit(rel, h.table), (rel, h.table)
+    return fit
 
 
 def test_leaf_filter_accepts_every_small_scheme_and_nothing_else():

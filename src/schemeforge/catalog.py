@@ -49,7 +49,9 @@ def _valuation_partition_scheme(name: str) -> AssociationScheme:
     return require(build_scheme(v.ring.order, valuation_relation(v)))
 
 
-def _unit_partition_scheme(ring, units) -> AssociationScheme:
+def _unit_partition_scheme(ring, order: int | None = None) -> AssociationScheme:
+    # the additive group under scaling by every unit, or by the units of order dividing ``order``
+    units = ring_units(ring) if order is None else units_of_order_dividing(ring, order)
     return partition_scheme(additive_group(ring), scaling_automorphisms(ring, units))
 
 
@@ -63,11 +65,11 @@ _SCHEME_BUILDERS = {
     "A4": lambda: group_scheme(alternating_group(4)),
     "S3-inn": lambda: partition_scheme(symmetric_group(3), inner_automorphisms(symmetric_group(3))),
     "A4-inn": lambda: partition_scheme(alternating_group(4), inner_automorphisms(alternating_group(4))),
-    "F3": lambda: _unit_partition_scheme(zmod_ring(3), ring_units(zmod_ring(3))),
-    "F5": lambda: _unit_partition_scheme(zmod_ring(5), ring_units(zmod_ring(5))),
-    "F7": lambda: _unit_partition_scheme(zmod_ring(7), (1, 2, 4)),
-    "F16/F4": lambda: _unit_partition_scheme(gf_ring(16), units_of_order_dividing(gf_ring(16), 3)),
-    "F64/F4": lambda: _unit_partition_scheme(gf_ring(64), units_of_order_dividing(gf_ring(64), 3)),
+    "F3": lambda: _unit_partition_scheme(zmod_ring(3)),
+    "F5": lambda: _unit_partition_scheme(zmod_ring(5)),
+    "F7": lambda: _unit_partition_scheme(zmod_ring(7), 3),
+    "F16/F4": lambda: _unit_partition_scheme(gf_ring(16), 3),
+    "F64/F4": lambda: _unit_partition_scheme(gf_ring(64), 3),
     "hamming-2": lambda: hamming_scheme(2),
     "hamming-3": lambda: hamming_scheme(3),
     "fano-flags": fano_flag_scheme,

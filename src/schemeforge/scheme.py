@@ -98,9 +98,9 @@ def count_radices(rel: np.ndarray, s: int) -> tuple[list[int], list[int], list[i
     """(radix, group, place) of each class q: its digit's radix, column group
     and place value in the count check (the module docstring says why)."""
     n = len(rel)
-    # bound[q]: the most points of class q in one column, from one bincount by (q, z)
-    per_column = np.bincount((rel * n + np.arange(n)).ravel(), minlength=s * n)
-    bound = per_column.reshape(s, n).max(axis=1, initial=0)
+    # bound[q]: the most points of class q in one column, from one bincount by (z, q)
+    per_column = np.bincount((rel + s * np.arange(n)).ravel(), minlength=s * n)
+    bound = per_column.reshape(n, s).max(axis=0, initial=0)
     radix, group, place = (bound + 1).tolist(), [], []
     j, width = 0, 1  # group j's radix product so far
     for r in radix:
@@ -185,11 +185,11 @@ def generating_classes(constants: np.ndarray, order) -> list[int] | None:
     return gens
 
 
-def _counted_constants(rel: np.ndarray, s: int, first: np.ndarray) -> tuple[np.ndarray, list[Violation]]:
-    """The constants read at each class's first pair, and in (p, q, r) order the
-    first pair of class r where the count of (p, q) differs (see build_scheme)."""
+def _counted_constants(rel: np.ndarray, s: int, ys: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, list[Violation]]:
+    """The constants read at each class's first pair (ys, zs), and in (p, q, r)
+    order the first pair of class r where the count of (p, q) differs (see
+    build_scheme)."""
     n = len(rel)
-    ys, zs = np.divmod(first, n)
     keys = (rel[ys] * s + rel[:, zs].T) * s + np.arange(s)[:, None]
     constants = np.bincount(keys.ravel(), minlength=s ** 3).reshape(s, s, s)
 
@@ -197,7 +197,7 @@ def _counted_constants(rel: np.ndarray, s: int, first: np.ndarray) -> tuple[np.n
     groups = group[-1] + 1 if s else 0
     weights = np.zeros((s, groups))
     weights[np.arange(s), group] = place
-    packed = weights[rel].reshape(n, n * groups)
+    packed = np.take(weights, rel, axis=0).reshape(n, n * groups)
     # a block's product takes no more bytes than packed itself, within the bounds
     block = min(max(packed.nbytes, _BLOCK_BYTES[0]), _BLOCK_BYTES[1])
     step = max(1, block // (8 * max(n * groups, 1)))
@@ -230,9 +230,10 @@ def _counted_constants(rel: np.ndarray, s: int, first: np.ndarray) -> tuple[np.n
             expect[others] = constants[others].transpose(0, 2, 1) @ weights
         ps, ys = np.divmod(np.arange(start, stop), n)
         ps = order[ps]
-        rows = rel[ys]
+        rows = np.take(rel, ys, axis=0)
         counts = ((rows == ps[:, None]) @ packed).reshape(len(ps), n, groups)
-        differ = np.flatnonzero(counts != expect[ps[:, None], rows])
+        # expect[p, r] is row p * s + r of expect as one s*s x groups table
+        differ = np.flatnonzero(counts != np.take(expect.reshape(s * s, groups), ps[:, None] * s + rows, axis=0))
         done[order[: stop // n]] = True
         if differ.size:
             if witness is None:
@@ -307,22 +308,26 @@ def build_scheme(n: int, rel) -> AssociationScheme | Report:
         missing = ks + np.searchsorted(labels - np.arange(len(labels)), ks, side="right")
         return Report(tuple(Violation("classes", (c,)) for c in missing.tolist()))
 
-    # class 0 is the diagonal: rel[x][x] = 0 and 0 appears nowhere else
-    off = rel == 0
-    np.fill_diagonal(off, False)
-    wrong = [(x, x) for x in np.flatnonzero(np.diag(rel)).tolist()]
-    wrong += [tuple(xy) for xy in np.argwhere(off)[:_WITNESS_CAP].tolist()]
+    # class 0 is the diagonal, rel_flat[:: n + 1]: rel[x][x] = 0 and 0 appears nowhere else
+    off = rel_flat == 0
+    off[:: n + 1] = False
+    wrong = [(x, x) for x in np.flatnonzero(rel_flat[:: n + 1]).tolist()]
+    wrong += [divmod(xy, n) for xy in np.flatnonzero(off)[:_WITNESS_CAP].tolist()]
     if wrong:
         return Report(tuple(Violation("diagonal", xy) for xy in wrong[:_WITNESS_CAP]))
 
-    # each class is read at its first pair in row-major order
+    # each class is read at its first pair in row-major order; row 0 comes first
+    # and holds every class of a scheme, so the whole matrix is scanned only
+    # when some class is missing there
     first = np.full(s, n * n)
-    np.minimum.at(first, rel_flat, np.arange(n * n))
+    np.minimum.at(first, rel_flat[:n], np.arange(n))
+    if (first == n * n).any():
+        np.minimum.at(first, rel_flat, np.arange(n * n))
 
     # transposing any class must land in a single class
-    rel_t = rel.T.ravel()
-    star = rel_t[first]
-    moved = np.flatnonzero(rel_t != star[rel_flat])
+    ys, zs = np.divmod(first, n)
+    star = rel[zs, ys]
+    moved = np.flatnonzero(rel.T != star[rel])
     if moved.size:
         _, at = np.unique(rel_flat[moved], return_index=True)
         return Report(tuple(
@@ -334,7 +339,7 @@ def build_scheme(n: int, rel) -> AssociationScheme | Report:
         absent = np.flatnonzero(np.bincount(rel[0], minlength=s) == 0)[:_WITNESS_CAP]
         return Report(tuple(Violation("valency", (c,) + divmod(int(first[c]), n)) for c in absent.tolist()))
 
-    constants, bad = _counted_constants(rel, s, first)
+    constants, bad = _counted_constants(rel, s, ys, zs)
     if bad:
         return Report(tuple(bad))
 

@@ -105,6 +105,20 @@ def naive_star(rel, s: int) -> list[int]:
     return star
 
 
+def naive_star_witnesses(rel, s: int, cap: int = 25) -> list[tuple[int, int]]:
+    """For each class in order, the first pair (y, z), row-major, whose
+    transpose leaves the class that the transpose of the class's first pair
+    lies in; at most cap of them."""
+    n = len(rel)
+    target: dict[int, int] = {}
+    witness: dict[int, tuple[int, int]] = {}
+    for y, z in itertools.product(range(n), repeat=2):
+        p = rel[y][z]
+        if rel[z][y] != target.setdefault(p, rel[z][y]):
+            witness.setdefault(p, (y, z))
+    return [witness[p] for p in range(s) if p in witness][:cap]
+
+
 def naive_is_closed(constants, star, s: int, tset) -> bool:
     """0 in T and star(T)T inside T, by the definition."""
     star_t = {star[p] for p in tset}

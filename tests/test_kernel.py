@@ -25,6 +25,7 @@ from helpers import (
     naive_generated_rank,
     naive_hypergroup_violations,
     naive_star,
+    naive_star_witnesses,
     naive_triangle_violations,
 )
 
@@ -133,6 +134,59 @@ def test_refusal_witnesses_match_oracle_across_row_blocks():
             rel = perturbed(base, naive_star(base.tolist(), n), rng)
             result = sf.build_scheme(n, rel)
             assert [v.witness for v in result.violations] == naive_constant_witnesses(rel.tolist(), n), n
+
+
+def test_first_pairs_off_row_0_match_oracle():
+    # H(3,2) with the pair (1, 5), (5, 1) moved to a new class 4, which row 0
+    # lacks: its first pair is found by the scan of the whole matrix
+    rel = sf.hamming_scheme(3).rel.copy()
+    rel[1, 5] = rel[5, 1] = 4
+    assert 4 not in rel[0]
+    rng = np.random.default_rng(68)
+    off_row_0 = 0
+    for case in [rel] + [relabelled(rel, rng) for _ in range(12)]:
+        off_row_0 += len(set(case[0].tolist())) < 5
+        witnesses = naive_constant_witnesses(case.tolist(), 5)
+        assert witnesses
+        result = sf.build_scheme(8, case)
+        assert [(v.axiom, v.witness) for v in result.violations] == [("constants", w) for w in witnesses]
+    assert off_row_0 >= 6
+
+
+def test_star_witnesses_match_naive_scan():
+    # one to three pairs moved to another class without their transposes
+    rng = np.random.default_rng(69)
+    bases = [catalog.catalog_scheme(name) for name in SMALL_SCHEMES] + [sf.hamming_scheme(4)]
+    refused = 0
+    for built in bases:
+        if built.s < 3:
+            continue
+        for _ in range(3):
+            rel = relabelled(built.rel, rng)
+            for _ in range(int(rng.integers(1, 4))):
+                y, z = rng.choice(built.n, size=2, replace=False)
+                rel[y, z] = rng.choice([c for c in range(1, built.s) if c != rel[y, z]])
+            witnesses = naive_star_witnesses(rel.tolist(), built.s)
+            result = sf.build_scheme(built.n, rel)
+            if witnesses:
+                refused += 1
+                assert [(v.axiom, v.witness) for v in result.violations] == [("star", w) for w in witnesses]
+            else:
+                assert isinstance(result, sf.AssociationScheme) or result.violations[0].axiom != "star"
+    assert refused >= 40
+    assert max(built.n for built in bases) >= 64
+
+
+def test_build_scheme_owns_its_rel():
+    base = sf.hamming_scheme(3).rel
+    for dtype in (np.int64, np.int32, np.uint8):
+        given = base.astype(dtype)
+        built = sf.require(sf.build_scheme(8, given))
+        assert given.flags.writeable and given.dtype == dtype
+        assert np.array_equal(given, base)
+        assert built.rel.dtype == np.int64 and not built.rel.flags.writeable
+        assert np.array_equal(built.rel, base)
+        assert not np.shares_memory(built.rel, given)
 
 
 def switched(rel, star, rng, avoid=()):

@@ -131,10 +131,7 @@ def aut_subgroup(g: FiniteGroup, perms: Iterable[Sequence[int]]) -> AutSubgroup:
         if comp not in seen:
             raise ValueError("automorphism set not closed under composition")
     for p in seen:
-        invp = [0] * g.order
-        for i, x in enumerate(p):
-            invp[x] = i
-        if tuple(invp) not in seen:
+        if tuple(sorted(range(g.order), key=p.__getitem__)) not in seen:  # the inverse permutation
             raise ValueError("automorphism set not closed under inversion")
     return AutSubgroup(group=g, perms=tuple(sorted(seen)))
 
@@ -426,11 +423,7 @@ def fano_plane() -> tuple[int, list[tuple[int, ...]]]:
     Points are the nonzero bitmasks 1..7; a line collects the three points
     orthogonal to a nonzero functional.  Returns (7, lines on point ids 0..6).
     """
-    pts = list(range(1, 8))
-    lines = []
-    for h in range(1, 8):
-        line = tuple(i for i, p in enumerate(pts) if bin(p & h).count("1") % 2 == 0)
-        lines.append(line)
+    lines = [tuple(p - 1 for p in range(1, 8) if bin(p & h).count("1") % 2 == 0) for h in range(1, 8)]
     return 7, sorted(lines)
 
 
@@ -448,19 +441,8 @@ def fano_flag_scheme() -> AssociationScheme:
     rel = np.zeros((nf, nf), dtype=np.int64)
     for i, (p, l) in enumerate(flags):
         for j, (q, m) in enumerate(flags):
-            if i == j:
-                c = 0
-            elif l == m:
-                c = 1
-            elif p == q:
-                c = 2
-            elif q in on_line[l]:
-                c = 3
-            elif p in on_line[m]:
-                c = 4
-            else:
-                c = 5
-            rel[i, j] = c
+            # the first class, in the order of the docstring, whose condition holds
+            rel[i, j] = (i == j, l == m, p == q, q in on_line[l], p in on_line[m], True).index(True)
     return require(build_scheme(nf, rel))
 
 
@@ -483,16 +465,9 @@ def linear_hypergroup(chain: Sequence) -> Hypergroup:
         ascending = True  # labels not mutually comparable; positions define the order
     if not ascending:
         raise ValueError("chain must be strictly ascending")
-    table: list[list[set[int]]] = [[set() for _ in range(m)] for _ in range(m)]
-    for x in range(m):
-        table[0][x] = {x}
-        table[x][0] = {x}
-    for x in range(1, m):
-        for y in range(1, m):
-            if x == y:
-                table[x][y] = {0} | set(range(x, m))
-            else:
-                table[x][y] = {min(x, y)}
+    # 0 is the identity; x + x is 0 and every element from x up, x + y the smaller
+    table = [[{max(x, y)} if 0 in (x, y) else {0, *range(x, m)} if x == y else {min(x, y)} for y in range(m)]
+             for x in range(m)]
     return require(build_hypergroup(table, 0, tuple(range(m))))
 
 

@@ -35,7 +35,6 @@ sets is an OR of ints.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import operator
 from collections.abc import Iterable
@@ -323,12 +322,17 @@ def _cosets(h: Hypergroup, lset) -> tuple[int, list[int], list[int]]:
 
 
 def is_normal_sub(h: Hypergroup, lset) -> tuple[bool, bool]:
-    """(Lx == xL for all x,  inv(x)*L*x == L for all x) for a sub-hypergroup L."""
+    """(Lx == xL for all x,  inv(x)*L*x == L for all x) for a sub-hypergroup L.
+
+    The second flag is read as: normal, and inv(x)*x inside L for every x.
+    Strong implies normal: Lx lies in x*inv(x)*L*x = xL, and xL in x*L*inv(x)*x
+    = Lx (the same at inv(x)).  Given Lx = xL, inv(x)*L*x = (inv(x)*x)*L, which
+    holds L and inv(x)*x (e lies in both) and lies in L when inv(x)*x does (L is
+    closed); so it equals L exactly when inv(x)*x lies in L.
+    """
     lmask, lx, xl = _cosets(h, lset)
-    return lx == xl, all(
-        functools.reduce(operator.or_, (h.masks[t][x] for t in _members(xl[h.inv[x]]))) == lmask
-        for x in range(h.m)
-    )
+    normal = lx == xl
+    return normal, normal and all(h.masks[h.inv[x]][x] | lmask == lmask for x in range(h.m))
 
 
 _ONE_ELEMENT = require(build_hypergroup([[{0}]], 0, [0]))
@@ -411,10 +415,15 @@ def _congruence(h: Hypergroup, c: CongruenceRelation):
     blocks, first = c.blocks(), {}  # blocks() lists them by first appearance
     block_of = [first.setdefault(b, len(first)) for b in c.block_of]
     rep = [blocks[i][0] for i in block_of]
-    to_block = [1 << i for i in block_of]
-    # an image depends on the cell's mask alone, so each distinct mask is mapped once
-    image = {cell: functools.reduce(operator.or_, map(to_block.__getitem__, _members(cell)), 0)
-             for cell in set(itertools.chain.from_iterable(h.masks))}
+    # an image depends on the cell's mask alone, so each distinct mask is tested
+    # once against each block's mask: one AND a block, and no call a cell
+    cells = set(itertools.chain.from_iterable(h.masks))
+    image = dict.fromkeys(cells, 0)
+    for i, block in enumerate(blocks):
+        bit, bmask = 1 << i, sum(1 << x for x in block)
+        for cell in cells:
+            if cell & bmask:
+                image[cell] |= bit
     images = [list(map(image.__getitem__, row)) for row in h.masks]
     expect = {r: list(map(images[r].__getitem__, rep)) for r in set(rep)}
     bad = [

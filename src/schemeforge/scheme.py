@@ -5,8 +5,9 @@ product, quotient, isomorphism testing).
 Questions about class sets are asked of the scheme's class hypergroup
 (``AssociationScheme.hypergroup``, built once per scheme): complex products,
 closed subsets and normal closed subsets are its products, sub-hypergroups and
-normal sub-hypergroups.  Quotient blocks and double cosets are array passes over
-rel and the constants.  Isomorphism search runs on ``hypergroup.find_bijection``.
+normal sub-hypergroups, and a quotient's classes are its cosets.  Quotient blocks
+and double cosets are array passes over rel and the constants.  Isomorphism
+search runs on ``hypergroup.find_bijection``.
 
 A scheme lives on the point set 0..n-1.  Its relations ("classes") partition
 the n x n index square; class 0 is always the diagonal, and ``star`` maps each
@@ -54,6 +55,7 @@ from .errors import _WITNESS_CAP, Report, SizeGuardError, VerificationError, Vio
 from .hypergroup import (
     _BLOCK_BYTES,
     Hypergroup,
+    _cosets,
     closure_lattice,
     find_bijection,
     is_normal_sub,
@@ -62,6 +64,7 @@ from .hypergroup import (
 )
 
 CLOSED_SUBSET_CLASS_BOUND = 25
+CONSTANTS_CLASS_BOUND = 512  # s^3 int64 constants of 1 GiB (see build_scheme)
 
 SchemeReport = Report  # former name, kept for existing callers
 
@@ -282,6 +285,9 @@ def build_scheme(n: int, rel) -> AssociationScheme | Report:
     Missing classes are found from the distinct labels, so a huge label
     costs no memory.  Every class of a scheme occurs in row 0, so a matrix
     with more classes than points is refused there, before any s^3 array.
+    More than CONSTANTS_CLASS_BOUND classes raise SizeGuardError before the
+    constants are allocated: the group scheme of Z/512 (1 GiB of them) builds
+    at 1.1 GB peak RSS, and Z/1024's would take 8 GiB.
     """
     rel = np.asarray(rel)
     if rel.ndim != 2 or rel.shape != (n, n) or not np.issubdtype(rel.dtype, np.integer):
@@ -339,6 +345,9 @@ def build_scheme(n: int, rel) -> AssociationScheme | Report:
         absent = np.flatnonzero(np.bincount(rel[0], minlength=s) == 0)[:_WITNESS_CAP]
         return Report(tuple(Violation("valency", (c,) + divmod(int(first[c]), n)) for c in absent.tolist()))
 
+    if s > CONSTANTS_CLASS_BOUND:
+        raise SizeGuardError(f"scheme verification refused: s={s} exceeds bound {CONSTANTS_CLASS_BOUND} "
+                             f"({8 * s ** 3} bytes of dense constants)")
     constants, bad = _counted_constants(rel, s, ys, zs)
     if bad:
         return Report(tuple(bad))
@@ -461,19 +470,18 @@ def _numbered(first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return firsts, np.searchsorted(firsts, first)
 
 
-def _double_cosets(scheme: AssociationScheme, nset: frozenset[int]):
-    """(each class's NpN double coset, numbered by smallest class, whether Np = pN
-    for every p): the boolean product of [p, r] = r in Np and r in pN is r in NpN."""
+def _double_cosets(scheme: AssociationScheme, nset: frozenset[int]) -> np.ndarray:
+    """Each class's NpN double coset, numbered by smallest class: the boolean
+    product of [p, r] = r in Np and r in pN is r in NpN."""
     nlist = sorted(nset)
-    n_p, p_n = scheme.constants[nlist].any(axis=0), scheme.constants[:, nlist].any(axis=1)
-    npn = n_p @ p_n
+    npn = scheme.constants[nlist].any(axis=0) @ scheme.constants[:, nlist].any(axis=1)
     first = npn.argmax(axis=1)
     # the double cosets partition the classes: r in NpN exactly when p and r have one smallest class
     bad = np.argwhere(npn != (first[:, None] == first))
     if len(bad):
         raise VerificationError([Violation("double_cosets", (int(p), int(r))) for p, r in bad[:_WITNESS_CAP]],
                                 "double cosets overlap")
-    return _numbered(first)[1], np.array_equal(n_p, p_n)
+    return _numbered(first)[1]
 
 
 def quotient_blocks(scheme: AssociationScheme, nset) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
@@ -489,7 +497,7 @@ def quotient_blocks(scheme: AssociationScheme, nset) -> tuple[list[tuple[int, ..
 
 def double_cosets(scheme: AssociationScheme, nset) -> tuple[list[frozenset[int]], tuple[int, ...]]:
     """Partition of the classes into NpN double cosets, sorted by smallest class."""
-    coset_of, _ = _double_cosets(scheme, _closed_set(scheme, nset))
+    coset_of = _double_cosets(scheme, _closed_set(scheme, nset))
     cosets = [frozenset(np.flatnonzero(coset_of == c).tolist()) for c in range(coset_of.max() + 1)]
     return cosets, tuple(coset_of.tolist())
 
@@ -500,19 +508,26 @@ _ONE_POINT = require(build_scheme(1, np.zeros((1, 1), dtype=np.int64)))
 def quotient_scheme(scheme: AssociationScheme, nset) -> AssociationScheme:
     """Quotient by a closed normal subset: points become N-blocks, classes double cosets.
 
-    By {0} alone every block is a point and every double coset a class, each
-    numbered as itself, so the quotient is the scheme itself and is returned.
-    By every class it is the one-point scheme, built once at import: such
+    Closedness, normality (Np = pN for every p) and the classes come from the
+    coset pass ``hypergroup._cosets``: NpN = pNN = pN, numbered by smallest class.
+    By {0} alone (closed) every block is a point and every double coset a class,
+    each numbered as itself, so the quotient is the scheme itself and is returned.
+    By every class (closed) it is the one-point scheme, built once at import: such
     quotients of different schemes are one object (AssociationScheme has eq=False).
     """
-    nset = _closed_set(scheme, nset)
+    (nset,) = _check_class_sets(scheme, nset)
     if nset == {0}:
         return scheme
     if len(nset) == scheme.s:
         return _ONE_POINT
-    coset_of, normal = _double_cosets(scheme, nset)
-    if not normal:
+    try:
+        _, n_p, p_n = _cosets(scheme.hypergroup, nset)
+    except ValueError:
+        raise ValueError(f"class set {sorted(nset)} is not closed") from None
+    if n_p != p_n:
         raise ValueError(f"class set {sorted(nset)} is not normal")
+    first: dict[int, int] = {}
+    coset_of = np.array([first.setdefault(c, len(first)) for c in p_n])
     firsts, block_of = _numbered(np.bincount(sorted(nset), minlength=scheme.s)[scheme.rel].argmax(axis=1))
     coset_rel = coset_of[scheme.rel]
     q_rel = coset_rel[np.ix_(firsts, firsts)]

@@ -232,6 +232,16 @@ def naive_triangle_violations(v) -> list[tuple[str, tuple]]:
     return bad
 
 
+def naive_normal_flags(table, inv, lset) -> tuple[bool, bool]:
+    """(Lx == xL for every x, inv(x)*L*x == L for every x) for a closed L, by
+    their definitions: each coset and conjugate formed by set_product."""
+    lset = frozenset(lset)
+    xs = range(len(table))
+    normal = all(set_product(table, lset, [x]) == set_product(table, [x], lset) for x in xs)
+    strongly = all(set_product(table, set_product(table, [inv[x]], lset), [x]) == lset for x in xs)
+    return normal, strongly
+
+
 def naive_quotient_hypergroup(table, e: int, inv, nset):
     """Quotient by a normal subset N by its definition: the cosets x*N by
     set_product, numbered by smallest member, with each coset product and

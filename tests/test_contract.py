@@ -137,17 +137,20 @@ def test_isomorphism_searches_share_one_backtracker():
 
 
 def test_normality_and_quotients_share_one_coset_pass():
-    """is_normal_sub and quotient_hypergroup form their cosets in _cosets, and
-    a scheme's normality is asked of its class hypergroup through is_normal_sub."""
+    """is_normal_sub, quotient_hypergroup and quotient_scheme form their cosets
+    in _cosets, a scheme's normality is asked of its class hypergroup through
+    is_normal_sub, and the double-coset arrays serve double_cosets alone."""
     calls = {}
-    for name in ("hypergroup.py", "scheme.py"):
-        tree = ast.parse((SRC / "schemeforge" / name).read_text(encoding="utf-8"))
+    for path in sorted((SRC / "schemeforge").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
         for qualified, node in _functions(tree):
-            calls[f"{name}:{qualified}"] = _called_names(node)
+            calls[f"{path.name}:{qualified}"] = _called_names(node)
     assert "_cosets" in calls["hypergroup.py:is_normal_sub"]
     assert "_cosets" in calls["hypergroup.py:quotient_hypergroup"]
+    assert "_cosets" in calls["scheme.py:quotient_scheme"]
     assert "is_normal_sub" in calls["scheme.py:is_normal_closed"]
     assert "hypergroup.py:_is_normal" not in calls
+    assert [name for name, called in calls.items() if "_double_cosets" in called] == ["scheme.py:double_cosets"]
 
 
 def test_class_sets_are_read_off_the_masks():
@@ -170,9 +173,9 @@ def test_class_sets_are_read_off_the_masks():
 
 def test_constants_support_is_read_in_one_place():
     """constants > 0 is the class hypergroup's table; it is formed only where
-    that hypergroup is built, and every class-set question but the quotient
-    pass goes through it (``scheme._double_cosets`` reads the constants of N's
-    rows and columns as arrays)."""
+    that hypergroup is built, and every class-set question but the double
+    cosets goes through it (``scheme._double_cosets`` reads the constants of
+    N's rows and columns as arrays)."""
     found = []
     for path in sorted((SRC / "schemeforge").rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))

@@ -12,6 +12,7 @@ import tracemalloc
 from math import inf, prod
 
 import numpy as np
+import pytest
 
 import schemeforge as sf
 from schemeforge import catalog, hypergroup, scheme
@@ -450,6 +451,46 @@ def test_oversized_class_label_costs_no_memory(tmp_path):
     out = json.loads(proc.stdout)
     assert out["valid"] is False
     assert [(v["axiom"], v["witness"]) for v in out["violations"]] == [("classes", [c]) for c in range(1, 26)]
+
+
+def _cyclic_rel(n):
+    return (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+
+
+def test_dense_constants_refused_above_their_bound():
+    # the group scheme of Z/1024 would ask for 8 GiB of constants: refused
+    # before they are allocated, within a 1 GB address space
+    code = (
+        "import numpy as np\n"
+        "import schemeforge as sf\n"
+        "n = 1024\n"
+        "rel = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n\n"
+        "try:\n"
+        "    sf.build_scheme(n, rel)\n"
+        "except sf.SizeGuardError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = limited_child(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "scheme verification refused: s=1024 exceeds bound 512 (8589934592 bytes of dense constants)\n"
+    bound = scheme.CONSTANTS_CLASS_BOUND
+    with pytest.raises(sf.SizeGuardError, match=f"s={bound + 1} exceeds bound {bound}"):
+        sf.build_scheme(bound + 1, _cyclic_rel(bound + 1))
+
+
+def test_dense_constants_admitted_at_their_bound(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def counted(rel, s, ys, zs):
+        raise Reached(s)
+
+    # the count check is reached, and nothing of s^3 is allocated
+    monkeypatch.setattr(scheme, "_counted_constants", counted)
+    bound = scheme.CONSTANTS_CLASS_BOUND
+    with pytest.raises(Reached) as info:
+        sf.build_scheme(bound, _cyclic_rel(bound))
+    assert info.value.args == (bound,)
 
 
 def test_missing_classes_are_the_first_gaps_in_the_labels():

@@ -19,6 +19,7 @@ from helpers import (
     naive_constants,
     naive_is_closed,
     naive_is_sub_hypergroup,
+    naive_normal_flags,
     naive_quotient_hypergroup,
     naive_quotient_scheme,
     naive_star,
@@ -208,6 +209,38 @@ def test_is_normal_closed_matches_complex_products():
     assert ("S3", (0, 1), False, False) in verdicts
 
 
+def test_is_normal_sub_matches_definition_on_every_subset():
+    """Both flags of is_normal_sub against Lx, xL and inv(x)*L*x formed by set
+    products, on every subset that contains e, of every catalog class
+    hypergroup with m <= 12 (among them the non-commutative S3, A4 and
+    fano-flags), K, S, a linear and a product hypergroup, and of a random
+    relabelling of each; a set that is not closed raises."""
+    k, sign = sf.krasner_hypergroup(), sf.sign_hypergroup()
+    cases = {name: catalog.catalog_hypergroup(name) for name in SMALL_SCHEMES}
+    cases.update({"K": k, "S": sign, "linear(0,1,2,inf)": sf.linear_hypergroup([0, 1, 2, inf]),
+                  "KxS": sf.product_hypergroup(k, sign)})
+    assert not any(cases[name].is_commutative() for name in ("S3", "A4", "fano-flags"))
+    rng = np.random.default_rng(20265)
+    verdicts, refused = set(), 0
+    for name, base in cases.items():
+        for h in (base, relabel_hypergroup(base, rng)[0]):
+            rest = [x for x in range(h.m) if x != h.e]
+            for k in range(len(rest) + 1):
+                for combo in itertools.combinations(rest, k):
+                    t = frozenset((h.e,) + combo)
+                    if all(h.inv[x] in t for x in t) and set_product(h.table, t, t) <= t:
+                        flags = naive_normal_flags(h.table, h.inv, t)
+                        assert sf.is_normal_sub(h, t) == flags, (name, sorted(t))
+                        assert flags[0] or not flags[1], (name, sorted(t))  # strong implies normal
+                        verdicts.add(flags)
+                    else:
+                        refused += 1
+                        with pytest.raises(ValueError, match=re.escape(f"{sorted(t)} is not a sub-hypergroup")):
+                            sf.is_normal_sub(h, t)
+    assert verdicts == {(True, True), (True, False), (False, False)}
+    assert refused > 0
+
+
 def test_is_closed_matches_definition_on_every_subset():
     for name in SMALL_SCHEMES:
         s = catalog.catalog_scheme(name)
@@ -390,6 +423,26 @@ def test_quotients_match_definition_on_every_closed_subset():
                     assert str(info.value) == f"class set {sorted(t)} is not normal"
     # per relabelling: 112 closed subsets of the catalog schemes, 100 of them normal
     assert (closed, normal) == (224, 200)
+
+
+def test_quotient_layers_give_one_table():
+    """The class hypergroup of S//N is h(S)//N as equal tables, not only
+    isomorphic ones, on every normal closed subset of every catalog scheme
+    within CLOSED_SUBSET_CLASS_BOUND and of two relabelled copies: both layers
+    number the cosets by smallest class from the same pass."""
+    rng = np.random.default_rng(20266)
+    normal = 0
+    for name in LATTICE_SCHEMES:
+        base = catalog.catalog_scheme(name)
+        for s in (base, relabel_classes(relabel_points(base, rng), rng)[0],
+                  relabel_classes(relabel_points(base, rng), rng)[0]):
+            for t in sf.closed_subsets(s):
+                if sf.is_normal_closed(s, t)[0]:
+                    normal += 1
+                    quotient = sf.quotient_hypergroup(sf.to_hypergroup(s), t)
+                    assert sf.to_hypergroup(sf.quotient_scheme(s, t)) == quotient, (name, sorted(t))
+    # 112 closed subsets of the catalog schemes, 100 of them normal
+    assert normal == 300
 
 
 def test_quotient_refusals_keep_their_errors():

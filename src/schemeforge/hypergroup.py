@@ -348,15 +348,17 @@ def quotient_hypergroup(h: Hypergroup, nset) -> Hypergroup:
     That the coset products do not depend on the representatives is the
     congruence check, with a ``product_congruence`` witness.  By {e} alone the
     cosets are {x}, numbered x, so the quotient is h itself and is returned.
-    By all of h it is the one-element hypergroup, built once at import.
+    By all of h it is the one-element hypergroup, built once at import.  Both
+    sets are closed and normal, so they are answered before the coset pass.
     """
-    nmask, nx, xn = _cosets(h, nset)
+    members = frozenset(int(x) for x in nset)
+    if members == {h.e}:
+        return h
+    if members == frozenset(range(h.m)):
+        return _ONE_ELEMENT
+    nmask, nx, xn = _cosets(h, members)
     if nx != xn:
         raise ValueError(f"{_members(nmask)} is not normal")
-    if nmask == 1 << h.e:
-        return h
-    if nmask == (1 << h.m) - 1:
-        return _ONE_ELEMENT
     first: dict[int, int] = {}
     return congruence_quotient(h, CongruenceRelation(tuple(first.setdefault(c, len(first)) for c in xn)))
 

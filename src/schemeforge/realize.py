@@ -15,6 +15,7 @@ from .errors import _WITNESS_CAP, SizeGuardError, VerificationError, Violation
 from .hypergroup import Hypergroup
 from .scheme import (
     AssociationScheme,
+    _pair_histogram,
     build_scheme,
     double_cosets,
     product_scheme,
@@ -233,14 +234,11 @@ def _class_supports(table) -> np.ndarray:
 
 
 def _counts_fit(rel, supports: np.ndarray) -> bool:
-    """True when the multiset of class pairs (rel[x][y], rel[y][z]) over y, a
-    row of one histogram over (x * n + z, rel[x][y], rel[y][z]), is the same at
-    every pair (x, z) of a class r as at its first, with support supports[r]."""
+    """True when the multiset of class pairs (rel[x][y], rel[y][z]) over y, row
+    x * n + z of build_scheme's pair histogram, is the same at every pair (x, z)
+    of a class r as at its first, with support supports[r]."""
     a = np.asarray(rel)
-    n, m = len(a), len(supports)
-    keys = (np.arange(n * n).reshape(n, 1, n) * m + a[:, :, None]) * m + a
-    hist = np.bincount(keys.ravel(), minlength=n * n * m * m).reshape(n * n, m * m)
-    flat = a.ravel()
+    hist, flat = _pair_histogram(a, len(supports)), a.ravel()
     first = (flat[:, None] == flat).argmax(1)  # each pair's first pair of its class
     return bool(((hist > 0) == supports[flat]).all() and (hist == hist[first]).all())
 
@@ -262,8 +260,11 @@ def _search_at_size(h: Hypergroup, n: int):
     scheme that passes is returned without its class hypergroup, which is h
     literally: the class pairs at every pair of class r are those at its
     first, which are supports[r], the (p, q) with r in p*q, and ``assign``
-    writes inv(c) beside each c, so the stars are h's inverses.  Every leaf
-    is counted, filtered or not.  Returns (scheme or None, leaf count).
+    writes inv(c) beside each c, so the stars are h's inverses.  The filter
+    and ``build_scheme`` count by one pair histogram, ``_pair_histogram``: a
+    leaf of at most SEARCH_POINT_BOUND points takes that route in the build
+    too.  Every leaf is counted, filtered or not.  Returns (scheme or None,
+    leaf count).
 
     Lex-leader pruning (Crawford, Ginsberg, Luks and Roy, KR 1996) drops
     leaves that are relabellings of smaller ones.  For a fixed val, row 0 is

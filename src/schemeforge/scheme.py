@@ -16,11 +16,15 @@ class to its transpose class.  For classes p, q, r the structure constant
 with (y, x) in class p and (x, z) in class q; an n x n class matrix is a
 scheme exactly when these counts do not depend on the chosen (y, z).
 
-``build_scheme`` checks every count exactly by float64 BLAS products.  The
-count of (p, q) at (y, z) is at most the number of x with rel[x, z] = q, so at
-most bound[q], the most points of class q in any one column, read off the
-matrix itself by one bincount (a matrix that is no scheme can have uneven
-columns, so no valency is assumed).  Class q's count is a digit of radix
+``build_scheme`` checks every count exactly, on one of two routes.  When the
+n^3 keys and n^2 s^2 counts of ``_pair_histogram`` each fit in the smallest
+block, ``_BLOCK_BYTES[0]``, one bincount counts the points x of every (y, z,
+p, q) by definition, as integers, so no bound is needed.  Larger matrices are
+checked by float64 BLAS products.  The count of (p, q) at (y, z) is at most
+the number of x with rel[x, z] = q, so at most bound[q], the most points of
+class q in any one column, read off the matrix itself by one bincount (a
+matrix that is no scheme can have uneven columns, so no valency is
+assumed).  Class q's count is a digit of radix
 bound[q] + 1, and ``count_radices`` fills column groups in class order while
 the product of their radices stays <= 2^53.  The packing is injective, and
 every partial sum of a product is an integer between 0 and the final sum, so
@@ -188,10 +192,51 @@ def generating_classes(constants: np.ndarray, order) -> list[int] | None:
     return gens
 
 
+def _pair_histogram(rel: np.ndarray, s: int) -> np.ndarray:
+    """Row y * n + z holds at p * s + q the number of points x with rel[y, x] = p
+    and rel[x, z] = q: one bincount of n^3 keys, exact integers."""
+    n = len(rel)
+    keys = np.arange(0, n * n * s * s, s * s).reshape(n, 1, n) + (rel * s)[:, :, None] + rel
+    return np.bincount(keys.ravel(), minlength=n * n * s * s).reshape(n * n, s * s)
+
+
 def _counted_constants(rel: np.ndarray, s: int, ys: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, list[Violation]]:
     """The constants read at each class's first pair (ys, zs), and in (p, q, r)
     order the first pair of class r where the count of (p, q) differs (see
-    build_scheme)."""
+    build_scheme): by the pair histogram when its n^3 keys and n^2 s^2 counts
+    each fit in the smallest block, else by the radix route."""
+    n = len(rel)
+    route = _histogram_counts if 8 * n * n * max(n, s * s) <= _BLOCK_BYTES[0] else _radix_counts
+    constants, witness = route(rel, s, ys, zs)
+    if witness is None:
+        return constants, []
+    keys = np.flatnonzero(witness < n * n)[:_WITNESS_CAP]
+    return constants, [
+        Violation("constants", (key // (s * s), key // s % s, key % s) + divmod(at, n))
+        for key, at in zip(keys.tolist(), witness[keys].tolist())
+    ]
+
+
+def _histogram_counts(rel: np.ndarray, s: int, ys: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(constants, witness): c[., ., r] is the pair histogram's row at r's first
+    pair, and witness[(p * s + q) * s + r] the first pair y * n + z of class r
+    whose row differs there at (p, q), n * n for none; None if no row differs."""
+    n = len(rel)
+    hist, flat = _pair_histogram(rel, s), rel.ravel()
+    at_first = hist[ys * n + zs]
+    constants = at_first.T.copy().reshape(s, s, s)
+    differ = hist != at_first[flat]
+    if not differ.any():
+        return constants, None
+    pair, pq = np.nonzero(differ)
+    witness = np.full(s ** 3, n * n)
+    np.minimum.at(witness, pq * s + flat[pair], pair)
+    return constants, witness
+
+
+def _radix_counts(rel: np.ndarray, s: int, ys: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """_histogram_counts by packed float64 products (see build_scheme); witness
+    is exact at the first _WITNESS_CAP keys it holds."""
     n = len(rel)
     keys = (rel[ys] * s + rel[:, zs].T) * s + np.arange(s)[:, None]
     constants = np.bincount(keys.ravel(), minlength=s ** 3).reshape(s, s, s)
@@ -253,13 +298,7 @@ def _counted_constants(rel: np.ndarray, s: int, ys: np.ndarray, zs: np.ndarray) 
         # the classes below the first one not done are complete
         if witness is not None and found[: np.argmin(done)].sum() >= _WITNESS_CAP:
             break
-    if witness is None:
-        return constants, []
-    keys = np.flatnonzero(witness < n * n)[:_WITNESS_CAP]
-    return constants, [
-        Violation("constants", (key // (s * s), key // s % s, key % s) + divmod(at, n))
-        for key, at in zip(keys.tolist(), witness[keys].tolist())
-    ]
+    return constants, witness
 
 
 def build_scheme(n: int, rel) -> AssociationScheme | Report:
@@ -269,18 +308,20 @@ def build_scheme(n: int, rel) -> AssociationScheme | Report:
     a Report whose violations all belong to the first failing axiom, each
     with a concrete witness.
 
-    The constants are read at the first pair of each class, row-major.  Row
-    (p, y) of A_p @ R then packs, at each (y, z), the counts of the classes q
-    of each column group, where R holds class q's place value at (x, z) in
-    q's group for q = rel[x, z]; it must equal the same packing of the
-    constants.  Each class p costs groups * n^3 multiply-adds, in row blocks
-    of at most 2 MB.  Class 0 is never checked, and the rows of a generating
-    set G go first; if they pass, the matrix is a scheme (the module docstring
-    says why), so a scheme costs |G| * groups * n^3.  G is sought only when
-    the whole check is more than one 2 MB block, and only when every column
-    holds row 0's count of each class.  If a row of G fails, the other
-    classes follow in order until 25 witnesses are settled, so a refusal
-    names the same witnesses in the same order as a check of every class.
+    The constants are read at the first pair of each class, row-major.  On
+    the histogram route every pair's row must equal its class's first.  On
+    the radix route row (p, y) of A_p @ R packs, at each (y, z), the counts
+    of the classes q of each column group, where R holds class q's place
+    value at (x, z) in q's group for q = rel[x, z]; it must equal the same
+    packing of the constants.  Each class p costs groups * n^3
+    multiply-adds, in row blocks of at most 2 MB.  Class 0 is never checked,
+    and the rows of a generating set G go first; if they pass, the matrix is
+    a scheme (the module docstring says why), so a scheme costs |G| * groups
+    * n^3.  G is sought only when the whole check is more than one 2 MB
+    block, and only when every column holds row 0's count of each class.  If
+    a row of G fails, the other classes follow in order until 25 witnesses
+    are settled, so a refusal names the same witnesses in the same order as
+    a check of every class.
 
     Missing classes are found from the distinct labels, so a huge label
     costs no memory.  Every class of a scheme occurs in row 0, so a matrix

@@ -2,6 +2,7 @@
 with no ``assert`` in the library, so every check also runs under python -O."""
 
 import ast
+import json
 import os
 import pathlib
 import subprocess
@@ -40,6 +41,41 @@ def test_require_raises_under_python_dash_o():
     assert proc.returncode == 0, proc.stderr
     flag, count = proc.stdout.split()
     assert flag == "True" and int(count) >= 1
+
+
+def test_count_routes_refuse_alike_under_python_dash_o():
+    """A perturbed 8-point matrix takes the pair histogram and a perturbed
+    24-point one the radix route; both name the same witnesses under -O."""
+    code = (
+        "import json\n"
+        "import schemeforge as sf\n"
+        "from schemeforge import scheme\n"
+        "bases = (sf.hamming_scheme(3), sf.group_scheme(sf.cyclic_group(24)))\n"
+        "taken = []\n"
+        "for route in ('_histogram_counts', '_radix_counts'):\n"
+        "    def spy(*args, route=route, real=getattr(scheme, route)):\n"
+        "        taken.append(route)\n"
+        "        return real(*args)\n"
+        "    setattr(scheme, route, spy)\n"
+        "out = []\n"
+        "for built in bases:\n"
+        "    rel = built.rel.copy()\n"
+        "    d = int(rel[0, -1])\n"
+        "    rel[0, 1], rel[1, 0] = d, built.star[d]\n"
+        "    out.append([v.witness for v in sf.build_scheme(built.n, rel).violations])\n"
+        "print(json.dumps([taken, out]))\n"
+    )
+    runs = [
+        subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True, check=False,
+                       env=dict(os.environ, PYTHONPATH=str(SRC)))
+        for flags in ([], ["-O"])
+    ]
+    assert all(proc.returncode == 0 for proc in runs), [proc.stderr for proc in runs]
+    plain, optimized = (proc.stdout for proc in runs)
+    assert plain == optimized
+    taken, witnesses = json.loads(optimized)
+    assert taken == ["_histogram_counts", "_radix_counts"]
+    assert all(witnesses)
 
 
 def test_old_names_are_the_one_report_and_error():

@@ -71,6 +71,16 @@ def perturbed(rel, star, rng):
     return rel
 
 
+def on_the_radix_route(test):
+    """``test`` again with every count check on the radix route at its default
+    block sizes: most of its matrices fit the pair histogram, which
+    ``build_scheme`` takes by default."""
+    def run(monkeypatch):
+        monkeypatch.setattr(scheme, "_histogram_counts", scheme._radix_counts)
+        test()
+    return run
+
+
 # ---------------------------------------------------------------------------
 # build_scheme: constants, star and valency
 
@@ -81,6 +91,10 @@ def test_constants_match_oracle_on_small_catalog_schemes_under_relabelling():
         assert_matches_oracle(len(rel), np.array(rel))
         for _ in range(2):
             assert_matches_oracle(len(rel), relabelled(rel, rng))
+
+
+test_constants_match_oracle_on_small_catalog_schemes_under_relabelling_on_the_radix_route = on_the_radix_route(
+    test_constants_match_oracle_on_small_catalog_schemes_under_relabelling)
 
 
 def test_constants_match_oracle_on_fano_times_hamming_3():
@@ -113,6 +127,10 @@ def test_refusal_witnesses_match_oracle_on_perturbed_matrices():
     assert refused >= 40
 
 
+test_refusal_witnesses_match_oracle_on_perturbed_matrices_on_the_radix_route = on_the_radix_route(
+    test_refusal_witnesses_match_oracle_on_perturbed_matrices)
+
+
 def test_refusal_witnesses_capped_in_p_q_r_order():
     # one moved pair breaks more than 25 class triples; on 64 points the count
     # check runs in several row blocks and stops once 25 witnesses are settled
@@ -124,6 +142,10 @@ def test_refusal_witnesses_capped_in_p_q_r_order():
         assert len(witnesses) > 25
         result = sf.build_scheme(scheme.n, rel)
         assert [v.witness for v in result.violations] == witnesses[:25]
+
+
+test_refusal_witnesses_capped_in_p_q_r_order_on_the_radix_route = on_the_radix_route(
+    test_refusal_witnesses_capped_in_p_q_r_order)
 
 
 def test_refusal_witnesses_match_oracle_across_row_blocks():
@@ -152,6 +174,10 @@ def test_first_pairs_off_row_0_match_oracle():
         result = sf.build_scheme(8, case)
         assert [(v.axiom, v.witness) for v in result.violations] == [("constants", w) for w in witnesses]
     assert off_row_0 >= 6
+
+
+test_first_pairs_off_row_0_match_oracle_on_the_radix_route = on_the_radix_route(
+    test_first_pairs_off_row_0_match_oracle)
 
 
 def test_star_witnesses_match_naive_scan():
@@ -394,6 +420,10 @@ def test_uneven_columns_match_oracle():
     assert refused >= 100
 
 
+test_uneven_columns_match_oracle_on_the_radix_route = on_the_radix_route(
+    test_uneven_columns_match_oracle)
+
+
 def test_one_point_and_one_class():
     s = sf.require(sf.build_scheme(1, [[0]]))
     assert (s.n, s.s, s.star, s.valency) == (1, 1, (0,), (1,))
@@ -401,6 +431,10 @@ def test_one_point_and_one_class():
     two = sf.require(sf.build_scheme(2, [[0, 1], [1, 0]]))
     assert two.constants.tolist() == [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
     assert sf.to_hypergroup(s).table == ((frozenset({0}),),)
+
+
+test_one_point_and_one_class_on_the_radix_route = on_the_radix_route(
+    test_one_point_and_one_class)
 
 
 def test_earlier_axiom_refusals_are_unchanged():
@@ -419,6 +453,94 @@ def test_earlier_axiom_refusals_are_unchanged():
     assert witnesses(4, rel) == [("star", (0, 2)), ("star", (3, 0)), ("star", (1, 3))]
     big = [[0] + [1] * 29] + [[1] * 30 for _ in range(29)]
     assert witnesses(30, big) == [("diagonal", (x, x)) for x in range(1, 26)]
+
+
+# ---------------------------------------------------------------------------
+# the two count routes: the pair histogram and the radix products
+
+def first_pairs(rel, s):
+    """(ys, zs): each class's first pair, row-major, as build_scheme reads it."""
+    flat = np.asarray(rel).ravel()
+    return np.divmod(np.array([np.flatnonzero(flat == c)[0] for c in range(s)]), len(rel))
+
+
+def route_cases(rng):
+    """(name, rel, s): relabelled catalog schemes with n <= 20 and Z/n for
+    n <= 24, each with a perturbed and a switched copy when it has 3 classes or
+    more."""
+    bases = [(name, catalog.catalog_scheme(name)) for name in catalog.scheme_names()]
+    bases = [(name, built) for name, built in bases if built.n <= 20]
+    bases += [(f"Z/{n}", sf.group_scheme(sf.cyclic_group(n))) for n in range(1, 25)]
+    for name, built in bases:
+        base = relabelled(built.rel, rng)
+        yield name, base, built.s
+        if built.s >= 3:
+            star = naive_star(base.tolist(), built.s)
+            yield f"{name} perturbed", perturbed(base, star, rng), built.s
+            rel = switched(base, star, rng)
+            if rel is not None:
+                yield f"{name} switched", rel, built.s
+
+
+def listed(witness, n, s):
+    """(p, q, r, y, z) for the first 25 class triples a witness array holds."""
+    if witness is None:
+        return []
+    keys = np.flatnonzero(witness < n * n)[:25]
+    return [(k // (s * s), k // s % s, k % s, w // n, w % n) for k, w in zip(keys.tolist(), witness[keys].tolist())]
+
+
+def test_count_routes_agree_with_each_other_and_the_oracle():
+    rng = np.random.default_rng(81)
+    built = refused = 0
+    for name, rel, s in route_cases(rng):
+        ys, zs = first_pairs(rel, s)
+        counted, found = scheme._histogram_counts(rel, s, ys, zs)
+        radix_counted, radix_found = scheme._radix_counts(rel, s, ys, zs)
+        assert counted.dtype == radix_counted.dtype == np.int64, name
+        assert counted.flags.c_contiguous, name
+        assert np.array_equal(counted, radix_counted), name
+        witnesses = naive_constant_witnesses(rel.tolist(), s)
+        assert listed(found, len(rel), s) == listed(radix_found, len(rel), s) == witnesses, name
+        if witnesses:
+            refused += 1
+            continue
+        built += 1
+        expected = naive_constants(rel.tolist(), s)
+        assert {key: int(counted[key]) for key in expected} == expected, name
+    assert built >= 40 and refused >= 40, (built, refused)
+
+
+def test_count_route_is_chosen_by_the_smallest_block(monkeypatch):
+    taken = []
+    for route in ("_histogram_counts", "_radix_counts"):
+        def spy(*args, route=route, real=getattr(scheme, route)):
+            taken.append(route)
+            return real(*args)
+        monkeypatch.setattr(scheme, route, spy)
+
+    def route_of(built):
+        taken.clear()
+        sf.require(sf.build_scheme(built.n, built.rel))
+        return taken
+
+    complete20 = sf.require(sf.build_scheme(20, 1 - np.eye(20, dtype=np.int64)))
+    h4 = sf.hamming_scheme(4)
+    # at the default 64 KB: K20's 20^3 keys take 64,000 bytes, fano-flags' 21^3
+    # take 74,088, and Z/16's 16^2 x 16^2 counts take 524,288
+    assert scheme._BLOCK_BYTES[0] == 1 << 16
+    for built, route in ((complete20, "_histogram_counts"), (h4, "_histogram_counts"),
+                         (sf.group_scheme(sf.cyclic_group(8)), "_histogram_counts"),
+                         (catalog.catalog_scheme("fano-flags"), "_radix_counts"),
+                         (sf.group_scheme(sf.cyclic_group(16)), "_radix_counts")):
+        assert route_of(built) == [route], (built.n, built.s)
+    # exactly at the bound, and one byte above it: K20 is bound by its keys,
+    # H(4,2) (n = 16, s = 5) by its 16^2 x 5^2 counts
+    for built, at in ((complete20, 8 * 20 ** 3), (h4, 8 * 16 ** 2 * 5 ** 2)):
+        monkeypatch.setattr(scheme, "_BLOCK_BYTES", (at, 1 << 21))
+        assert route_of(built) == ["_histogram_counts"], built.n
+        monkeypatch.setattr(scheme, "_BLOCK_BYTES", (at - 1, 1 << 21))
+        assert route_of(built) == ["_radix_counts"], built.n
 
 
 def limited_child(argv, cwd=HERE):

@@ -558,6 +558,38 @@ def test_quotient_by_the_identity_returns_its_input():
                 sf.quotient_hypergroup(h, {h.m})
 
 
+def test_quotient_by_the_identity_or_everything_skips_the_coset_pass(monkeypatch):
+    cosets_of = []
+    real = sf.hypergroup._cosets
+
+    def spy(h, nset):
+        cosets_of.append(sorted(nset))
+        return real(h, nset)
+
+    monkeypatch.setattr(sf.hypergroup, "_cosets", spy)
+    a4 = catalog.catalog_hypergroup("A4")
+    assert sf.quotient_hypergroup(a4, {a4.e}) is a4
+    assert sf.quotient_hypergroup(a4, range(a4.m)).m == 1
+    assert sf.quotient_hypergroup(a4, [a4.e, a4.e]) is a4
+    assert cosets_of == []
+    # every other set takes the pass, and its refusals keep their messages
+    normal = next(t for t in sf.sub_hypergroups(a4) if 1 < len(t) < a4.m and sf.is_normal_sub(a4, t)[0])
+    cosets_of.clear()
+    sf.quotient_hypergroup(a4, normal)
+    assert cosets_of == [sorted(normal)]
+    x = next(x for x in range(a4.m) if x != a4.e)
+    not_normal = next(t for t in sf.sub_hypergroups(a4) if not sf.is_normal_sub(a4, t)[0])
+    refusals = [(set(), "element set must be nonempty"),
+                ({a4.e, a4.m}, f"element set out of range: {(a4.e, a4.m)}"),
+                ({x}, f"{[x]} is not a sub-hypergroup"),
+                (set(range(a4.m)) - {a4.e}, f"{list(range(1, a4.m))} is not a sub-hypergroup"),
+                (not_normal, f"{sorted(not_normal)} is not normal")]
+    for nset, message in refusals:
+        with pytest.raises(ValueError) as info:
+            sf.quotient_hypergroup(a4, nset)
+        assert type(info.value) is ValueError and str(info.value) == message
+
+
 def test_quotient_by_every_class_is_one_point():
     rng = np.random.default_rng(20266)
     schemes, hypergroups = [], []

@@ -177,19 +177,9 @@ def group_scheme(g: FiniteGroup) -> AssociationScheme:
 
 
 def partition_hypergroup(g: FiniteGroup, p: AutSubgroup) -> Hypergroup:
-    """Hypergroup on the automorphism orbits, multiplying through representatives."""
-    orbit_list, orbit_of = orbits(p)
-    k = len(orbit_list)
-    table = [
-        [
-            frozenset(orbit_of[g.cayley[x][y]] for x in orbit_list[a] for y in orbit_list[b])
-            for b in range(k)
-        ]
-        for a in range(k)
-    ]
-    e = orbit_of[g.e]
-    inv = [orbit_of[g.inv[orb[0]]] for orb in orbit_list]
-    return require(build_hypergroup(table, e, inv))
+    """Hypergroup on the automorphism orbits: the class hypergroup of
+    ``partition_scheme``, so the scheme realizes it (orbit c is class c)."""
+    return partition_scheme(g, p).hypergroup
 
 
 # ---------------------------------------------------------------------------

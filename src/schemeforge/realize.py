@@ -78,24 +78,16 @@ def check_morphism(f: SchemeMorphism) -> MorphismReport:
     if bad:
         return MorphismReport(False, False, tuple(bad))
 
-    admissible = True
-    adm_bad: list[Violation] = []
-    for x in range(src.n):
-        fibers: dict[int, set[int]] = {}
-        for z in range(src.n):
-            fibers.setdefault(int(src.rel[x, z]), set()).add(int(pm[z]))
-        for p in src.classes():
-            hit = fibers.get(p, set())
-            for y in range(tgt.n):
-                if tgt.rel[pm[x], y] == f.class_map[p] and y not in hit:
-                    admissible = False
-                    adm_bad.append(Violation("admissible", (x, int(y), p)))
-                    break
-            if len(adm_bad) >= _WITNESS_CAP:
-                break
-        if len(adm_bad) >= _WITNESS_CAP:
-            break
-    return MorphismReport(True, admissible, tuple(adm_bad))
+    # hit[x, p, u]: some z in class p from x has pm[z] = u; a target point y in
+    # class cm[p] from pm[x] that is not hit is a miss, named once per (x, p)
+    hit = np.zeros((src.n, src.s, tgt.n), dtype=bool)
+    hit[np.arange(src.n)[:, None], src.rel, pm] = True
+    miss = (tgt.rel[pm][:, None, :] == cm[:, None]) & ~hit
+    xs, ps = np.nonzero(miss.any(axis=2))
+    xs, ps = xs[:_WITNESS_CAP], ps[:_WITNESS_CAP]
+    ys = miss[xs, ps].argmax(axis=1)
+    adm_bad = tuple(Violation("admissible", w) for w in zip(xs.tolist(), ys.tolist(), ps.tolist()))
+    return MorphismReport(True, not adm_bad, adm_bad)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -5,9 +5,9 @@ product, quotient, isomorphism testing).
 Questions about class sets are asked of the scheme's class hypergroup
 (``AssociationScheme.hypergroup``, built once per scheme): complex products,
 closed subsets and normal closed subsets are its products, sub-hypergroups and
-normal sub-hypergroups, and a quotient's classes are its cosets.  Quotient blocks
-and double cosets are array passes over rel and the constants.  Isomorphism
-search runs on ``hypergroup.find_bijection``.
+normal sub-hypergroups, and double cosets (a quotient's classes among them) are
+read off its coset pass.  Quotient blocks are an array pass over rel.
+Isomorphism search runs on ``hypergroup.find_bijection``.
 
 A scheme lives on the point set 0..n-1.  Its relations ("classes") partition
 the n x n index square; class 0 is always the diagonal, and ``star`` maps each
@@ -60,6 +60,7 @@ from .hypergroup import (
     _BLOCK_BYTES,
     Hypergroup,
     _cosets,
+    _members,
     closure_lattice,
     find_bijection,
     is_normal_sub,
@@ -511,18 +512,27 @@ def _numbered(first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return firsts, np.searchsorted(firsts, first)
 
 
-def _double_cosets(scheme: AssociationScheme, nset: frozenset[int]) -> np.ndarray:
-    """Each class's NpN double coset, numbered by smallest class: the boolean
-    product of [p, r] = r in Np and r in pN is r in NpN."""
-    nlist = sorted(nset)
-    npn = scheme.constants[nlist].any(axis=0) @ scheme.constants[:, nlist].any(axis=1)
-    first = npn.argmax(axis=1)
-    # the double cosets partition the classes: r in NpN exactly when p and r have one smallest class
-    bad = np.argwhere(npn != (first[:, None] == first))
-    if len(bad):
-        raise VerificationError([Violation("double_cosets", (int(p), int(r))) for p, r in bad[:_WITNESS_CAP]],
-                                "double cosets overlap")
-    return _numbered(first)[1]
+def _double_cosets(scheme: AssociationScheme, nset: frozenset[int]) -> tuple[bool, list[int], list[int]]:
+    """(whether Np = pN for every class p, the double cosets NpN as masks by
+    smallest class, each class's coset) from the coset pass ``_cosets``: NpN is
+    the OR of t*N over t in N*p, and pNN = pN when N is normal."""
+    try:
+        _, n_p, p_n = _cosets(scheme.hypergroup, nset)
+    except ValueError:
+        raise ValueError(f"class set {sorted(nset)} is not closed") from None
+    normal = n_p == p_n
+    npn = p_n if normal else [functools.reduce(int.__or__, map(p_n.__getitem__, _members(c))) for c in n_p]
+    # p lies in its own NpN (e is in N and p*e = {p}), so the double cosets
+    # partition the classes (r in NpN exactly when p and r have one smallest
+    # class) when the distinct ones are disjoint
+    number: dict[int, int] = {}
+    coset_of = [number.setdefault(c, len(number)) for c in npn]
+    if sum(map(int.bit_count, number)) != len(npn):
+        low = [c & -c for c in npn]
+        bad = [Violation("double_cosets", (p, r)) for p, c in enumerate(npn) for r in range(len(npn))
+               if (c >> r & 1) != (low[r] == low[p])]
+        raise VerificationError(bad[:_WITNESS_CAP], "double cosets overlap")
+    return normal, list(number), coset_of
 
 
 def quotient_blocks(scheme: AssociationScheme, nset) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
@@ -538,9 +548,8 @@ def quotient_blocks(scheme: AssociationScheme, nset) -> tuple[list[tuple[int, ..
 
 def double_cosets(scheme: AssociationScheme, nset) -> tuple[list[frozenset[int]], tuple[int, ...]]:
     """Partition of the classes into NpN double cosets, sorted by smallest class."""
-    coset_of = _double_cosets(scheme, _closed_set(scheme, nset))
-    cosets = [frozenset(np.flatnonzero(coset_of == c).tolist()) for c in range(coset_of.max() + 1)]
-    return cosets, tuple(coset_of.tolist())
+    _, cosets, coset_of = _double_cosets(scheme, *_check_class_sets(scheme, nset))
+    return [frozenset(_members(c)) for c in cosets], tuple(coset_of)
 
 
 _ONE_POINT = require(build_scheme(1, np.zeros((1, 1), dtype=np.int64)))
@@ -549,8 +558,8 @@ _ONE_POINT = require(build_scheme(1, np.zeros((1, 1), dtype=np.int64)))
 def quotient_scheme(scheme: AssociationScheme, nset) -> AssociationScheme:
     """Quotient by a closed normal subset: points become N-blocks, classes double cosets.
 
-    Closedness, normality (Np = pN for every p) and the classes come from the
-    coset pass ``hypergroup._cosets``: NpN = pNN = pN, numbered by smallest class.
+    Closedness, normality (Np = pN for every p) and the classes, the double
+    cosets NpN = pNN = pN, come from the coset pass (``_double_cosets``).
     By {0} alone (closed) every block is a point and every double coset a class,
     each numbered as itself, so the quotient is the scheme itself and is returned.
     By every class (closed) it is the one-point scheme, built once at import: such
@@ -561,14 +570,10 @@ def quotient_scheme(scheme: AssociationScheme, nset) -> AssociationScheme:
         return scheme
     if len(nset) == scheme.s:
         return _ONE_POINT
-    try:
-        _, n_p, p_n = _cosets(scheme.hypergroup, nset)
-    except ValueError:
-        raise ValueError(f"class set {sorted(nset)} is not closed") from None
-    if n_p != p_n:
+    normal, _, coset_of = _double_cosets(scheme, nset)
+    if not normal:
         raise ValueError(f"class set {sorted(nset)} is not normal")
-    first: dict[int, int] = {}
-    coset_of = np.array([first.setdefault(c, len(first)) for c in p_n])
+    coset_of = np.array(coset_of)
     firsts, block_of = _numbered(np.bincount(sorted(nset), minlength=scheme.s)[scheme.rel].argmax(axis=1))
     coset_rel = coset_of[scheme.rel]
     q_rel = coset_rel[np.ix_(firsts, firsts)]

@@ -308,6 +308,40 @@ def naive_orbits(perms, n: int, e: int):
     return found, tuple(next(i for i, orbit in enumerate(found) if x in orbit) for x in range(n))
 
 
+def naive_partition_hypergroup(g, p):
+    """The hypergroup on the automorphism orbits of a group by its definition:
+    cell (a, b) holds the orbits of x*y for x in orbit a and y in orbit b,
+    the identity is the identity's orbit and the inverse of orbit a is the
+    orbit of one member's inverse.  Reads g.cayley, g.e, g.inv and p.perms;
+    returns (table, e, inv) in the form of a Hypergroup's fields."""
+    orbit_list, orbit_of = naive_orbits(p.perms, len(g.cayley), g.e)
+    table = tuple(
+        tuple(frozenset(orbit_of[g.cayley[x][y]] for x in oa for y in ob) for ob in orbit_list)
+        for oa in orbit_list
+    )
+    return table, orbit_of[g.e], tuple(orbit_of[g.inv[orbit[0]]] for orbit in orbit_list)
+
+
+def naive_admissible(f, cap: int = 25) -> list[tuple[int, int, int]]:
+    """Admissibility witnesses of a morphism f by the definition, a loop over
+    points: for each source point x and class p in order, the first target
+    point y in class class_map[p] from point_map[x] that no z in class p from
+    x maps onto, as (x, y, p); at most cap of them."""
+    src, tgt, pm, cm = f.source.rel.tolist(), f.target.rel.tolist(), f.point_map, f.class_map
+    found = []
+    for x, row in enumerate(src):
+        fibers: dict[int, set[int]] = {}
+        for z, p in enumerate(row):
+            fibers.setdefault(p, set()).add(pm[z])
+        for p in range(len(cm)):
+            y = next((y for y, c in enumerate(tgt[pm[x]]) if c == cm[p] and y not in fibers.get(p, ())), None)
+            if y is not None:
+                found.append((x, y, p))
+                if len(found) == cap:
+                    return found
+    return found
+
+
 def naive_isomorphic(a, b):
     """The first permutation, in lexicographic order, that carries a onto b,
     or None.  a and b are two hypergroups or two schemes with at most 6

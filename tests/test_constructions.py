@@ -7,7 +7,7 @@ import pytest
 import schemeforge as sf
 from schemeforge import catalog
 
-from helpers import hamming_distance, naive_orbits
+from helpers import hamming_distance, naive_orbits, naive_partition_hypergroup
 
 
 # ---------------------------------------------------------------------------
@@ -127,17 +127,35 @@ def test_partition_scheme_constants_match_counting_formula():
 
 
 def test_partition_hypergroup_matches_scheme_route():
+    """partition_hypergroup is the class hypergroup of partition_scheme, and
+    it equals the orbit products of naive_partition_hypergroup, including
+    for scaling orbits of rings and the automorphisms of Z2 x Z2 that swap
+    its three involutions."""
     groups = [
         sf.cyclic_group(2), sf.cyclic_group(3), sf.cyclic_group(4),
         sf.cyclic_group(5), sf.cyclic_group(6),
-        sf.symmetric_group(3), sf.alternating_group(4),
+        sf.symmetric_group(3), sf.alternating_group(4), sf.symmetric_group(4),
     ]
-    for g in groups:
-        for p in [sf.trivial_automorphisms(g), sf.inner_automorphisms(g)]:
-            assert sf.orbits(p) == naive_orbits(p.perms, g.order, g.e), g.order
-            assert sf.partition_hypergroup(g, p) == sf.to_hypergroup(
-                sf.partition_scheme(g, p)
-            ), g.order
+    cases = [(g, p) for g in groups for p in [sf.trivial_automorphisms(g), sf.inner_automorphisms(g)]]
+    v4 = sf.product_group(sf.cyclic_group(2), sf.cyclic_group(2))
+    cases += [(v4, sf.aut_subgroup(v4, [(0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2)]))]
+    for ring in [sf.zmod_ring(7), sf.zmod_ring(8), sf.zmod_ring(9), sf.gf_ring(16)]:
+        cases += [(sf.additive_group(ring), sf.scaling_automorphisms(ring, sf.ring_units(ring)))]
+    for g, p in cases:
+        assert sf.orbits(p) == naive_orbits(p.perms, g.order, g.e), g.order
+        h = sf.partition_hypergroup(g, p)
+        assert h == sf.to_hypergroup(sf.partition_scheme(g, p)), g.order
+        assert (h.table, h.e, h.inv) == naive_partition_hypergroup(g, p), g.order
+
+
+def test_partition_hypergroup_refuses_another_groups_automorphisms():
+    """Automorphisms of Z2 x Z2 or Z5 are refused for Z4 as by partition_scheme,
+    where the orbit products would read Z4's table through the wrong orbits."""
+    z4 = sf.cyclic_group(4)
+    for other in [sf.product_group(sf.cyclic_group(2), sf.cyclic_group(2)), sf.cyclic_group(5)]:
+        for build in (sf.partition_scheme, sf.partition_hypergroup):
+            with pytest.raises(ValueError, match="automorphism subgroup belongs to a different group"):
+                build(z4, sf.trivial_automorphisms(other))
 
 
 def test_partition_hypergroup_s3_inn_table():
@@ -247,6 +265,7 @@ def test_quotient_hyperring_addition_is_partition_hypergroup():
         scaling = sf.scaling_automorphisms(ring, units)
         ph = sf.partition_hypergroup(sf.additive_group(ring), scaling)
         assert qh.hypergroup == ph
+        assert (ph.table, ph.e, ph.inv) == naive_partition_hypergroup(sf.additive_group(ring), scaling)
         orbit_list, orbit_of = naive_orbits(scaling.perms, ring.order, ring.zero)
         assert sf.orbits(scaling) == (orbit_list, orbit_of)
         assert (qh.orbit_reps, qh.orbit_of) == (tuple(orbit_list), orbit_of)

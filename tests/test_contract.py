@@ -78,6 +78,29 @@ def test_count_routes_refuse_alike_under_python_dash_o():
     assert all(witnesses)
 
 
+def test_star_refusal_leaves_numpy_ma_unimported():
+    """The star refusal names its witnesses by np.unique(..., return_index=True),
+    which on numpy 2.4 leaves numpy.ma (about 1 MB resident) unimported, in a
+    fresh process and after 100 refusals; a plain np.unique imports it, which
+    shows that the check can see the import."""
+    code = (
+        "import json, sys\n"
+        "import numpy as np\n"
+        "import schemeforge as sf\n"
+        "rel = np.array([[0, 1, 2], [2, 0, 1], [1, 1, 0]])\n"
+        "seen = ['numpy.ma' in sys.modules]\n"
+        "axioms = {v.axiom for _ in range(100) for v in sf.build_scheme(3, rel).violations}\n"
+        "seen.append('numpy.ma' in sys.modules)\n"
+        "np.unique(rel)\n"
+        "seen.append('numpy.ma' in sys.modules)\n"
+        "print(json.dumps([sorted(axioms), seen]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=False,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [["star"], [False, False, True]]
+
+
 def test_old_names_are_the_one_report_and_error():
     assert scheme.SchemeReport is hypergroup.HypergroupReport is constructions.TriangleReport
     assert sf.SchemeReport is sf.HypergroupReport is sf.TriangleReport is sf.Report
@@ -173,20 +196,27 @@ def test_isomorphism_searches_share_one_backtracker():
 
 
 def test_normality_and_quotients_share_one_coset_pass():
-    """is_normal_sub, quotient_hypergroup and quotient_scheme form their cosets
-    in _cosets, a scheme's normality is asked of its class hypergroup through
-    is_normal_sub, and the double-coset arrays serve double_cosets alone."""
-    calls = {}
+    """is_normal_sub, quotient_hypergroup and the scheme's double cosets form
+    their cosets in _cosets; double_cosets and quotient_scheme read theirs from
+    that pass through _double_cosets, which multiplies no arrays (no s x s
+    double-coset product over the constants is left); a scheme's normality is
+    asked of its class hypergroup through is_normal_sub."""
+    calls, products = {}, {}
     for path in sorted((SRC / "schemeforge").rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for qualified, node in _functions(tree):
             calls[f"{path.name}:{qualified}"] = _called_names(node)
+            products[f"{path.name}:{qualified}"] = any(
+                isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult) for n in ast.walk(node))
     assert "_cosets" in calls["hypergroup.py:is_normal_sub"]
     assert "_cosets" in calls["hypergroup.py:quotient_hypergroup"]
-    assert "_cosets" in calls["scheme.py:quotient_scheme"]
+    assert "_cosets" in calls["scheme.py:_double_cosets"]
     assert "is_normal_sub" in calls["scheme.py:is_normal_closed"]
     assert "hypergroup.py:_is_normal" not in calls
-    assert [name for name, called in calls.items() if "_double_cosets" in called] == ["scheme.py:double_cosets"]
+    assert [name for name, called in calls.items() if "_double_cosets" in called] == [
+        "scheme.py:double_cosets", "scheme.py:quotient_scheme",
+    ]
+    assert not products["scheme.py:_double_cosets"]
 
 
 def test_class_sets_are_read_off_the_masks():
@@ -209,9 +239,7 @@ def test_class_sets_are_read_off_the_masks():
 
 def test_constants_support_is_read_in_one_place():
     """constants > 0 is the class hypergroup's table; it is formed only where
-    that hypergroup is built, and every class-set question but the double
-    cosets goes through it (``scheme._double_cosets`` reads the constants of
-    N's rows and columns as arrays)."""
+    that hypergroup is built, and every class-set question goes through it."""
     found = []
     for path in sorted((SRC / "schemeforge").rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -222,6 +250,23 @@ def test_constants_support_is_read_in_one_place():
                         and getattr(cmp.comparators[0], "value", None) == 0):
                     found.append(f"{path.name}:{qualified}")
     assert found == ["scheme.py:AssociationScheme.hypergroup"]
+
+
+def test_built_constants_have_two_readers():
+    """Only the class hypergroup and is_commutative read a built scheme's
+    dense s^3 ``.constants``; every other question goes through the
+    hypergroup, so constants held by support would change these two alone."""
+    found = []
+    for path in sorted((SRC / "schemeforge").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads = {id(n) for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "constants"}
+        inside = set()
+        for qualified, node in _functions(tree):
+            held = reads & {id(n) for n in ast.walk(node)}
+            found += [f"{path.name}:{qualified}"] if held else []
+            inside |= held
+        assert inside == reads, path.name  # no read outside a function
+    assert found == ["scheme.py:AssociationScheme.hypergroup", "scheme.py:is_commutative"]
 
 
 def test_caches_stay_where_they_are():

@@ -4,6 +4,8 @@ import pytest
 import schemeforge as sf
 from schemeforge import catalog
 
+from helpers import naive_admissible
+
 
 # ---------------------------------------------------------------------------
 # the class hypergroup
@@ -89,6 +91,42 @@ def test_non_admissible_inclusion():
     assert report.morphism
     assert not report.admissible
     assert report.violations[0].axiom == "admissible"
+
+
+def test_admissibility_matches_the_definition():
+    """check_morphism's admissibility witnesses equal naive_admissible's loop
+    over points on every catalog scheme: its identity, an isomorphism onto a
+    seeded relabelling, the fusion into the complete scheme on its points, a
+    seeded random injection into the complete scheme on two more points (more
+    than 25 witnesses on the larger schemes), its quotient projections and,
+    up to 21 points, its product projections with Z2."""
+    rng = np.random.default_rng(24)
+    z2 = catalog.catalog_scheme("Z2")
+
+    def complete(m):
+        return sf.require(sf.build_scheme(m, 1 - np.eye(m, dtype=np.int64)))
+
+    for name in catalog.scheme_names():
+        s = catalog.catalog_scheme(name)
+        pi = rng.permutation(s.n)
+        back = np.argsort(pi)
+        moved = sf.require(sf.build_scheme(s.n, s.rel[np.ix_(back, back)]))
+        fuse = (0,) + (1,) * (s.s - 1)
+        morphs = [
+            sf.identity_morphism(s),
+            sf.SchemeMorphism(s, moved, tuple(pi.tolist()), tuple(range(s.s))),
+            sf.SchemeMorphism(s, complete(s.n), tuple(range(s.n)), fuse),
+            sf.SchemeMorphism(s, complete(s.n + 2), tuple(rng.permutation(s.n + 2)[: s.n].tolist()), fuse),
+        ]
+        morphs += [sf.quotient_projection(s, t)[0] for t in sf.closed_subsets(s) if sf.is_normal_closed(s, t)[0]]
+        if s.n <= 21:
+            morphs += [sf.product_projection(s, z2, 0)[0], sf.product_projection(z2, s, 1)[0]]
+        for f in morphs:
+            report = sf.check_morphism(f)
+            want = naive_admissible(f)
+            assert report.morphism, name
+            assert report.admissible == (not want), name
+            assert report.violations == tuple(sf.Violation("admissible", w) for w in want), name
 
 
 def test_induced_hom_quotient():

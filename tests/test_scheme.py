@@ -5,6 +5,7 @@ import pytest
 
 import schemeforge as sf
 from schemeforge import catalog
+from schemeforge import scheme as scheme_module
 
 from helpers import naive_complex_mult, naive_constants
 
@@ -248,6 +249,19 @@ def test_double_cosets_rejects_non_closed():
         with pytest.raises(ValueError) as info:
             sf.double_cosets(scheme, nset)
         assert str(info.value) == f"class set {text} is not closed"
+
+
+def test_double_cosets_overlap_check_names_pairs(monkeypatch):
+    """The double cosets of a closed subset always partition the classes, so
+    the overlap check is reached only through a coset pass made to lie: with
+    NpN = {0, 1}, {1, 2}, {2} on Z3 it names (p, r) where r lies in NpN but
+    not in p's part by smallest class, or the reverse, in row-major order."""
+    z3 = sf.group_scheme(sf.cyclic_group(3))
+    monkeypatch.setattr(scheme_module, "_cosets", lambda h, nset: (1, [3, 6, 4], [3, 6, 4]))
+    for call in (sf.double_cosets, sf.quotient_scheme):
+        with pytest.raises(sf.VerificationError, match="double cosets overlap") as info:
+            call(z3, {0, 1})
+        assert info.value.violations == (sf.Violation("double_cosets", (0, 1)), sf.Violation("double_cosets", (1, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from . import catalog, io
 from .constructions import check_triangle_condition, geometry_from_hypergroup
@@ -30,6 +31,33 @@ from .scheme import (
 
 class _UsageError(Exception):
     pass
+
+
+class _Verdict(NamedTuple):
+    """What a verb found: its exit code, the JSON text --json prints, the text
+    printed without --json, and the canonical JSON --out receives.  A printed
+    field left None is the --out value itself, printed when no --out is given."""
+
+    code: int = 0
+    json: str | None = None
+    text: str | None = None
+    out: str | None = None
+
+
+class _Refused(Exception):
+    """A verification refused its input: its Report, the verdict line printed
+    after the witnesses, and the key that --json gives the verdict under."""
+
+    def __init__(self, report: Report, line: str, key: str = "valid"):
+        super().__init__(line)
+        self.report, self.line, self.key = report, line, key
+
+    def verdict(self, cap: int) -> _Verdict:
+        violations = self.report.violations
+        # a witness tuple is written as a JSON array
+        found = [{"axiom": v.axiom, "witness": v.witness} for v in violations]
+        lines = [v.text() for v in violations[:cap]] + [self.line]
+        return _Verdict(1, io.canonical_json({self.key: False, "violations": found}), "\n".join(lines))
 
 
 def thread_cap() -> int:
@@ -82,9 +110,9 @@ _KINDS = {
 }
 
 
-def _load(kind: str, token: str, args):
-    """The verified value of a catalog name or file, or exit 1 after reporting
-    why the file fails verification."""
+def _load(kind: str, token: str):
+    """The verified value of a catalog name or file; _Refused with the Report
+    of a file that fails verification."""
     spec = _KINDS[kind]
     if token in spec.names():
         return spec.get(token)
@@ -100,178 +128,122 @@ def _load(kind: str, token: str, args):
     except (ValueError, TypeError) as exc:  # a JSONDecodeError is a ValueError
         raise _UsageError(f"malformed {spec.word} file {token}: {exc}") from exc
     if isinstance(result, Report):
-        _emit_report(result, args, f"invalid {word}: {len(result.violations)} violation(s) recorded")
-        raise SystemExit(1)
+        raise _Refused(result, f"invalid {word}: {len(result.violations)} violation(s) recorded")
     return result
 
 
-def _emit_report(report: Report, args, verdict: str, key: str = "valid") -> None:
-    """Print a verdict: JSON {key: ok, violations}, or the capped witnesses and a last line."""
-    if args.json:
-        # a witness tuple is written as a JSON array
-        violations = [{"axiom": v.axiom, "witness": v.witness} for v in report.violations]
-        print(io.canonical_json({key: report.ok, "violations": violations}))
-        return
-    for v in report.violations[:args.witnesses]:
-        print(v.text())
-    print(verdict)
-
-
-def _write_out(text: str, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-
-
-def _emit_value(text: str, args, summary: str | None = None) -> None:
-    """Write the JSON text to --out if given.  Print the summary, or the text
-    with --json or when there is no summary, unless it went to --out."""
-    if args.out:
-        _write_out(text, args.out)
-    if summary is not None and not args.json:
-        print(summary)
-    elif not args.out:
-        print(text)
+def _emit(verdict: _Verdict, args) -> int:
+    """The one place that prints a verdict or writes its --out file."""
+    shown = verdict.json if args.json else verdict.text
+    if args.out and verdict.out is not None:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(verdict.out + "\n")
+    elif shown is None:
+        shown = verdict.out
+    if shown is not None:
+        print(shown)
+    return verdict.code
 
 
 # ---------------------------------------------------------------------------
-# verb handlers
+# verb handlers: each returns its _Verdict and prints nothing
 
-def _cmd_catalog(args) -> int:
-    if args.json:
-        print(io.canonical_json({
-            "schemes": catalog.scheme_names(),
-            "hypergroups": catalog.hypergroup_names(),
-            "valued_rings": catalog.valued_ring_names(),
-        }))
-        return 0
-    for name in catalog.scheme_names():
-        print(f"scheme\t{name}")
-    for name in catalog.hypergroup_names():
-        print(f"hypergroup\t{name}")
-    for name in catalog.valued_ring_names():
-        print(f"valued-ring\t{name}")
-    return 0
+def _cmd_catalog(args) -> _Verdict:
+    listing = {"schemes": catalog.scheme_names(), "hypergroups": catalog.hypergroup_names(),
+               "valued_rings": catalog.valued_ring_names()}
+    words = {"schemes": "scheme", "hypergroups": "hypergroup", "valued_rings": "valued-ring"}
+    text = "\n".join(f"{words[key]}\t{name}" for key, names in listing.items() for name in names)
+    return _Verdict(0, io.canonical_json(listing), text)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> _Verdict:
     """verify scheme|hyper TARGET; build FILE is verify scheme with --out."""
     spec = _KINDS[args.kind]
-    value = _load(args.kind, args.target, args)
+    value = _load(args.kind, args.target)
     size, commutative = getattr(value, spec.size), spec.commutative(value)
-    if args.json:
-        print(io.canonical_json({"valid": True, spec.size: size, "commutative": commutative}))
-    else:
-        word = "commutative" if commutative else "non-commutative"
-        print(f"valid, {spec.size}={size}, {word}")
-    if getattr(args, "out", None):
-        _write_out(spec.dump(value), args.out)
-    return 0
+    word = "commutative" if commutative else "non-commutative"
+    return _Verdict(0, io.canonical_json({"valid": True, spec.size: size, "commutative": commutative}),
+                    f"valid, {spec.size}={size}, {word}", spec.dump(value) if args.out else None)
 
 
 def _format_cell(cell) -> str:
     return "{" + ",".join(str(x) for x in sorted(cell)) + "}"
 
 
-def _cmd_hyper(args) -> int:
-    h = to_hypergroup(_load("scheme", args.target, args))
+def _cmd_hyper(args) -> _Verdict:
+    h = to_hypergroup(_load("scheme", args.target))
     lines = [f"m={h.m} e={h.e} inv={list(h.inv)}"]
     lines += [f"{p}*{q}={_format_cell(h.table[p][q])}" for p in range(h.m) for q in range(h.m)]
-    _emit_value(io.dump_hypergroup(h), args, "\n".join(lines))
-    return 0
+    return _Verdict(text="\n".join(lines), out=io.dump_hypergroup(h))
 
 
-def _cmd_mult(args) -> int:
-    scheme = _load("scheme", args.target, args)
+def _cmd_mult(args) -> _Verdict:
+    scheme = _load("scheme", args.target)
     result = complex_mult(scheme, _parse_class_set(args.p), _parse_class_set(args.q))
-    if args.json:
-        print(io.canonical_json(sorted(result)))
-    else:
-        print(_format_cell(result))
-    return 0
+    return _Verdict(0, io.canonical_json(sorted(result)), _format_cell(result))
 
 
-def _cmd_sub(args) -> int:
-    subsets = _KINDS[args.kind].sub(_load(args.kind, args.target, args))
-    if args.json:
-        print(io.canonical_json([sorted(t) for t in subsets]))
-    else:
-        for t in subsets:
-            print(_format_cell(t))
-    return 0
+def _cmd_sub(args) -> _Verdict:
+    subsets = _KINDS[args.kind].sub(_load(args.kind, args.target))
+    return _Verdict(0, io.canonical_json([sorted(t) for t in subsets]), "\n".join(map(_format_cell, subsets)))
 
 
-def _cmd_quotient(args) -> int:
+def _cmd_quotient(args) -> _Verdict:
     by = _parse_class_set(args.by)
     spec = _KINDS[args.kind]
-    _emit_value(spec.dump(spec.quotient(_load(args.kind, args.target, args), by)), args)
-    return 0
+    return _Verdict(out=spec.dump(spec.quotient(_load(args.kind, args.target), by)))
 
 
-def _cmd_product(args) -> int:
+def _cmd_product(args) -> _Verdict:
     spec = _KINDS[args.kind]
-    a, b = _load(args.kind, args.a, args), _load(args.kind, args.b, args)
-    _emit_value(spec.dump(spec.product(a, b)), args)
-    return 0
+    a, b = _load(args.kind, args.a), _load(args.kind, args.b)
+    return _Verdict(out=spec.dump(spec.product(a, b)))
 
 
-def _cmd_restrict(args) -> int:
-    scheme = _load("scheme", args.target, args)
-    result = restrict_scheme(scheme, _parse_class_set(args.set), args.point)
-    _emit_value(io.dump_scheme(result), args)
-    return 0
+def _cmd_restrict(args) -> _Verdict:
+    scheme = _load("scheme", args.target)
+    return _Verdict(out=io.dump_scheme(restrict_scheme(scheme, _parse_class_set(args.set), args.point)))
 
 
-def _cmd_search(args) -> int:
-    h = _load("hyper", args.target, args)
+def _cmd_search(args) -> _Verdict:
+    h = _load("hyper", args.target)
     stream = sys.stderr if args.json else sys.stdout
     found = search_realization(h, args.nmax, progress=lambda line: print(line, file=stream))
     if found is None:
-        if args.json:
-            print(io.canonical_json({"found": False, "n_max": args.nmax}))
-        else:
-            print(f"no realization on ≤ {args.nmax} points")
-        return 1
+        return _Verdict(1, io.canonical_json({"found": False, "n_max": args.nmax}),
+                        f"no realization on ≤ {args.nmax} points")
     text = io.dump_scheme(found)
-    if args.json:
-        print(io.canonical_json({"found": True, "n": found.n, "scheme": json.loads(text)}))
-    else:
-        print(f"found on n={found.n} points")
-        print(text)
-    if args.out:
-        _write_out(text, args.out)
-    return 0
+    return _Verdict(0, io.canonical_json({"found": True, "n": found.n, "scheme": json.loads(text)}),
+                    f"found on n={found.n} points\n{text}", text)
 
 
-def _cmd_geometry(args) -> int:
-    h = _load("hyper", args.target, args)
+def _cmd_geometry(args) -> _Verdict:
+    h = _load("hyper", args.target)
     try:
         geom = geometry_from_hypergroup(h)
     except VerificationError as exc:
-        _emit_report(Report(exc.violations), args, exc.what)
-        return 1
+        raise _Refused(Report(exc.violations), exc.what) from None
     summary = f"points={geom.n_points} lines={len(geom.lines)} degenerate={str(geom.degenerate).lower()}"
-    _emit_value(io.dump_geometry(geom), args, summary)
-    return 0
+    return _Verdict(text=summary, out=io.dump_geometry(geom))
 
 
-def _cmd_triangle(args) -> int:
+def _cmd_triangle(args) -> _Verdict:
     if args.name not in catalog.valued_ring_names():
         raise _UsageError(
             f"unknown valued ring {args.name!r}; choices: {', '.join(catalog.valued_ring_names())}"
         )
     report = check_triangle_condition(catalog.catalog_valued_ring(args.name))
-    verdict = "triangle condition holds" if report.ok else "triangle condition fails"
-    _emit_report(report, args, verdict, key="ok")
-    return 0 if report.ok else 1
+    if not report.ok:
+        raise _Refused(report, "triangle condition fails", key="ok")
+    return _Verdict(0, io.canonical_json({"ok": True, "violations": []}), "triangle condition holds")
 
 
-def _cmd_export(args) -> int:
+def _cmd_export(args) -> _Verdict:
     # a scheme name is exported as the scheme, not as its class hypergroup
     spec = next((k for k in _KINDS.values() if args.name in k.names()), None)
     if spec is None:
         raise _UsageError(f"unknown catalog entry {args.name!r}")
-    _emit_value(spec.dump(spec.get(args.name)), args)
-    return 0
+    return _Verdict(out=spec.dump(spec.get(args.name)))
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -283,9 +255,11 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="schemeforge", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def verb(name: str, handler, about: str) -> argparse.ArgumentParser:
+    def verb(name: str, handler, about: str, *positionals: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=[common], help=about)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, out=None)
+        for arg in positionals:
+            p.add_argument(arg, choices=list(_KINDS) if arg == "kind" else None)
         return p
 
     verb("catalog", _cmd_catalog, "list built-in named instances")
@@ -295,56 +269,29 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the canonical scheme JSON here")
     p.set_defaults(kind="scheme")
 
-    p = verb("verify", _cmd_verify, "verify a scheme or hypergroup")
-    p.add_argument("kind", choices=list(_KINDS))
-    p.add_argument("target")
+    verb("verify", _cmd_verify, "verify a scheme or hypergroup", "kind", "target")
+    verb("hyper", _cmd_hyper, "class hypergroup of a scheme", "target").add_argument("--out")
+    verb("mult", _cmd_mult, "complex product of class sets", "target", "p", "q")
+    verb("sub", _cmd_sub, "closed subsets / sub-hypergroups", "kind", "target")
 
-    p = verb("hyper", _cmd_hyper, "class hypergroup of a scheme")
-    p.add_argument("target")
-    p.add_argument("--out")
-
-    p = verb("mult", _cmd_mult, "complex product of class sets")
-    p.add_argument("target")
-    p.add_argument("p")
-    p.add_argument("q")
-
-    p = verb("sub", _cmd_sub, "closed subsets / sub-hypergroups")
-    p.add_argument("kind", choices=list(_KINDS))
-    p.add_argument("target")
-
-    p = verb("quotient", _cmd_quotient, "quotient by a normal subset")
-    p.add_argument("kind", choices=list(_KINDS))
-    p.add_argument("target")
+    p = verb("quotient", _cmd_quotient, "quotient by a normal subset", "kind", "target")
     p.add_argument("--by", required=True, help="comma-separated class/element indices")
     p.add_argument("--out")
 
-    p = verb("product", _cmd_product, "direct product")
-    p.add_argument("kind", choices=list(_KINDS))
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--out")
+    verb("product", _cmd_product, "direct product", "kind", "a", "b").add_argument("--out")
 
-    p = verb("restrict", _cmd_restrict, "restrict to a closed subset")
-    p.add_argument("target")
+    p = verb("restrict", _cmd_restrict, "restrict to a closed subset", "target")
     p.add_argument("--set", required=True, help="comma-separated closed class set")
     p.add_argument("--point", type=int, required=True)
     p.add_argument("--out")
 
-    p = verb("search", _cmd_search, "search for a realizing scheme")
-    p.add_argument("target")
+    p = verb("search", _cmd_search, "search for a realizing scheme", "target")
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--out")
 
-    p = verb("geometry", _cmd_geometry, "geometry of a vector-space hypergroup")
-    p.add_argument("target")
-    p.add_argument("--out")
-
-    p = verb("triangle", _cmd_triangle, "triangle condition of a valued ring")
-    p.add_argument("name")
-
-    p = verb("export", _cmd_export, "canonical JSON of a catalog entry")
-    p.add_argument("name")
-    p.add_argument("--out")
+    verb("geometry", _cmd_geometry, "geometry of a vector-space hypergroup", "target").add_argument("--out")
+    verb("triangle", _cmd_triangle, "triangle condition of a valued ring", "name")
+    verb("export", _cmd_export, "canonical JSON of a catalog entry", "name").add_argument("--out")
     return parser
 
 
@@ -359,9 +306,11 @@ def run(argv: list[str]) -> int:
         if args.witnesses < 0:
             raise _UsageError(f"--witnesses needs N >= 0, got {args.witnesses}")
         thread_cap()
-        return args.handler(args)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        try:
+            verdict = args.handler(args)
+        except _Refused as refused:
+            verdict = refused.verdict(args.witnesses)
+        return _emit(verdict, args)
     except (_UsageError, ValueError, OSError) as exc:  # a SchemeForgeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -667,6 +667,15 @@ def check_geometry(n_points: int, lines: Sequence[Sequence[int]]) -> list[Violat
     return bad
 
 
+def verified_geometry(n_points: int, lines: Sequence[tuple[int, ...]]) -> IncidenceGeometry:
+    """The geometry on n_points with these lines, or VerificationError with
+    the witnesses of check_geometry; at most one point or line is degenerate."""
+    bad = check_geometry(n_points, lines)
+    if bad:
+        raise VerificationError(bad, "geometry axiom fails")
+    return IncidenceGeometry(n_points, tuple(lines), degenerate=n_points <= 1 or len(lines) <= 1)
+
+
 def geometry_from_hypergroup(h: Hypergroup) -> IncidenceGeometry:
     """Points are the nonidentity elements; the line through two points is their
     sum (minus the identity) together with the points themselves.
@@ -688,9 +697,4 @@ def geometry_from_hypergroup(h: Hypergroup) -> IncidenceGeometry:
         frozenset((set(h.table[p][q]) - {h.e}) | {p, q})
         for p, q in itertools.combinations(elems, 2)
     }
-    line_tuples = sorted(tuple(sorted(pos[t] for t in line)) for line in lines)
-    bad = check_geometry(len(elems), line_tuples)
-    if bad:
-        raise VerificationError(bad, "geometry axiom fails")
-    degenerate = len(elems) <= 1 or len(line_tuples) <= 1
-    return IncidenceGeometry(n_points=len(elems), lines=tuple(line_tuples), degenerate=degenerate)
+    return verified_geometry(len(elems), sorted(tuple(sorted(pos[t] for t in line)) for line in lines))

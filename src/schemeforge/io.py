@@ -12,9 +12,9 @@ from .constructions import (
     IncidenceGeometry,
     build_group,
     build_ring,
-    check_geometry,
+    verified_geometry,
 )
-from .errors import Report, VerificationError
+from .errors import Report
 from .hypergroup import Hypergroup, build_hypergroup
 from .scheme import AssociationScheme, build_scheme
 
@@ -68,12 +68,7 @@ def load_geometry(text: str) -> IncidenceGeometry:
     obj = json.loads(text)
     if not isinstance(obj, dict) or "points" not in obj or "lines" not in obj:
         raise ValueError('geometry files need keys "points" and "lines"')
-    n = int(obj["points"])
-    lines = tuple(tuple(int(p) for p in line) for line in obj["lines"])
-    bad = check_geometry(n, lines)
-    if bad:
-        raise VerificationError(bad, "geometry axiom fails")
-    return IncidenceGeometry(n_points=n, lines=lines, degenerate=n <= 1 or len(lines) <= 1)
+    return verified_geometry(int(obj["points"]), tuple(tuple(int(p) for p in line) for line in obj["lines"]))
 
 
 def dump_group(g: FiniteGroup) -> str:

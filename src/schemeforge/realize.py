@@ -12,7 +12,7 @@ from collections.abc import Callable
 import numpy as np
 
 from .errors import _WITNESS_CAP, SizeGuardError, VerificationError, Violation
-from .hypergroup import Hypergroup
+from .hypergroup import _BLOCK_BYTES, Hypergroup
 from .scheme import (
     AssociationScheme,
     _pair_histogram,
@@ -79,14 +79,21 @@ def check_morphism(f: SchemeMorphism) -> MorphismReport:
         return MorphismReport(False, False, tuple(bad))
 
     # hit[x, p, u]: some z in class p from x has pm[z] = u; a target point y in
-    # class cm[p] from pm[x] that is not hit is a miss, named once per (x, p)
-    hit = np.zeros((src.n, src.s, tgt.n), dtype=bool)
-    hit[np.arange(src.n)[:, None], src.rel, pm] = True
-    miss = (tgt.rel[pm][:, None, :] == cm[:, None]) & ~hit
-    xs, ps = np.nonzero(miss.any(axis=2))
-    xs, ps = xs[:_WITNESS_CAP], ps[:_WITNESS_CAP]
-    ys = miss[xs, ps].argmax(axis=1)
-    adm_bad = tuple(Violation("admissible", w) for w in zip(xs.tolist(), ys.tolist(), ps.tolist()))
+    # class cm[p] from pm[x] that is not hit is a miss, named once per (x, p).
+    # Blocks of source points bound each s x n_t boolean array.
+    step = max(1, _BLOCK_BYTES[1] // (src.s * tgt.n))
+    found: list[tuple[int, int, int]] = []
+    for a in range(0, src.n, step):
+        rows = src.rel[a:a + step]
+        hit = np.zeros((len(rows), src.s, tgt.n), dtype=bool)
+        hit[np.arange(len(rows))[:, None], rows, pm] = True
+        miss = (tgt.rel[pm[a:a + step]][:, None, :] == cm[:, None]) & ~hit
+        xs, ps = np.nonzero(miss.any(axis=2))
+        xs, ps = xs[:_WITNESS_CAP - len(found)], ps[:_WITNESS_CAP - len(found)]
+        found += zip((xs + a).tolist(), miss[xs, ps].argmax(axis=1).tolist(), ps.tolist())
+        if len(found) == _WITNESS_CAP:
+            break
+    adm_bad = tuple(Violation("admissible", w) for w in found)
     return MorphismReport(True, not adm_bad, adm_bad)
 
 

@@ -269,6 +269,39 @@ def test_built_constants_have_two_readers():
     assert found == ["scheme.py:AssociationScheme.hypergroup", "scheme.py:is_commutative"]
 
 
+def test_cli_prints_in_one_place():
+    """In cli.py only _emit prints or writes: a call of print, of write or
+    writelines, or an open in a writing mode.  Two prints stand apart: run's
+    ``error:`` line to stderr, and the progress callback that search passes
+    to search_realization, which prints while the search runs."""
+    tree = ast.parse((SRC / "schemeforge" / "cli.py").read_text(encoding="utf-8"))
+    spans = [(n.lineno, n.end_lineno, n.name) for n in tree.body
+             if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+
+    def owner(node):
+        return next((name for first, last, name in spans if first <= node.lineno <= last), "<module>")
+
+    def writes(call):
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        if name == "open":
+            mode = call.args[1] if len(call.args) > 1 else next(
+                (k.value for k in call.keywords if k.arg == "mode"), None)
+            return isinstance(mode, ast.Constant) and bool(set(str(mode.value)) & set("wax+"))
+        return name in {"print", "write", "writelines"}
+
+    progress = {id(n) for call in ast.walk(tree) for k in getattr(call, "keywords", ())
+                if k.arg == "progress" and isinstance(k.value, ast.Lambda) for n in ast.walk(k.value)}
+    found = [c for c in ast.walk(tree) if isinstance(c, ast.Call) and writes(c)]
+    outside = sorted(((owner(c), c) for c in found if owner(c) != "_emit"), key=lambda pair: pair[0])
+    assert {owner(c) for c in found} == {"_emit", "run", "_cmd_search"}
+    assert [name for name, _ in outside] == ["_cmd_search", "run"]
+    (_, progress_print), (_, error_print) = outside
+    assert id(progress_print) in progress
+    text, = error_print.args
+    assert isinstance(text, ast.JoinedStr) and text.values[0].value == "error: "
+    assert [(k.arg, getattr(k.value, "attr", None)) for k in error_print.keywords] == [("file", "stderr")]
+
+
 def test_caches_stay_where_they_are():
     """functools.cached_property and lru_cache (and functools.cache) decorate
     only the class hypergroup of a scheme and the catalog getters.  A cache on

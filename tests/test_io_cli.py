@@ -1,4 +1,7 @@
 import json
+import pathlib
+import re
+import shlex
 
 import pytest
 
@@ -313,3 +316,21 @@ def test_cli_transcript_replays_byte_for_byte(tmp_path, monkeypatch):
         work.mkdir()
         monkeypatch.chdir(work)
         assert cli_transcript.replay(row) == expected
+
+
+def test_readme_command_block_runs_as_written(tmp_path, monkeypatch, capsys):
+    """Every line of the sh block under README's "Command line" runs and exits
+    with the first `exit N` its comment names, or 0 when it names none."""
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    lines = [line for line in block.splitlines() if line.strip()]
+    assert lines
+    for line in lines:
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        named = re.search(r"exit (\d+)", comment)
+        assert argv[0] == "schemeforge", line
+        assert run(argv[1:]) == (int(named.group(1)) if named else 0), line
+        capsys.readouterr()

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import schemeforge as sf
-from schemeforge import catalog
+from schemeforge import catalog, realize
 
 from helpers import naive_admissible
 
@@ -93,13 +95,17 @@ def test_non_admissible_inclusion():
     assert report.violations[0].axiom == "admissible"
 
 
-def test_admissibility_matches_the_definition():
+@pytest.mark.parametrize("block", [None, (1, 1)], ids=["default-block", "one-point-block"])
+def test_admissibility_matches_the_definition(block, monkeypatch):
     """check_morphism's admissibility witnesses equal naive_admissible's loop
     over points on every catalog scheme: its identity, an isomorphism onto a
     seeded relabelling, the fusion into the complete scheme on its points, a
     seeded random injection into the complete scheme on two more points (more
     than 25 witnesses on the larger schemes), its quotient projections and,
-    up to 21 points, its product projections with Z2."""
+    up to 21 points, its product projections with Z2.  With one source point
+    a block, the witnesses span blocks and the pass stops at the cap."""
+    if block is not None:
+        monkeypatch.setattr(realize, "_BLOCK_BYTES", block)
     rng = np.random.default_rng(24)
     z2 = catalog.catalog_scheme("Z2")
 
@@ -127,6 +133,21 @@ def test_admissibility_matches_the_definition():
             assert report.morphism, name
             assert report.admissible == (not want), name
             assert report.violations == tuple(sf.Violation("admissible", w) for w in want), name
+
+
+def test_admissibility_pass_is_bounded_by_its_blocks():
+    """The identity morphism of H(10,2) (1,024 points, 11 classes) checks
+    admissibility in blocks of source points: one pass over all of them
+    would hold 51 MB of n x s x n booleans."""
+    f = sf.identity_morphism(sf.hamming_scheme(10, 2))
+    tracemalloc.start()
+    try:
+        report = sf.check_morphism(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.morphism and report.admissible
+    assert peak < 32e6
 
 
 def test_induced_hom_quotient():

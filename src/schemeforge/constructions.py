@@ -15,7 +15,14 @@ from math import inf
 import numpy as np
 
 from .errors import _WITNESS_CAP, Report, SizeGuardError, VerificationError, Violation, require
-from .hypergroup import Hypergroup, build_hypergroup, group_as_hypergroup
+from .hypergroup import (
+    _BLOCK_BYTES,
+    Hypergroup,
+    _generators,
+    _light_associative,
+    build_hypergroup,
+    group_as_hypergroup,
+)
 from .scheme import AssociationScheme, build_scheme
 
 HAMMING_LENGTH_BOUND = 12
@@ -34,17 +41,46 @@ class FiniteGroup:
     inv: tuple[int, ...]
 
 
+def _first_triple(passes, differ, g: int) -> tuple[int, int, int] | None:
+    """The first (x, y, z) in row-major order where differ(xs), a bool array
+    of shape (len(xs), g, g) over a slice xs of x, is True, or None.  Where
+    the g^3 scan outgrows the smallest block, passes(), a proof that there
+    is none, is tried first; the scan reads a block of x at a time, each
+    block's int64 layers within _BLOCK_BYTES[1]."""
+    if 8 * g ** 3 > _BLOCK_BYTES[0] and passes():
+        return None
+    step = max(1, _BLOCK_BYTES[1] // (8 * g * g))
+    for x0 in range(0, g, step):
+        block = differ(slice(x0, x0 + step))
+        if block.any():
+            x, y, z = np.argwhere(block)[0].tolist()
+            return x + x0, y, z
+    return None
+
+
 def build_group(cayley) -> FiniteGroup:
-    """Verify the group axioms on a Cayley table; identity and inverses are derived."""
+    """Verify the group axioms on a Cayley table; identity and inverses are derived.
+
+    Associativity is Light's test (``hypergroup._light_associative``) where
+    the g^3 scan outgrows the smallest block, from g = 21 on: (x*a)*y =
+    x*(a*y) for all x, y and each a of a greedy generating set, O(g^2) a
+    generator, and a group of order g has at most log2(g) + 1 of them.  The
+    a that pass are closed under *: for a and b among them, (x(ab))y =
+    ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).  So every element, a product
+    of generators, passes, and that is associativity.  A smaller table, or
+    one the test does not accept, is scanned a block of x at a time for its
+    first non-associative (x, y, z) in row-major order, which the refusal
+    names; nothing of size g^3 is allocated beyond the smallest block.
+    """
     t = np.asarray(cayley, dtype=np.int64)
     g = t.shape[0]
     if t.ndim != 2 or t.shape != (g, g) or g == 0:
         raise ValueError("Cayley table must be square and nonempty")
     if t.min() < 0 or t.max() >= g:
         raise ValueError("Cayley table entries out of range")
-    if not np.array_equal(t[t], t[:, t]):
-        a, b, c = np.argwhere(t[t] != t[:, t])[0]
-        raise ValueError(f"not associative at {(int(a), int(b), int(c))}")
+    witness = _first_triple(lambda: _light_associative(t), lambda xs: t[t[xs]] != t[xs][:, t], g)
+    if witness:
+        raise ValueError(f"not associative at {witness}")
     idx = np.arange(g)
     es = [e for e in range(g) if np.array_equal(t[e], idx) and np.array_equal(t[:, e], idx)]
     if len(es) != 1:
@@ -196,28 +232,46 @@ class FiniteRing:
 
 
 def build_ring(add, mul) -> FiniteRing:
-    """Verify commutative unital ring axioms exhaustively on the two tables."""
+    """Verify commutative unital ring axioms on the two tables.
+
+    (R, +) is verified by ``build_group``, and (R, *) is associative by
+    Light's test, on the same size route.  Distributivity x(y + z) = xy + xz
+    is checked there for all x, y and each z of a greedy generating set of
+    (R, +): the z that pass are closed under +, as x(y + (z + w)) =
+    x((y + z) + w) = x(y + z) + xw = (xy + xz) + xw = xy + x(z + w), the last
+    step being w's at y = z.  So every z, a sum of generators, passes.  Once
+    distributivity holds, associativity is additive in its last factor as
+    well, (ab)(c + d) = (ab)c + (ab)d = a(bc) + a(bd) = a(b(c + d)), so the
+    additive generators would settle it too; Light's set is used because
+    associativity is checked, and refused, before distributivity.  Below the
+    route, or when a generator fails, distributivity is scanned a block of
+    x at a time for its first (x, y, z) in row-major order, which the
+    refusal names; nothing of size g^3 is allocated beyond the smallest block.
+    """
     a = np.asarray(add, dtype=np.int64)
     m = np.asarray(mul, dtype=np.int64)
     g = a.shape[0]
     if a.shape != (g, g) or m.shape != (g, g):
         raise ValueError("addition and multiplication tables must be square and matching")
     grp = build_group(a.tolist())
+    if m.min() < 0 or m.max() >= g:
+        raise ValueError("multiplication table entries out of range")
     if not np.array_equal(a, a.T):
         raise ValueError("addition must be commutative")
     if not np.array_equal(m, m.T):
         raise ValueError("multiplication must be commutative")
-    if not np.array_equal(m[m], m[:, m]):
+    if _first_triple(lambda: _light_associative(m), lambda xs: m[m[xs]] != m[xs][:, m], g):
         raise ValueError("multiplication must be associative")
     idx = np.arange(g)
     ones = [c for c in range(g) if np.array_equal(m[c], idx)]
     if len(ones) != 1:
         raise ValueError(f"unit candidates: {ones}")
-    left = m[:, a]                       # x * (y + z)
-    right = a[m[:, :, None], m[:, None, :]]  # x*y + x*z
-    if not np.array_equal(left, right):
-        x, y, z = np.argwhere(left != right)[0]
-        raise ValueError(f"not distributive at {(int(x), int(y), int(z))}")
+    # x(y + z) against xy + xz: at [x, y] for each additive generator z, or all at once
+    witness = _first_triple(
+        lambda: all(np.array_equal(m[:, a[:, z]], a[m, m[:, z, None]]) for z in _generators(a)),
+        lambda xs: m[xs][:, a] != a[m[xs, :, None], m[xs, None, :]], g)
+    if witness:
+        raise ValueError(f"not distributive at {witness}")
     zero = grp.e
     if not np.array_equal(m[zero], np.full(g, zero)):
         raise ValueError("zero must be absorbing")

@@ -3,8 +3,9 @@ unique inverses, associativity, and reversibility.
 
 Elements are 0..m-1.  ``table[a][b]`` is the nonempty set a*b; products of
 subsets are unions of cell products.  Verification is exhaustive: every axiom
-is checked over all triples, and every construction in this module re-verifies
-its output.  Sub-hypergroups are the exception: a subset that contains e and is
+holds over all triples, checked directly or, for the associativity of a group
+table, proved from generators, and every construction in this module
+re-verifies its output.  Sub-hypergroups are the exception: a subset that contains e and is
 closed under * and inv inherits every axiom, so only that closure is checked.
 The scheme layer asks its class-set questions of a scheme's class hypergroup
 here, and ``find_bijection`` is the one backtracker under both isomorphism searches.
@@ -22,6 +23,23 @@ cells are gathered whole and ORed by ``reduceat``, as many as fit in the
 block, and every temporary is at most 2 MB unless one a needs more.
 Reversibility is two gathers over the nonzero cells.  Witnesses come in
 ascending (a, b, c) order, at most 25 per axiom.
+
+A table of singletons is a group table (class hypergroups of group schemes,
+``group_as_hypergroup``, quotients of groups).  Where its m^3 scan would
+outgrow the smallest block, from m = 21 on, its associativity is first put
+to Light's test (Clifford and Preston, The Algebraic Theory of Semigroups I,
+1961), which proves it in O(m^2) a generator.  ``_generators`` picks a
+greedy generating set: the smallest element not yet reached joins it, and
+the reached set is closed under right multiplication by every generator, so
+each element is a left-bracketed product of generators, which needs no
+associativity.  ``_light_associative`` checks (x*a)*y = x*(a*y) for all x,
+y and each generator a.  The a that pass (Light's set) are closed under *:
+for a and b in it, (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y),
+each step one of a's or b's identities.  So every product of generators,
+every element, lies in it, and that is associativity.  The test only ever
+accepts: a table it does not accept is scanned as above, so the witnesses
+do not depend on the route.  ``build_group`` and ``build_ring`` put their
+tables to the same test on the same size route.
 
 A cell is held in two forms: ``table[a][b]``, the frozenset a*b, and
 ``masks[a][b]``, the Python int with bit t set for each t in a*b.  Both
@@ -126,6 +144,26 @@ def _axiom_violations(support: np.ndarray, e: int, inv, outside=False) -> tuple[
     # the entries (a*m + b, t) of the cells in C order; cell k's are at bounds[k]:bounds[k + 1]
     cell, elem = np.divmod(support.ravel().nonzero()[0], m)
     bounds = np.searchsorted(cell, np.arange(m * m + 1))
+    # a single-valued table whose m^3 scan outgrows the smallest block is
+    # first offered to Light's test, which can only accept
+    if len(elem) == m * m and m * bits.nbytes > _BLOCK_BYTES[0] and _light_associative(elem.reshape(m, m)):
+        differ = []
+    else:
+        differ = _associativity_witnesses(bits, elem, bounds)
+    bad += [Violation("associativity", (x // (m * m), x // m % m, x % m)) for x in differ]
+
+    # c in ab needs a in c*inv(b) and b in inv(a)*c
+    a, b = np.divmod(cell, m)
+    reversed_ok = support[elem, inv_arr[b], a] & support[inv_arr[a], elem, b]
+    for x in (~reversed_ok).nonzero()[0][:_WITNESS_CAP]:
+        bad.append(Violation("reversibility", (int(a[x]), int(b[x]), int(elem[x]))))
+    return bad, bits
+
+
+def _associativity_witnesses(bits: np.ndarray, elem: np.ndarray, bounds: np.ndarray) -> list[int]:
+    """The first _WITNESS_CAP triples a*m^2 + b*m + c, ascending, where (ab)c
+    and a(bc) differ, read from the words bits[a, b] and the cell entries."""
+    m, words = bits.shape[0], bits.shape[2]
     # (ab)c at [a*m + b - lo, c] joins the rows bits[t] = t*c, and a(bc) at
     # [a - a0, b*m + c] the columns bits[a, t] = a*t, so both are in (a, b, c)
     # order; a block of a at a time, each as large as bits times the block
@@ -139,14 +177,42 @@ def _axiom_violations(support: np.ndarray, e: int, inv, outside=False) -> tuple[
         differ += (ne.nonzero()[0][:_WITNESS_CAP - len(differ)] + lo * m).tolist()
         if len(differ) >= _WITNESS_CAP:
             break
-    bad += [Violation("associativity", (x // (m * m), x // m % m, x % m)) for x in differ]
+    return differ
 
-    # c in ab needs a in c*inv(b) and b in inv(a)*c
-    a, b = np.divmod(cell, m)
-    reversed_ok = support[elem, inv_arr[b], a] & support[inv_arr[a], elem, b]
-    for x in (~reversed_ok).nonzero()[0][:_WITNESS_CAP]:
-        bad.append(Violation("reversibility", (int(a[x]), int(b[x]), int(elem[x]))))
-    return bad, bits
+
+def _generators(t: np.ndarray) -> list[int]:
+    """A greedy generating set of the single-valued table t[a, b] = a*b: the
+    smallest element not yet reached joins it, and the reached set is closed
+    under right multiplication by every generator.  So each element is a
+    left-bracketed product (..(g1*g2)*..)*gk of generators, which needs no
+    associativity to be one."""
+    m = len(t)
+    reached = [False] * m
+    held: list[int] = []
+    gens: list[int] = []
+    cols: list[list[int]] = []  # cols[i][r] = r * gens[i]
+    for x in range(m):
+        if reached[x]:
+            continue
+        gens.append(x)
+        cols.append(t[:, x].tolist())
+        # the held elements were closed under the earlier generators
+        todo = [x] + [cols[-1][r] for r in held]
+        while todo:
+            r = todo.pop()
+            if not reached[r]:
+                reached[r] = True
+                held.append(r)
+                todo += [col[r] for col in cols]
+    return gens
+
+
+def _light_associative(t: np.ndarray) -> bool:
+    """Light's associativity test on the single-valued table t[a, b] = a*b:
+    True when (x*a)*y = x*(a*y) for every x, y and each generator a of
+    ``_generators``, which proves t associative (see the module docstring).
+    False names no triple: the caller scans for its witnesses."""
+    return all(np.array_equal(t[t[:, a]], t[:, t[a]]) for a in _generators(t))
 
 
 def _or_cells(rows: np.ndarray, elem: np.ndarray, bounds: np.ndarray, axis: int) -> np.ndarray:

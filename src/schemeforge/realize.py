@@ -16,11 +16,9 @@ from .hypergroup import _BLOCK_BYTES, Hypergroup
 from .scheme import (
     AssociationScheme,
     _pair_histogram,
+    _quotient,
     build_scheme,
-    double_cosets,
     product_scheme,
-    quotient_blocks,
-    quotient_scheme,
 )
 
 SEARCH_POINT_BOUND = 8
@@ -64,10 +62,16 @@ def check_morphism(f: SchemeMorphism) -> MorphismReport:
 
     pm = np.array(f.point_map, dtype=np.int64)
     cm = np.array(f.class_map, dtype=np.int64)
-    image = tgt.rel[pm[:, None], pm[None, :]]
-    expected = cm[src.rel]
-    for x, y in np.argwhere(image != expected)[:_WITNESS_CAP]:
-        bad.append(Violation("morphism", (int(x), int(y))))
+    # Both passes run over blocks of source points, each block's rows of the
+    # image and expected classes (n int64s a point) and its s x n_t boolean
+    # arrays within the block bound; row-major witnesses stay in order.
+    step = max(1, _BLOCK_BYTES[1] // max(src.s * tgt.n, 8 * src.n))
+    for a in range(0, src.n, step):
+        image = tgt.rel[pm[a:a + step, None], pm]
+        differ = np.argwhere(image != cm[src.rel[a:a + step]])[:_WITNESS_CAP - len(bad)]
+        bad += [Violation("morphism", (x + a, y)) for x, y in differ.tolist()]
+        if len(bad) == _WITNESS_CAP:
+            break
     if not bad:
         # forced consequences, re-verified: identity class and star-equivariance
         if f.class_map[0] != 0:
@@ -79,9 +83,7 @@ def check_morphism(f: SchemeMorphism) -> MorphismReport:
         return MorphismReport(False, False, tuple(bad))
 
     # hit[x, p, u]: some z in class p from x has pm[z] = u; a target point y in
-    # class cm[p] from pm[x] that is not hit is a miss, named once per (x, p).
-    # Blocks of source points bound each s x n_t boolean array.
-    step = max(1, _BLOCK_BYTES[1] // (src.s * tgt.n))
+    # class cm[p] from pm[x] that is not hit is a miss, named once per (x, p)
     found: list[tuple[int, int, int]] = []
     for a in range(0, src.n, step):
         rows = src.rel[a:a + step]
@@ -137,10 +139,8 @@ def identity_morphism(scheme: AssociationScheme) -> SchemeMorphism:
 def quotient_projection(scheme: AssociationScheme, nset) -> tuple[SchemeMorphism, AssociationScheme]:
     """The projection onto the quotient by a closed normal subset: points go to
     their block, classes to their double coset.  Returns (morphism, quotient)."""
-    quo = quotient_scheme(scheme, nset)
-    _, block_of = quotient_blocks(scheme, nset)
-    _, coset_of = double_cosets(scheme, nset)
-    return SchemeMorphism(scheme, quo, block_of, coset_of), quo
+    quo, block_of, coset_of = _quotient(scheme, nset)
+    return SchemeMorphism(scheme, quo, tuple(np.asarray(block_of).tolist()), tuple(coset_of)), quo
 
 
 def product_projection(

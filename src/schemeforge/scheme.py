@@ -565,17 +565,23 @@ def quotient_scheme(scheme: AssociationScheme, nset) -> AssociationScheme:
     By every class (closed) it is the one-point scheme, built once at import: such
     quotients of different schemes are one object (AssociationScheme has eq=False).
     """
+    return _quotient(scheme, nset)[0]
+
+
+def _quotient(scheme: AssociationScheme, nset):
+    """(``quotient_scheme``, each point's block as ``quotient_blocks`` numbers
+    it, each class's double coset as ``double_cosets`` numbers it), from one
+    block pass and one coset pass; the two maps are sequences of ints."""
     (nset,) = _check_class_sets(scheme, nset)
     if nset == {0}:
-        return scheme
+        return scheme, range(scheme.n), range(scheme.s)
     if len(nset) == scheme.s:
-        return _ONE_POINT
+        return _ONE_POINT, [0] * scheme.n, [0] * scheme.s
     normal, _, coset_of = _double_cosets(scheme, nset)
     if not normal:
         raise ValueError(f"class set {sorted(nset)} is not normal")
-    coset_of = np.array(coset_of)
     firsts, block_of = _numbered(np.bincount(sorted(nset), minlength=scheme.s)[scheme.rel].argmax(axis=1))
-    coset_rel = coset_of[scheme.rel]
+    coset_rel = np.array(coset_of)[scheme.rel]
     q_rel = coset_rel[np.ix_(firsts, firsts)]
     # representative independence across whole blocks
     moved = np.argwhere(coset_rel != q_rel[block_of][:, block_of])
@@ -583,7 +589,7 @@ def quotient_scheme(scheme: AssociationScheme, nset) -> AssociationScheme:
         witness = tuple(int(x) for x in moved[0])
         raise VerificationError([Violation("representatives", witness)],
                                 "quotient relation depends on representatives")
-    return require(build_scheme(len(firsts), q_rel))
+    return require(build_scheme(len(firsts), q_rel)), block_of, coset_of
 
 
 def scheme_isomorphic(

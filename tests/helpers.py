@@ -96,6 +96,30 @@ def set_product(table, aset, bset) -> frozenset[int]:
     return frozenset(out)
 
 
+def naive_associative(t, cap: int = 1) -> list[tuple[int, int, int]]:
+    """The first cap triples (a, b, c) in row-major order with (ab)c != a(bc)
+    in the single-valued table t[a][b] = ab, by a triple loop; empty exactly
+    when t is associative."""
+    found = []
+    m = len(t)
+    for a, b, c in itertools.product(range(m), repeat=3):
+        if t[t[a][b]][c] != t[a][t[b][c]]:
+            found.append((a, b, c))
+            if len(found) == cap:
+                break
+    return found
+
+
+def naive_distributive(add, mul) -> tuple[int, int, int] | None:
+    """The first (x, y, z) in row-major order with x(y + z) != xy + xz, by a
+    triple loop, or None."""
+    g = len(add)
+    for x, y, z in itertools.product(range(g), repeat=3):
+        if mul[x][add[y][z]] != add[mul[x][y]][mul[x][z]]:
+            return x, y, z
+    return None
+
+
 def naive_star(rel, s: int) -> list[int]:
     """Transpose class of each class, read from one pair of the class."""
     n = len(rel)

@@ -78,6 +78,42 @@ def test_count_routes_refuse_alike_under_python_dash_o():
     assert all(witnesses)
 
 
+def test_generator_route_refuses_alike_under_python_dash_o():
+    """Z/21 with two cells swapped fails Light's test as a group table and as
+    a 21-element single-valued hypergroup; the full scans behind it then name
+    the same witnesses under -O, with no assert on the way."""
+    code = (
+        "import json\n"
+        "import schemeforge as sf\n"
+        "from schemeforge import hypergroup\n"
+        "taken = []\n"
+        "def spy(t, real=hypergroup._light_associative):\n"
+        "    taken.append(real(t))\n"
+        "    return taken[-1]\n"
+        "hypergroup._light_associative = spy\n"
+        "t = [[(a + b) % 21 for b in range(21)] for a in range(21)]\n"
+        "t[1][2], t[3][4] = t[3][4], t[1][2]\n"
+        "try:\n"
+        "    sf.build_group(t)\n"
+        "except ValueError as exc:\n"
+        "    group = str(exc)\n"
+        "report = sf.build_hypergroup([[{x} for x in row] for row in t], 0, [-a % 21 for a in range(21)])\n"
+        "print(json.dumps([group, [[v.axiom, v.witness] for v in report.violations], taken]))\n"
+    )
+    runs = [
+        subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True, check=False,
+                       env=dict(os.environ, PYTHONPATH=str(SRC)))
+        for flags in ([], ["-O"])
+    ]
+    assert all(proc.returncode == 0 for proc in runs), [proc.stderr for proc in runs]
+    plain, optimized = (proc.stdout for proc in runs)
+    assert plain == optimized
+    group, violations, taken = json.loads(optimized)
+    assert group.startswith("not associative at ")
+    assert "associativity" in {axiom for axiom, _ in violations}
+    assert taken == [False]
+
+
 def test_star_refusal_leaves_numpy_ma_unimported():
     """The star refusal names its witnesses by np.unique(..., return_index=True),
     which on numpy 2.4 leaves numpy.ma (about 1 MB resident) unimported, in a
@@ -197,10 +233,11 @@ def test_isomorphism_searches_share_one_backtracker():
 
 def test_normality_and_quotients_share_one_coset_pass():
     """is_normal_sub, quotient_hypergroup and the scheme's double cosets form
-    their cosets in _cosets; double_cosets and quotient_scheme read theirs from
-    that pass through _double_cosets, which multiplies no arrays (no s x s
-    double-coset product over the constants is left); a scheme's normality is
-    asked of its class hypergroup through is_normal_sub."""
+    their cosets in _cosets; double_cosets and _quotient (under quotient_scheme
+    and quotient_projection) read theirs from that pass through _double_cosets,
+    which multiplies no arrays (no s x s double-coset product over the
+    constants is left); a scheme's normality is asked of its class hypergroup
+    through is_normal_sub."""
     calls, products = {}, {}
     for path in sorted((SRC / "schemeforge").rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -214,8 +251,10 @@ def test_normality_and_quotients_share_one_coset_pass():
     assert "is_normal_sub" in calls["scheme.py:is_normal_closed"]
     assert "hypergroup.py:_is_normal" not in calls
     assert [name for name, called in calls.items() if "_double_cosets" in called] == [
-        "scheme.py:double_cosets", "scheme.py:quotient_scheme",
+        "scheme.py:double_cosets", "scheme.py:_quotient",
     ]
+    assert "_quotient" in calls["scheme.py:quotient_scheme"]
+    assert "_quotient" in calls["realize.py:quotient_projection"]
     assert not products["scheme.py:_double_cosets"]
 
 

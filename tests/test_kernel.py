@@ -575,6 +575,22 @@ def test_oversized_class_label_costs_no_memory(tmp_path):
     assert [(v["axiom"], v["witness"]) for v in out["violations"]] == [("classes", [c]) for c in range(1, 26)]
 
 
+def test_groups_and_rings_build_within_a_gigabyte():
+    """Associativity and distributivity are read from generators, so nothing
+    of g^3 is allocated: a scan of all triples of Z/512 would ask for a 1 GiB
+    (512, 512, 512) int64 array, twice."""
+    code = (
+        "import schemeforge as sf\n"
+        "g = sf.cyclic_group(512)\n"
+        "p = sf.product_group(sf.cyclic_group(49), sf.cyclic_group(7))\n"
+        "r = sf.zmod_ring(200)\n"
+        "print(g.order, g.e, g.inv[1], p.order, p.inv[8], r.one, r.mul[7][30])\n"
+    )
+    proc = limited_child(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["512", "0", "511", "343", "342", "1", "10"]
+
+
 def _cyclic_rel(n):
     return (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
 

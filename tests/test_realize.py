@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import schemeforge as sf
-from schemeforge import catalog, realize
+from schemeforge import catalog, realize, scheme
 
 from helpers import naive_admissible
 
@@ -135,10 +135,36 @@ def test_admissibility_matches_the_definition(block, monkeypatch):
             assert report.violations == tuple(sf.Violation("admissible", w) for w in want), name
 
 
+@pytest.mark.parametrize("block", [None, (1, 1)], ids=["default-block", "one-point-block"])
+def test_structure_witnesses_match_the_definition(block, monkeypatch):
+    """check_morphism's structure-preservation witnesses are the first 25
+    pairs (x, y), row-major, whose image class differs from the class map's,
+    as a loop over pairs finds them: on every catalog scheme, with its points
+    relabelled or its nondiagonal classes rotated.  With one source point a
+    block, the witnesses span blocks and the pass stops at the cap."""
+    if block is not None:
+        monkeypatch.setattr(realize, "_BLOCK_BYTES", block)
+    rng = np.random.default_rng(25)
+    for name in catalog.scheme_names():
+        s = catalog.catalog_scheme(name)
+        rotated = (0,) + tuple(range(2, s.s)) + (1,) if s.s > 1 else (0,)
+        for f in (sf.SchemeMorphism(s, s, tuple(rng.permutation(s.n).tolist()), tuple(range(s.s))),
+                  sf.SchemeMorphism(s, s, tuple(range(s.n)), rotated)):
+            pm, cm, want = f.point_map, f.class_map, []
+            tgt = s.rel.tolist()
+            for x, row in enumerate(tgt):
+                want += [(x, y) for y, p in enumerate(row) if tgt[pm[x]][pm[y]] != cm[p]][:25 - len(want)]
+            report = sf.check_morphism(f)
+            assert report.morphism == (not want), name
+            if want:
+                assert report.violations == tuple(sf.Violation("morphism", w) for w in want), name
+
+
 def test_admissibility_pass_is_bounded_by_its_blocks():
-    """The identity morphism of H(10,2) (1,024 points, 11 classes) checks
-    admissibility in blocks of source points: one pass over all of them
-    would hold 51 MB of n x s x n booleans."""
+    """The identity morphism of H(10,2) (1,024 points, 11 classes) runs both
+    passes in blocks of source points: one admissibility pass over all of
+    them would hold 51 MB of n x s x n booleans, and one structure pass two
+    8.4 MB n x n int64 arrays (25.2 MB peak with it)."""
     f = sf.identity_morphism(sf.hamming_scheme(10, 2))
     tracemalloc.start()
     try:
@@ -147,7 +173,25 @@ def test_admissibility_pass_is_bounded_by_its_blocks():
     finally:
         tracemalloc.stop()
     assert report.morphism and report.admissible
-    assert peak < 32e6
+    assert peak < 12e6
+
+
+def test_quotient_projection_maps_points_to_blocks_and_classes_to_double_cosets():
+    """On every normal closed subset of every catalog scheme with at most 25
+    classes, the projection's maps are ``quotient_blocks``' and
+    ``double_cosets``', and its target has ``quotient_scheme``'s relation."""
+    for name in catalog.scheme_names():
+        s = catalog.catalog_scheme(name)
+        if s.s > scheme.CLOSED_SUBSET_CLASS_BOUND:
+            continue
+        for t in sf.closed_subsets(s):
+            if not sf.is_normal_closed(s, t)[0]:
+                continue
+            morph, quo = sf.quotient_projection(s, t)
+            assert morph.source is s and morph.target is quo, name
+            assert morph.point_map == sf.quotient_blocks(s, t)[1], (name, t)
+            assert morph.class_map == sf.double_cosets(s, t)[1], (name, t)
+            assert np.array_equal(quo.rel, sf.quotient_scheme(s, t).rel), (name, t)
 
 
 def test_induced_hom_quotient():

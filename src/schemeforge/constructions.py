@@ -20,6 +20,7 @@ from .hypergroup import (
     Hypergroup,
     _generators,
     _light_associative,
+    _members,
     build_hypergroup,
     group_as_hypergroup,
 )
@@ -652,9 +653,9 @@ def valuation_scheme(v: ValuedRing) -> AssociationScheme:
 def _vector_space_violations(h: Hypergroup) -> list[Violation]:
     """Pairs that do not commute, then nonidentity x with x + x != {identity, x}."""
     bad = [Violation("commutative", (a, b)) for a, b in itertools.combinations(range(h.m), 2)
-           if h.table[a][b] != h.table[b][a]][:_WITNESS_CAP]
-    return bad + [Violation("vector_space", (x, tuple(sorted(h.table[x][x])))) for x in range(h.m)
-                  if x != h.e and h.table[x][x] != {h.e, x}][:_WITNESS_CAP]
+           if h.masks[a][b] != h.masks[b][a]][:_WITNESS_CAP]
+    return bad + [Violation("vector_space", (x, tuple(_members(h.masks[x][x])))) for x in range(h.m)
+                  if x != h.e and h.masks[x][x] != 1 << h.e | 1 << x][:_WITNESS_CAP]
 
 
 def is_k_vector_space(h: Hypergroup) -> bool:
@@ -747,8 +748,5 @@ def geometry_from_hypergroup(h: Hypergroup) -> IncidenceGeometry:
             f"geometry extraction refused: {len(elems)} points exceeds {GEOMETRY_POINT_BOUND}"
         )
     pos = {x: i for i, x in enumerate(elems)}
-    lines = {
-        frozenset((set(h.table[p][q]) - {h.e}) | {p, q})
-        for p, q in itertools.combinations(elems, 2)
-    }
-    return verified_geometry(len(elems), sorted(tuple(sorted(pos[t] for t in line)) for line in lines))
+    lines = {h.masks[p][q] & ~(1 << h.e) | 1 << p | 1 << q for p, q in itertools.combinations(elems, 2)}
+    return verified_geometry(len(elems), sorted(tuple(pos[t] for t in _members(line)) for line in lines))

@@ -11,18 +11,17 @@ The scheme layer asks its class-set questions of a scheme's class hypergroup
 here, and ``find_bijection`` is the one backtracker under both isomorphism searches.
 
 The axioms are read from the support tensor, support[a, b, t] = (t in a*b),
-by one checker that both routes share: ``build_hypergroup`` normalizes its
-table once and builds the tensor from it, and a scheme's class hypergroup
-(``support_hypergroup``) hands in constants > 0 directly, building its
-frozenset table only for the returned value.  Cells must be nonempty and in
-range, e the only identity and inv(x) x's only inverse.  The rows of the tensor
-are packed into bit words bits[a, b]: (ab)c is the OR of the rows bits[t]
-over t in ab and a(bc) the OR of the columns bits[a, t] over t in bc, both
-gathered straight into (a, b, c) order for a block of a at a time.  Larger
-cells are gathered whole and ORed by ``reduceat``, as many as fit in the
-block, and every temporary is at most 2 MB unless one a needs more.
-Reversibility is two gathers over the nonzero cells.  Witnesses come in
-ascending (a, b, c) order, at most 25 per axiom.
+by one checker that both routes share: ``build_hypergroup`` reads the tensor
+off the masks of its cells, and a scheme's class hypergroup
+(``support_hypergroup``) hands in constants > 0 directly.  Cells must be
+nonempty and in range, e the only identity and inv(x) x's only inverse.  The
+rows of the tensor are packed into bit words bits[a, b]: (ab)c is the OR of
+the rows bits[t] over t in ab and a(bc) the OR of the columns bits[a, t]
+over t in bc, both gathered straight into (a, b, c) order for a block of a
+at a time.  Larger cells are gathered whole and ORed by ``reduceat``, as
+many as fit in the block, and every temporary is at most 2 MB unless one a
+needs more.  Reversibility is two gathers over the nonzero cells.  Witnesses
+come in ascending (a, b, c) order, at most 25 per axiom.
 
 A table of singletons is a group table (class hypergroups of group schemes,
 ``group_as_hypergroup``, quotients of groups).  Where its m^3 scan would
@@ -41,18 +40,19 @@ accepts: a table it does not accept is scanned as above, so the witnesses
 do not depend on the route.  ``build_group`` and ``build_ring`` put their
 tables to the same test on the same size route.
 
-A cell is held in two forms: ``table[a][b]``, the frozenset a*b, and
-``masks[a][b]``, the Python int with bit t set for each t in a*b.  Both
-builders take the masks from the words bits[a, b] of their check; a class
-hypergroup's table holds one frozenset per distinct mask (Z/64 has 64 among
-4,096 cells).  Every class-set question (sub-hypergroups, the closure
-lattice, cosets, congruence images) is answered on the masks: a product of
-sets is an OR of ints.
+A cell is held once, as ``masks[a][b]``, the Python int with bit t set for
+each t in a*b, and ``_table_masks`` alone turns a table's cells into masks.
+``table[a][b]``, the frozenset a*b, is a view built from the masks on first
+read, one frozenset per distinct mask (Z/64 has 64 among 4,096 cells).
+Every class-set question (sub-hypergroups, the closure lattice, cosets,
+congruence images, isomorphism) is answered on the masks: a product of sets
+is an OR of ints.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import operator
 from collections.abc import Iterable
@@ -68,63 +68,65 @@ _BLOCK_BYTES = (1 << 16, 1 << 21)  # bounds on each temporary of a blocked check
 HypergroupReport = Report  # former name, kept for existing callers
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, init=False, repr=False)
 class Hypergroup:
     """A hypergroup on 0..m-1 with identity e and inverses inv.
 
-    Each cell a*b is held twice: ``table[a][b]`` is the frozenset and
-    ``masks[a][b]`` the int sum of 2^t over t in a*b.  The builders hand the
-    masks in as ``packed``; a Hypergroup made directly (or by
-    ``dataclasses.replace``) derives them from its table.  Equality, hash and
-    repr read the table alone.
+    Each cell a*b is held once, as ``masks[a][b]``, the int sum of 2^t over t
+    in a*b, and equality and hash read m, e, inv and the masks.  ``table`` is
+    the frozenset view of the masks, built on first read; repr shows it.
     """
 
     m: int
-    table: tuple[tuple[frozenset[int], ...], ...]
+    # an InitVar whose default is the view below, so dataclasses.replace reads the table back
+    table: dataclasses.InitVar[tuple[tuple[frozenset[int], ...], ...]]
     e: int
     inv: tuple[int, ...]
-    packed: dataclasses.InitVar[tuple[tuple[int, ...], ...] | None] = None
-    masks: tuple[tuple[int, ...], ...] = dataclasses.field(init=False, repr=False, compare=False)
+    masks: tuple[tuple[int, ...], ...] = dataclasses.field(init=False)
 
-    def __post_init__(self, packed) -> None:
-        if packed is None:
-            packed = tuple(tuple(sum(1 << t for t in cell) for cell in row) for row in self.table)
-        object.__setattr__(self, "masks", packed)
+    def __init__(self, m: int, table: tuple[tuple[frozenset[int], ...], ...], e: int, inv: tuple[int, ...]) -> None:
+        masks = _table_masks(table, m)
+        if any(-1 in row for row in masks):
+            raise ValueError(f"a cell holds an element outside 0..{m - 1}")
+        vars(self).update(m=m, e=e, inv=inv, masks=masks)
+
+    @classmethod
+    def _from_masks(cls, m: int, masks: tuple[tuple[int, ...], ...], e: int, inv: tuple[int, ...]) -> Hypergroup:
+        h = object.__new__(cls)
+        vars(h).update(m=m, e=e, inv=inv, masks=masks)
+        return h
+
+    @functools.cached_property
+    def table(self) -> tuple[tuple[frozenset[int], ...], ...]:
+        sets = {mask: frozenset(_members(mask)) for mask in set(itertools.chain.from_iterable(self.masks))}
+        return tuple(tuple(map(sets.__getitem__, row)) for row in self.masks)
+
+    def __repr__(self) -> str:
+        return f"Hypergroup(m={self.m!r}, table={self.table!r}, e={self.e!r}, inv={self.inv!r})"
 
     def product(self, aset: Iterable[int], bset: Iterable[int]) -> frozenset[int]:
-        out: set[int] = set()
-        for a in aset:
-            for b in bset:
-                out |= self.table[a][b]
-        return frozenset(out)
+        return frozenset(_members(functools.reduce(int.__or__, (self.masks[a][b] for a in aset for b in bset), 0)))
 
     def is_commutative(self) -> bool:
-        return all(
-            self.table[a][b] == self.table[b][a]
-            for a in range(self.m) for b in range(a + 1, self.m)
-        )
+        return tuple(zip(*self.masks)) == self.masks
 
 
-def _axiom_violations(support: np.ndarray, e: int, inv, outside=False) -> tuple[list[Violation], np.ndarray | None]:
-    """The axioms read from support[a, b, t] = (t in a*b), in axiom order, and
-    the cells packed into uint64 words bits[a, b] (None when a cell or the
-    shape is broken, as the check then stops).
-
-    ``outside`` marks, by a*m + b, cells that the tensor cannot show broken
-    (an element out of range); an empty cell is broken too.
-    """
+def _verified(support: np.ndarray, e: int, inv, masks=None) -> Hypergroup | Report:
+    """The Hypergroup whose cell a*b is {t : support[a, b, t]}, its masks given
+    or read off the uint64 words bits[a, b] of the check, or the Report of its
+    axioms in axiom order (the check stops at an empty cell or a broken shape)."""
     m = len(support)
     # bits[a, b]: support[a, b] as uint64 words, t padded to a multiple of 64
     words = -(-m // 64)
     padded = np.zeros((m, m, words * 64), dtype=bool)
     padded[:, :, :m] = support
     bits = np.packbits(padded, axis=2, bitorder="little").view("<u8")
-    broken = (outside | ~bits.any(axis=2).ravel()).nonzero()[0]
+    broken = (~bits.any(axis=2).ravel()).nonzero()[0]
     if broken.size:
-        return [Violation("cell", divmod(k, m)) for k in broken[:_WITNESS_CAP].tolist()], None
+        return Report(tuple(Violation("cell", divmod(k, m)) for k in broken[:_WITNESS_CAP].tolist()))
     inv = tuple(int(x) for x in inv)
     if not (0 <= e < m) or len(inv) != m or not all(0 <= g < m for g in inv):
-        return [Violation("shape", (e, inv))], None
+        return Report((Violation("shape", (e, inv)),))
 
     # c is an identity when c*x = {x} = x*c for every x; identities c and d give
     # c = c*d = d, so the others are looked for only when e is none
@@ -157,7 +159,9 @@ def _axiom_violations(support: np.ndarray, e: int, inv, outside=False) -> tuple[
     reversed_ok = support[elem, inv_arr[b], a] & support[inv_arr[a], elem, b]
     for x in (~reversed_ok).nonzero()[0][:_WITNESS_CAP]:
         bad.append(Violation("reversibility", (int(a[x]), int(b[x]), int(elem[x]))))
-    return bad, bits
+    if bad:
+        return Report(tuple(bad))
+    return Hypergroup._from_masks(m, _cell_masks(bits) if masks is None else masks, int(e), inv)
 
 
 def _associativity_witnesses(bits: np.ndarray, elem: np.ndarray, bounds: np.ndarray) -> list[int]:
@@ -246,48 +250,56 @@ def _cell_masks(bits: np.ndarray) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, masks))
 
 
+def _table_masks(table, m: int) -> tuple[tuple[int, ...], ...]:
+    """Each cell of a table as a mask, the OR of 2^t over its elements t (each
+    read by ``int``), or -1 when an element lies outside 0..m-1.  This is the
+    one place where cells become masks."""
+    rows = []
+    for row in table:
+        masks = []
+        for cell in row:
+            mask = 0
+            for t in map(int, cell):
+                mask |= 1 << t if 0 <= t < m else -1
+            masks.append(mask)
+        rows.append(tuple(masks))
+    return tuple(rows)
+
+
+def _mask_support(masks) -> np.ndarray:
+    """support[a, b, t] = (t in a*b) for cells given as masks, m x m x m; a
+    mask outside 0..m-1 (-1 among them) gives an empty cell."""
+    m = len(masks)
+    size = 8 * -(-m // 64)
+    data = b"".join((mask if mask >> m == 0 else 0).to_bytes(size, "little") for row in masks for mask in row)
+    words = np.frombuffer(data, dtype=np.uint8).reshape(m, m, size)
+    return np.unpackbits(words, axis=2, count=m, bitorder="little").view(bool)
+
+
 def build_hypergroup(table, e: int, inv) -> Hypergroup | Report:
     """Exhaustively verify all hypergroup axioms; return the value or a report.
-    The table is normalized once and its support tensor checked; a cell with
-    an element outside 0..m-1 is broken like an empty one."""
+    Each cell becomes a mask once and the support tensor is read off the
+    masks; a cell with an element outside 0..m-1 is broken like an empty one."""
     try:
-        rows = tuple(tuple(frozenset(map(int, cell)) for cell in row) for row in table)
+        rows = tuple(table)
+        masks = _table_masks(rows, len(rows))
     except TypeError:
-        rows = ((),)  # not a table of cells: a shape violation below
-    m = len(rows)
-    if any(len(row) != m for row in rows):
+        masks = ((),)  # not a table of cells: a shape violation below
+    if any(len(row) != len(masks) for row in masks):
         return Report((Violation("shape", ()),))
-    cells = [cell for row in rows for cell in row]
-    flat = [k * m + t for k, cell in enumerate(cells) for t in cell if 0 <= t < m]
-    support = np.zeros(m ** 3, dtype=bool)
-    support[flat] = True
-    outside = False
-    if len(flat) < sum(map(len, cells)):
-        outside = np.array([any(not 0 <= t < m for t in cell) for cell in cells])
-    bad, bits = _axiom_violations(support.reshape(m, m, m), e, inv, outside)
-    if bad:
-        return Report(tuple(bad))
-    return Hypergroup(m=m, table=rows, e=int(e), inv=tuple(int(x) for x in inv), packed=_cell_masks(bits))
+    return _verified(_mask_support(masks), e, inv, masks)
 
 
 def support_hypergroup(support: np.ndarray, e: int, inv) -> Hypergroup | Report:
     """``build_hypergroup`` of the table whose cell a*b is {t : support[a, b, t]},
-    checked on the m x m x m bool tensor itself.  The frozenset table is built
-    for the returned value with one frozenset per distinct cell, shared by
-    every cell that holds it."""
-    bad, bits = _axiom_violations(support, e, inv)
-    if bad:
-        return Report(tuple(bad))
-    masks = _cell_masks(bits)
-    sets = {mask: frozenset(_members(mask)) for mask in dict.fromkeys(itertools.chain.from_iterable(masks))}
-    table = tuple(tuple(map(sets.__getitem__, row)) for row in masks)
-    return Hypergroup(m=len(support), table=table, e=int(e), inv=tuple(int(x) for x in inv), packed=masks)
+    checked on the m x m x m bool tensor itself."""
+    return _verified(support, e, inv)
 
 
 def group_as_hypergroup(cayley, e: int, inv) -> Hypergroup:
     """Wrap a group's Cayley table in singleton cells."""
-    table = [[{cayley[a][b]} for b in range(len(cayley))] for a in range(len(cayley))]
-    return require(build_hypergroup(table, e, inv))
+    masks = _table_masks([[(c,) for c in row] for row in cayley], len(cayley))
+    return require(_verified(_mask_support(masks), e, inv, masks))
 
 
 def _members(mask: int) -> list[int]:
@@ -513,27 +525,18 @@ def congruence_quotient(h: Hypergroup, c: CongruenceRelation) -> Hypergroup:
     blocks, block_of, images, bad = _congruence(h, c)
     if bad:
         raise VerificationError(bad, "not a congruence relation")
-    table = [[_members(images[bi[0]][bj[0]]) for bj in blocks] for bi in blocks]
-    return require(build_hypergroup(table, block_of[h.e], [block_of[h.inv[b[0]]] for b in blocks]))
+    masks = tuple(tuple(images[bi[0]][bj[0]] for bj in blocks) for bi in blocks)
+    return require(_verified(_mask_support(masks), block_of[h.e], [block_of[h.inv[b[0]]] for b in blocks], masks))
 
 
 def product_hypergroup(h1: Hypergroup, h2: Hypergroup) -> Hypergroup:
     """Componentwise product on pairs; (a1, a2) gets index a1*m2 + a2."""
     m1, m2 = h1.m, h2.m
-
-    def idx(a1: int, a2: int) -> int:
-        return a1 * m2 + a2
-
-    table = [
-        [
-            frozenset(idx(t1, t2) for t1 in h1.table[a1][b1] for t2 in h2.table[a2][b2])
-            for b1 in range(m1) for b2 in range(m2)
-        ]
-        for a1 in range(m1) for a2 in range(m2)
-    ]
-    e = idx(h1.e, h2.e)
-    inv = [idx(h1.inv[a1], h2.inv[a2]) for a1 in range(m1) for a2 in range(m2)]
-    return require(build_hypergroup(table, e, inv))
+    masks = tuple(tuple(sum(c2 << t1 * m2 for t1 in _members(c1)) for c1 in row1 for c2 in row2)
+                  for row1 in h1.masks for row2 in h2.masks)
+    e = h1.e * m2 + h2.e
+    inv = [h1.inv[a1] * m2 + h2.inv[a2] for a1 in range(m1) for a2 in range(m2)]
+    return require(_verified(_mask_support(masks), e, inv, masks))
 
 
 def find_bijection(sig1, sig2, extend, state):
@@ -569,19 +572,15 @@ def find_bijection(sig1, sig2, extend, state):
 
 
 def _signatures(h: Hypergroup) -> list[tuple]:
-    sigs = []
-    for x in range(h.m):
-        row = tuple(sorted(len(h.table[x][y]) for y in range(h.m)))
-        col = tuple(sorted(len(h.table[y][x]) for y in range(h.m)))
-        sigs.append((
-            x != h.e,  # the identity sorts first, so it is placed first
-            h.inv[x] == x,
-            len(h.table[x][x]),
-            x in h.table[x][x],
-            len(h.table[x][h.inv[x]]),
-            row, col,
-        ))
-    return sigs
+    sizes = [[mask.bit_count() for mask in row] for row in h.masks]
+    return [(
+        x != h.e,  # the identity sorts first, so it is placed first
+        h.inv[x] == x,
+        sizes[x][x],
+        bool(h.masks[x][x] >> x & 1),
+        sizes[x][h.inv[x]],
+        tuple(sorted(sizes[x])), tuple(sorted(row[x] for row in sizes)),
+    ) for x in range(h.m)]
 
 
 def hypergroup_isomorphic(h1: Hypergroup, h2: Hypergroup) -> tuple[int, ...] | None:
@@ -606,8 +605,9 @@ def hypergroup_isomorphic(h1: Hypergroup, h2: Hypergroup) -> tuple[int, ...] | N
         placed += (x,)
         for y in placed:
             for a, b in ((x, y), (y, x)):
-                cell1, cell2 = h1.table[a][b], h2.table[phi[a]][phi[b]]
-                if len(cell1) != len(cell2) or not {phi[t] for t in cell1 if phi[t] >= 0} <= cell2:
+                cell1, cell2 = h1.masks[a][b], h2.masks[phi[a]][phi[b]]
+                image = sum(1 << phi[t] for t in _members(cell1) if phi[t] >= 0)
+                if cell1.bit_count() != cell2.bit_count() or image & ~cell2:
                     return None
         return placed
 
@@ -620,7 +620,7 @@ def hypergroup_isomorphic(h1: Hypergroup, h2: Hypergroup) -> tuple[int, ...] | N
     bad += [Violation("inverse", (x,)) for x in range(m) if phi[h1.inv[x]] != h2.inv[phi[x]]]
     bad += [
         Violation("product", (x, y)) for x in range(m) for y in range(m)
-        if {phi[t] for t in h1.table[x][y]} != h2.table[phi[x]][phi[y]]
+        if sum(1 << phi[t] for t in _members(h1.masks[x][y])) != h2.masks[phi[x]][phi[y]]
     ]
     if bad:
         raise VerificationError(bad, "found bijection is not an isomorphism")

@@ -12,7 +12,7 @@ from collections.abc import Callable
 import numpy as np
 
 from .errors import _WITNESS_CAP, SizeGuardError, VerificationError, Violation
-from .hypergroup import _BLOCK_BYTES, Hypergroup
+from .hypergroup import _BLOCK_BYTES, Hypergroup, _mask_support, _members
 from .scheme import (
     AssociationScheme,
     _pair_histogram,
@@ -185,7 +185,7 @@ def _valency_vectors(h: Hypergroup, n: int) -> list[tuple[int, ...]]:
     weights = [1 if star[p] == p else 2 for p in reps]
     # every caller passes h identity-first, and the row and column of e = 0
     # always pass: e*q = {q} and val[0] = 1
-    cells = [(p, q, tuple(h.table[p][q])) for p in range(1, h.m) for q in range(1, h.m)]
+    cells = [(p, q, _members(h.masks[p][q])) for p in range(1, h.m) for q in range(1, h.m)]
     val = [1] * h.m
     out = []
 
@@ -219,17 +219,15 @@ def _identity_first(h: Hypergroup) -> Hypergroup:
         return h
     swap = list(range(h.m))
     swap[0], swap[h.e] = h.e, 0
-    table = tuple(
-        tuple(frozenset(swap[t] for t in h.table[swap[a]][swap[b]]) for b in range(h.m))
-        for a in range(h.m)
-    )
-    return Hypergroup(m=h.m, table=table, e=0, inv=tuple(swap[h.inv[swap[a]]] for a in range(h.m)))
+    flip = 1 | 1 << h.e  # exchanges bits 0 and e of a mask where they differ
+    masks = tuple(tuple(x ^ flip if (x ^ x >> h.e) & 1 else x for x in map(row.__getitem__, swap))
+                  for row in map(h.masks.__getitem__, swap))
+    return Hypergroup._from_masks(h.m, masks, 0, tuple(swap[h.inv[a]] for a in swap))
 
 
-def _class_supports(table) -> np.ndarray:
+def _class_supports(masks) -> np.ndarray:
     """Row r flags, at p * m + q, whether r is in p*q."""
-    m = len(table)
-    return np.array([[r in table[p][q] for p in range(m) for q in range(m)] for r in range(m)], dtype=bool)
+    return np.ascontiguousarray(_mask_support(masks).reshape(len(masks) ** 2, -1).T)
 
 
 def _counts_fit(rel, supports: np.ndarray) -> bool:
@@ -316,7 +314,7 @@ def _search_at_size(h: Hypergroup, n: int):
             nonlocal leaves, supports
             if i == size:
                 leaves += 1
-                supports = supports if supports is not None else _class_supports(h.table)
+                supports = supports if supports is not None else _class_supports(masks)
                 matrix = np.array(rel, dtype=np.int64)
                 if not _counts_fit(matrix, supports):
                     return None

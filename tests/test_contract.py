@@ -259,9 +259,11 @@ def test_normality_and_quotients_share_one_coset_pass():
 
 
 def test_class_sets_are_read_off_the_masks():
-    """The closure lattice, sub-hypergroup test, cosets and congruence images
-    read Hypergroup.masks, and only Hypergroup.__post_init__ turns a table
-    into masks (a function that reads ``table`` and shifts bits)."""
+    """The closure lattice, sub-hypergroup test, cosets, congruence images,
+    quotients, products, the isomorphism search, the realization search and
+    geometries read Hypergroup.masks and never its table, and only
+    hypergroup._table_masks turns a table into masks (a function that reads
+    ``table`` and shifts bits)."""
     reads, from_table = {}, []
     for path in sorted((SRC / "schemeforge").rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -271,9 +273,15 @@ def test_class_sets_are_read_off_the_masks():
             shifts = any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.LShift) for n in ast.walk(node))
             if "table" in names and shifts:
                 from_table.append(f"{path.name}:{qualified}")
-    for name in ("closure_lattice", "is_sub_hypergroup", "_cosets", "_congruence"):
-        assert "masks" in reads[f"hypergroup.py:{name}"], name
-    assert from_table == ["hypergroup.py:Hypergroup.__post_init__"]
+    readers = [f"hypergroup.py:{name}" for name in (
+        "closure_lattice", "is_sub_hypergroup", "_cosets", "_congruence", "congruence_quotient",
+        "product_hypergroup", "_signatures", "hypergroup_isomorphic", "Hypergroup.product",
+        "Hypergroup.is_commutative")]
+    readers += [f"realize.py:{name}" for name in ("_valency_vectors", "_identity_first", "_search_at_size")]
+    readers += [f"constructions.py:{name}" for name in ("_vector_space_violations", "geometry_from_hypergroup")]
+    for name in readers:
+        assert "masks" in reads[name] and "table" not in reads[name], name
+    assert from_table == ["hypergroup.py:_table_masks"]
 
 
 def test_constants_support_is_read_in_one_place():
@@ -343,9 +351,10 @@ def test_cli_prints_in_one_place():
 
 def test_caches_stay_where_they_are():
     """functools.cached_property and lru_cache (and functools.cache) decorate
-    only the class hypergroup of a scheme and the catalog getters.  A cache on
-    a scheme's or hypergroup's answers would let a repeated question time a
-    dict lookup, so lattices, quotients and products are computed afresh."""
+    only the class hypergroup of a scheme, the frozenset view of a
+    hypergroup's masks and the catalog getters.  A cache on a scheme's or
+    hypergroup's answers would let a repeated question time a dict lookup, so
+    lattices, quotients and products are computed afresh."""
     caches = {"cached_property", "lru_cache", "cache"}
     decorated, stray = [], []
     for path in sorted((SRC / "schemeforge").rglob("*.py")):
@@ -365,6 +374,6 @@ def test_caches_stay_where_they_are():
                 stray.append(f"{path.name}:{node.lineno}")
     assert sorted(decorated) == [
         "catalog:_valued_rings", "catalog:catalog_hypergroup", "catalog:catalog_scheme",
-        "scheme:AssociationScheme.hypergroup",
+        "hypergroup:Hypergroup.table", "scheme:AssociationScheme.hypergroup",
     ]
     assert stray == []

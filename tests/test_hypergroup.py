@@ -1,4 +1,6 @@
 import itertools
+import json
+import time
 from math import inf
 
 import pytest
@@ -6,6 +8,8 @@ import pytest
 import schemeforge as sf
 
 from helpers import set_product
+
+import library_transcript
 
 
 K_TABLE = [[{0}, {1}], [{1}, {0, 1}]]
@@ -18,6 +22,21 @@ SIGN_TABLE = [
 
 def z_hypergroup(n):
     return sf.group_hypergroup(sf.cyclic_group(n))
+
+
+# ---------------------------------------------------------------------------
+# the hypergroup-layer transcript
+
+def test_library_transcript_replays_unchanged():
+    with open(library_transcript.TRANSCRIPT, encoding="utf-8") as fh:
+        table = json.load(fh)
+    start = time.perf_counter()
+    replayed = library_transcript.rows()
+    elapsed = time.perf_counter() - start
+    assert [row["call"] for row in replayed] == [row["call"] for row in table]
+    for row, expected in zip(replayed, table):
+        assert row == expected
+    assert elapsed < 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -736,9 +736,9 @@ def test_hypergroup_check_spans_blocks_at_the_real_bound():
 def test_hypergroup_check_peak_memory_on_a_dense_table():
     # every cell off the identity's row and column is the whole set: 96^3
     # entries, whose rows gathered at once would take 14 * 96^3 * 16 bytes
-    # (190 MB) for one block of a.  160.4 MB is the peak of the earlier check,
-    # which transposed the a(bc) block, Python objects of the table included
-    # (Python 3.11, numpy 2.4)
+    # (190 MB) for one block of a.  37.4 MB is the peak with the cells read
+    # into masks, against 143.2 MB when a frozenset table and a list of one
+    # Python int per entry were built first (Python 3.11, numpy 2.4)
     m = 96
     full = frozenset(range(m))
     table = [[full if a and b else {a + b} for b in range(m)] for a in range(m)]
@@ -749,7 +749,7 @@ def test_hypergroup_check_peak_memory_on_a_dense_table():
     finally:
         tracemalloc.stop()
     assert {v.axiom for v in report.violations} == {"inverse", "reversibility"}
-    assert peak <= 1.1 * 160.4 * 2 ** 20, peak / 2 ** 20
+    assert peak <= 1.1 * 37.4 * 2 ** 20, peak / 2 ** 20
 
 
 def test_class_hypergroup_shares_one_frozenset_per_distinct_cell():

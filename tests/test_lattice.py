@@ -477,7 +477,7 @@ def test_quotient_refusals_keep_their_errors():
 
 
 # ---------------------------------------------------------------------------
-# the two forms of a cell, and the quotient by the identity
+# the masks and their table view, and the quotient by the identity
 
 def _route_values():
     """(route, hypergroup) for every way a Hypergroup is made: both builders,
@@ -516,10 +516,24 @@ def test_masks_match_the_table_on_every_route():
         assert all(type(mask) is int for row in h.masks for mask in row), route
         direct = sf.Hypergroup(m=h.m, table=h.table, e=h.e, inv=h.inv)
         assert h == direct and hash(h) == hash(direct) and repr(h) == repr(direct), route
-        assert "masks" not in repr(h) and "packed" not in repr(h), route
-    # equality reads the table alone, whatever masks a value holds
-    sign = sf.sign_hypergroup()
-    assert sf.Hypergroup(m=3, table=sign.table, e=0, inv=sign.inv, packed=((0,) * 3,) * 3) == sign
+        assert "table=" in repr(h) and "masks" not in repr(h), route
+
+
+def test_class_hypergroup_holds_no_table_until_one_is_read():
+    """to_hypergroup's value holds its masks alone; the closure lattice, the
+    quotients and the realization search leave it and the quotients so, and
+    the first read of ``table`` builds the view once."""
+    scheme = sf.require(sf.build_scheme(8, catalog.catalog_scheme("Z8-2adic").rel))
+    h = sf.to_hypergroup(scheme)
+    assert "table" not in vars(h)
+    for t in sf.hypergroup.closure_lattice(h):
+        if sf.is_normal_sub(h, t)[0] and len(t) < h.m:  # by all of h: a shared constant
+            assert "table" not in vars(sf.quotient_hypergroup(h, t)), sorted(t)
+    assert sf.search_realization(h, 8) is not None
+    assert "table" not in vars(h)
+    table = h.table
+    assert vars(h)["table"] is table and h.table is table
+    assert table == tuple(tuple(frozenset(t for t in range(h.m) if mask >> t & 1) for mask in row) for row in h.masks)
 
 
 def test_quotient_by_the_identity_returns_its_input():

@@ -132,7 +132,7 @@ def test_adjacent_swaps_of_a_realization_keep_its_table_and_order():
 
 def accepts(rel, h) -> bool:
     # the histogram filter agrees with the sorted-paths oracle on every draw
-    fit = realize._counts_fit(rel, realize._class_supports(h.table))
+    fit = realize._counts_fit(rel, realize._class_supports(h.masks))
     assert fit == naive_counts_fit(rel, h.table), (rel, h.table)
     return fit
 

@@ -174,42 +174,61 @@ def compose_morphisms(g: SchemeMorphism, f: SchemeMorphism) -> SchemeMorphism:
     )
 
 
-def _valency_vectors(h: Hypergroup, n: int) -> list[tuple[int, ...]]:
-    """Candidate class valencies, ascending: positive, star-paired, summing to
-    n-1 beyond the diagonal, and at most val[p] * val[q] summed over each p*q.
-    One list is filled per star-pair representative; the last is forced."""
+@dataclasses.dataclass
+class _Plan:
+    """What a search reads of h at every point count, made once a call:
+    ``valencies[n]`` lists the valency vectors of n points, ascending, and
+    ``supports`` is ``_class_supports(h.masks)``, built at the first leaf of
+    any size; many calls reach none."""
+
+    valencies: list[list[tuple[int, ...]]]
+    supports: np.ndarray | None = None
+
+
+def _search_plan(h: Hypergroup, n_max: int) -> _Plan:
+    """The plan of a search up to n_max points.  Its candidate class
+    valencies are positive, star-paired, sum to n-1 beyond the diagonal, and
+    sum to at most val[p] * val[q] over each p*q.  One enumeration serves every
+    point count: values go to the star-pair representatives in turn, each
+    ascending, so each count's list is ascending, and a cell p*q is checked as
+    soon as all of its classes have values."""
     star = h.inv
     reps = [p for p in range(1, h.m) if p <= star[p]]
-    if not reps:
-        return [(1,)] if n == 1 else []
     weights = [1 if star[p] == p else 2 for p in reps]
+    rest = [sum(weights[i:]) for i in range(len(reps) + 1)]
+    step = [-1] * h.m  # the representative whose value sets val[t]; none for e = 0
+    for i, p in enumerate(reps):
+        step[p] = step[star[p]] = i
     # every caller passes h identity-first, and the row and column of e = 0
-    # always pass: e*q = {q} and val[0] = 1
-    cells = [(p, q, _members(h.masks[p][q])) for p in range(1, h.m) for q in range(1, h.m)]
+    # always pass: e*q = {q} and val[0] = 1.  ready[i] holds the cells whose
+    # classes all have values once representative i has one
+    ready = [[] for _ in reps]
+    for p in range(1, h.m):
+        for q in range(1, h.m):
+            cell = _members(h.masks[p][q])
+            ready[max(step[t] for t in (p, q, *cell))].append((p, q, cell))
     val = [1] * h.m
-    out = []
+    out = [[] for _ in range(n_max + 1)]
 
-    def fill(i: int, left: int) -> None:
+    def fill(i: int, used: int) -> None:
+        if i == len(reps):
+            out[used + 1].append(tuple(val))
+            return
         p, w = reps[i], weights[i]
-        if i + 1 < len(reps):
-            for v in range(1, (left - sum(weights[i + 1:])) // w + 1):
-                val[p] = val[star[p]] = v
-                fill(i + 1, left - w * v)
-            return
-        v, r = divmod(left, w)
-        if r or v < 1:
-            return
-        val[p] = val[star[p]] = v
-        for a, b, cell in cells:
-            total = 0
-            for t in cell:
-                total += val[t]
-            if total > val[a] * val[b]:
-                return
-        out.append(tuple(val))
+        for v in range(1, (n_max - 1 - used - rest[i + 1]) // w + 1):
+            val[p] = val[star[p]] = v
+            for a, b, cell in ready[i]:
+                total = 0
+                for t in cell:
+                    total += val[t]
+                if total > val[a] * val[b]:
+                    break
+            else:
+                fill(i + 1, used + w * v)
 
-    fill(0, n - 1)
-    return out
+    if h.m <= n_max:
+        fill(0, 0)
+    return _Plan(out)
 
 
 def _identity_first(h: Hypergroup) -> Hypergroup:
@@ -236,12 +255,19 @@ def _counts_fit(rel, supports: np.ndarray) -> bool:
     of a class r as at its first, with support supports[r]."""
     a = np.asarray(rel)
     hist, flat = _pair_histogram(a, len(supports)), a.ravel()
-    first = (flat[:, None] == flat).argmax(1)  # each pair's first pair of its class
+    # each pair's first pair of its class, row-major; an absent class gets
+    # pair 0, and no pair reads it
+    first = (flat == np.arange(len(supports))[:, None]).argmax(1)[flat]
     return bool(((hist > 0) == supports[flat]).all() and (hist == hist[first]).all())
 
 
-def _search_at_size(h: Hypergroup, n: int):
+def _search_at_size(h: Hypergroup, n: int, plan: _Plan | None = None):
     """Backtracking over class matrices with s = m classes at a fixed point count.
+
+    What depends only on h comes from ``plan``, which ``search_realization``
+    makes once a call for every size: the valency vectors of n points, and
+    the class supports, built at the first leaf of any size.  A lone call
+    makes a plan for n alone.  A size with no valency vector returns at once.
 
     Cells fill column by column, and the classes tried at (x, z), ascending,
     are the bits of the AND over w < x of h.masks[rel[x][w]][rel[w][z]]: each
@@ -256,7 +282,7 @@ def _search_at_size(h: Hypergroup, n: int):
     support that differs from h's cell, so its class table is not h's.  A
     scheme that passes is returned without its class hypergroup, which is h
     literally: the class pairs at every pair of class r are those at its
-    first, which are supports[r], the (p, q) with r in p*q, and ``assign``
+    first, which are plan.supports[r], the (p, q) with r in p*q, and ``assign``
     writes inv(c) beside each c, so the stars are h's inverses.  The filter
     and ``build_scheme`` count by one pair histogram, ``_pair_histogram``: a
     leaf of at most SEARCH_POINT_BOUND points takes that route in the build
@@ -282,13 +308,15 @@ def _search_at_size(h: Hypergroup, n: int):
     tied[i]; the flag is read only below cell i on the current path, so it
     was always written for the class now at i.
     """
+    plan = plan if plan is not None else _search_plan(h, n)
+    if not plan.valencies[n]:
+        return None, 0
     m, star, masks = h.m, h.inv, h.masks
-    supports = None  # built at the first leaf; many sizes have none
     cells = [(x, z) for z in range(1, n) for x in range(z)]  # (x, z) is cell z(z-1)/2 + x
     size = len(cells)
     leaves = 0
 
-    for val in _valency_vectors(h, n):
+    for val in plan.valencies[n]:
         # plain lists while the tree runs; a cell is read only after the current
         # path has set it, so nothing is reset on backtracking
         rel = [[0] * n for _ in range(n)]
@@ -311,12 +339,13 @@ def _search_at_size(h: Hypergroup, n: int):
                 prev = i
 
         def assign(i: int):
-            nonlocal leaves, supports
+            nonlocal leaves
             if i == size:
                 leaves += 1
-                supports = supports if supports is not None else _class_supports(masks)
+                if plan.supports is None:
+                    plan.supports = _class_supports(masks)
                 matrix = np.array(rel, dtype=np.int64)
-                if not _counts_fit(matrix, supports):
+                if not _counts_fit(matrix, plan.supports):
                     return None
                 candidate = build_scheme(n, matrix)
                 return candidate if isinstance(candidate, AssociationScheme) else None
@@ -376,8 +405,9 @@ def search_realization(
             f"realization search refused: n_max={n_max} exceeds bound {SEARCH_POINT_BOUND}"
         )
     h = _identity_first(h)
+    plan = _search_plan(h, n_max)
     for n in range(h.m, n_max + 1):
-        found, leaves = _search_at_size(h, n)
+        found, leaves = _search_at_size(h, n, plan)
         if found is not None:
             return found
         if progress is not None:

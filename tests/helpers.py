@@ -396,10 +396,11 @@ def naive_isomorphic(a, b):
 
 
 def naive_valency_vectors(h, n: int) -> list[tuple[int, ...]]:
-    """Oracle for ``realize._valency_vectors``: every vector of valencies in
-    1..n-1 for the classes 1..m-1, in lexicographic order, kept when star pairs
-    agree, the valencies sum to n - 1 and, for every p, q, the valencies over
-    p*q sum to at most val[p] * val[q].  h must have identity 0."""
+    """Oracle for ``realize._search_plan(h, n_max).valencies[n]``: every
+    vector of valencies in 1..n-1 for the classes 1..m-1, in lexicographic
+    order, kept when star pairs agree, the valencies sum to n - 1 and, for
+    every p, q, the valencies over p*q sum to at most val[p] * val[q].  h must
+    have identity 0."""
     out = []
     for rest in itertools.product(range(1, n), repeat=h.m - 1):
         if sum(rest) != n - 1:

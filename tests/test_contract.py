@@ -277,7 +277,7 @@ def test_class_sets_are_read_off_the_masks():
         "closure_lattice", "is_sub_hypergroup", "_cosets", "_congruence", "congruence_quotient",
         "product_hypergroup", "_signatures", "hypergroup_isomorphic", "Hypergroup.product",
         "Hypergroup.is_commutative")]
-    readers += [f"realize.py:{name}" for name in ("_valency_vectors", "_identity_first", "_search_at_size")]
+    readers += [f"realize.py:{name}" for name in ("_search_plan", "_identity_first", "_search_at_size")]
     readers += [f"constructions.py:{name}" for name in ("_vector_space_violations", "geometry_from_hypergroup")]
     for name in readers:
         assert "masks" in reads[name] and "table" not in reads[name], name

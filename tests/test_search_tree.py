@@ -92,21 +92,37 @@ def test_search_tree_matches_naive_oracle():
 
 
 def test_valency_vectors_match_the_naive_enumeration():
-    # the same list in the same order, lexicographic ascending, for every
-    # labelling of every target at each size, and for one and two elements
+    # each size's list, read off one plan up to the search bound, is the same
+    # list in the same order, lexicographic ascending, for every labelling of
+    # every target, and for one and two elements from one point
+    bound = realize.SEARCH_POINT_BOUND
     trivial = sf.require(sf.build_hypergroup([[{0}]], 0, [0]))
     z2 = sf.group_hypergroup(sf.cyclic_group(2))
-    cases = [(g, n) for h in TARGETS.values() for g in identity_fixing_labellings(h)
-             for n in range(g.m, realize.SEARCH_POINT_BOUND + 1)]
-    cases += [(h, n) for h in (trivial, z2) for n in range(1, realize.SEARCH_POINT_BOUND + 1)]
+    cases = [(g, g.m) for h in TARGETS.values() for g in identity_fixing_labellings(h)]
+    cases += [(trivial, 1), (z2, 1)]
     vectors = 0
-    for g, n in cases:
-        got = realize._valency_vectors(g, n)
-        assert got == naive_valency_vectors(g, n), (g.table, n)
-        vectors += len(got)
-    assert realize._valency_vectors(trivial, 1) == [(1,)]
-    assert realize._valency_vectors(trivial, 2) == []
+    for g, low in cases:
+        valencies = realize._search_plan(g, bound).valencies
+        for n in range(low, bound + 1):
+            assert valencies[n] == naive_valency_vectors(g, n), (g.table, n)
+            vectors += len(valencies[n])
+    assert realize._search_plan(trivial, bound).valencies[1:3] == [[(1,)], []]
     assert vectors > 200
+
+
+def test_a_search_reads_h_once_whatever_the_sizes(monkeypatch):
+    # one call decodes h's cells once and builds the class supports at most
+    # once, on a target that exhausts several sizes with leaves
+    decoded, built, exhausted = [], [], []
+    members, supports = realize._members, realize._class_supports
+    monkeypatch.setattr(realize, "_members", lambda mask: decoded.append(mask) or members(mask))
+    monkeypatch.setattr(realize, "_class_supports", lambda masks: built.append(masks) or supports(masks))
+    h = TARGETS["petersen"]
+    assert realize.search_realization(h, realize.SEARCH_POINT_BOUND, progress=exhausted.append) is None
+    sizes_with_leaves = [line for line in exhausted if not line.endswith(": 0 candidate matrices, 0 matches")]
+    assert len(sizes_with_leaves) > 1
+    assert len(decoded) == (h.m - 1) ** 2
+    assert len(built) == 1
 
 
 def test_adjacent_swaps_of_a_realization_keep_its_table_and_order():

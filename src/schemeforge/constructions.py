@@ -11,13 +11,14 @@ import dataclasses
 import itertools
 from collections.abc import Iterable, Sequence
 from math import inf
+from numbers import Integral
 
 import numpy as np
 
 from .errors import _WITNESS_CAP, Report, SizeGuardError, VerificationError, Violation, require
 from .hypergroup import (
-    _BLOCK_BYTES,
     Hypergroup,
+    _first_flagged,
     _generators,
     _light_associative,
     _members,
@@ -42,23 +43,6 @@ class FiniteGroup:
     inv: tuple[int, ...]
 
 
-def _first_triple(passes, differ, g: int) -> tuple[int, int, int] | None:
-    """The first (x, y, z) in row-major order where differ(xs), a bool array
-    of shape (len(xs), g, g) over a slice xs of x, is True, or None.  Where
-    the g^3 scan outgrows the smallest block, passes(), a proof that there
-    is none, is tried first; the scan reads a block of x at a time, each
-    block's int64 layers within _BLOCK_BYTES[1]."""
-    if 8 * g ** 3 > _BLOCK_BYTES[0] and passes():
-        return None
-    step = max(1, _BLOCK_BYTES[1] // (8 * g * g))
-    for x0 in range(0, g, step):
-        block = differ(slice(x0, x0 + step))
-        if block.any():
-            x, y, z = np.argwhere(block)[0].tolist()
-            return x + x0, y, z
-    return None
-
-
 def build_group(cayley) -> FiniteGroup:
     """Verify the group axioms on a Cayley table; identity and inverses are derived.
 
@@ -69,9 +53,10 @@ def build_group(cayley) -> FiniteGroup:
     a that pass are closed under *: for a and b among them, (x(ab))y =
     ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).  So every element, a product
     of generators, passes, and that is associativity.  A smaller table, or
-    one the test does not accept, is scanned a block of x at a time for its
-    first non-associative (x, y, z) in row-major order, which the refusal
-    names; nothing of size g^3 is allocated beyond the smallest block.
+    one the test does not accept, is scanned by ``hypergroup._first_flagged``
+    a block of x at a time, g^2 int64s an x, for its first non-associative
+    (x, y, z) in row-major order, which the refusal names; nothing of size
+    g^3 is allocated beyond the smallest block.
     """
     t = np.asarray(cayley, dtype=np.int64)
     g = t.shape[0]
@@ -79,9 +64,9 @@ def build_group(cayley) -> FiniteGroup:
         raise ValueError("Cayley table must be square and nonempty")
     if t.min() < 0 or t.max() >= g:
         raise ValueError("Cayley table entries out of range")
-    witness = _first_triple(lambda: _light_associative(t), lambda xs: t[t[xs]] != t[xs][:, t], g)
+    witness = _first_flagged(g, 8 * g * g, lambda xs: t[t[xs]] != t[xs][:, t], 1, lambda: _light_associative(t))
     if witness:
-        raise ValueError(f"not associative at {witness}")
+        raise ValueError(f"not associative at {witness[0]}")
     idx = np.arange(g)
     es = [e for e in range(g) if np.array_equal(t[e], idx) and np.array_equal(t[:, e], idx)]
     if len(es) != 1:
@@ -245,9 +230,9 @@ def build_ring(add, mul) -> FiniteRing:
     well, (ab)(c + d) = (ab)c + (ab)d = a(bc) + a(bd) = a(b(c + d)), so the
     additive generators would settle it too; Light's set is used because
     associativity is checked, and refused, before distributivity.  Below the
-    route, or when a generator fails, distributivity is scanned a block of
-    x at a time for its first (x, y, z) in row-major order, which the
-    refusal names; nothing of size g^3 is allocated beyond the smallest block.
+    route, or when a generator fails, distributivity is scanned as
+    ``build_group`` scans associativity for its first (x, y, z) in row-major
+    order, which the refusal names.
     """
     a = np.asarray(add, dtype=np.int64)
     m = np.asarray(mul, dtype=np.int64)
@@ -261,18 +246,18 @@ def build_ring(add, mul) -> FiniteRing:
         raise ValueError("addition must be commutative")
     if not np.array_equal(m, m.T):
         raise ValueError("multiplication must be commutative")
-    if _first_triple(lambda: _light_associative(m), lambda xs: m[m[xs]] != m[xs][:, m], g):
+    if _first_flagged(g, 8 * g * g, lambda xs: m[m[xs]] != m[xs][:, m], 1, lambda: _light_associative(m)):
         raise ValueError("multiplication must be associative")
     idx = np.arange(g)
     ones = [c for c in range(g) if np.array_equal(m[c], idx)]
     if len(ones) != 1:
         raise ValueError(f"unit candidates: {ones}")
     # x(y + z) against xy + xz: at [x, y] for each additive generator z, or all at once
-    witness = _first_triple(
-        lambda: all(np.array_equal(m[:, a[:, z]], a[m, m[:, z, None]]) for z in _generators(a)),
-        lambda xs: m[xs][:, a] != a[m[xs, :, None], m[xs, None, :]], g)
+    witness = _first_flagged(
+        g, 8 * g * g, lambda xs: m[xs][:, a] != a[m[xs, :, None], m[xs, None, :]], 1,
+        lambda: all(np.array_equal(m[:, a[:, z]], a[m, m[:, z, None]]) for z in _generators(a)))
     if witness:
-        raise ValueError(f"not distributive at {witness}")
+        raise ValueError(f"not distributive at {witness[0]}")
     zero = grp.e
     if not np.array_equal(m[zero], np.full(g, zero)):
         raise ValueError("zero must be absorbing")
@@ -675,51 +660,66 @@ class IncidenceGeometry:
 
 def check_geometry(n_points: int, lines: Sequence[Sequence[int]]) -> list[Violation]:
     """Incidence axioms: lines carry at least three distinct points, two points
-    span exactly one line, and the Veblen-Young triangle axiom holds."""
+    span exactly one line, and the Veblen-Young triangle axiom holds.
+
+    A point that is no integer in 0..n_points-1 breaks its line.  A negative
+    point count raises ValueError, and more than GEOMETRY_POINT_BOUND points
+    SizeGuardError, before anything is built.  Once two points span exactly
+    one line, two lines share at most one point, and the triangle axiom is
+    read off the incidence matrix: a line through p meets pq or pr only at
+    p, and a line i off p fails it for the triangle (p, q, r) when it meets
+    pq and pr and misses qr.  The first 10 failures (p, q, r, i), p < q < r,
+    come in row-major order from ``hypergroup._first_flagged``, a block of p
+    at a time.
+    """
+    if n_points < 0:
+        raise ValueError(f"point count must be nonnegative, got {n_points}")
+    if n_points > GEOMETRY_POINT_BOUND:
+        raise SizeGuardError(f"geometry check refused: {n_points} points exceeds {GEOMETRY_POINT_BOUND}")
     bad: list[Violation] = []
     sets = []
     for i, line in enumerate(lines):
         members = set(line)
-        if len(members) != len(tuple(line)) or not all(0 <= p < n_points for p in members):
+        in_range = all(isinstance(p, Integral) and 0 <= p < n_points for p in members)
+        if len(members) != len(tuple(line)) or not in_range:
             bad.append(Violation("line_points", (i,)))
         elif len(members) < 3:
             bad.append(Violation("line_size", (i,)))
         sets.append(frozenset(members))
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            if sets[i] == sets[j]:
-                bad.append(Violation("duplicate_line", (i, j)))
+    same: dict[frozenset[int], list[int]] = {}
+    for i, members in enumerate(sets):
+        same.setdefault(members, []).append(i)
+    bad += [Violation("duplicate_line", pair)
+            for pair in sorted(pair for group in same.values() for pair in itertools.combinations(group, 2))]
     if bad:
         return bad
 
-    line_through: dict[tuple[int, int], int] = {}
+    through = [[-1] * n_points for _ in range(n_points)]  # through[p][q]: the line through p and q
     for i, members in enumerate(sets):
         for p, q in itertools.combinations(sorted(members), 2):
-            if (p, q) in line_through:
+            if through[p][q] >= 0:
                 bad.append(Violation("pair_multicovered", (p, q)))
-            line_through[(p, q)] = i
-    for p, q in itertools.combinations(range(n_points), 2):
-        if (p, q) not in line_through:
-            bad.append(Violation("pair_uncovered", (p, q)))
-    if bad:
+            through[p][q] = through[q][p] = i
+    bad += [Violation("pair_uncovered", (p, q))
+            for p, q in itertools.combinations(range(n_points), 2) if through[p][q] < 0]
+    if bad or n_points < 3:  # a triangle needs three points
         return bad
 
-    def line_of(p: int, q: int) -> frozenset[int]:
-        return sets[line_through[(min(p, q), max(p, q))]]
-
-    for p, q, r in itertools.combinations(range(n_points), 3):
-        side_pq, side_pr = line_of(p, q), line_of(p, r)
-        if r in side_pq:
-            continue  # collinear triple, no triangle
-        side_qr = line_of(q, r)
-        for i, members in enumerate(sets):
-            xs = (members & side_pq) - {p}
-            ys = (members & side_pr) - {p}
-            if xs and ys and not members & side_qr:
-                bad.append(Violation("veblen_young", (p, q, r, i)))
-                if len(bad) >= 10:
-                    return bad
-    return bad
+    on = np.zeros((n_points, len(sets)), dtype=bool)  # on[p, i]: p lies on line i
+    for i, members in enumerate(sets):
+        on[list(members), i] = True
+    meets = np.zeros((len(sets), len(sets)), dtype=bool)  # meets[i, j]: lines i and j share a point
+    for lines_at in on:
+        meets[np.ix_(lines_at, lines_at)] = True
+    # meets_line[x, y, i]: line i meets the line through x and y (at x = y, a
+    # row that the order p < q < r masks)
+    meets_line = meets[np.array(through)]
+    upper = np.triu(np.ones((n_points, n_points), dtype=bool), 1)[:, :, None]
+    near = meets_line & ~on[:, None, :] & upper  # near[p, q, i]: p < q, and line i off p meets pq
+    far = upper & ~meets_line  # far[q, r, i]: q < r, and line i misses qr
+    triangles = _first_flagged(n_points, n_points * n_points * len(sets),
+                               lambda ps: near[ps, :, None] & near[ps, None] & far, cap=10)
+    return [Violation("veblen_young", w) for w in triangles]
 
 
 def verified_geometry(n_points: int, lines: Sequence[tuple[int, ...]]) -> IncidenceGeometry:
@@ -736,17 +736,15 @@ def geometry_from_hypergroup(h: Hypergroup) -> IncidenceGeometry:
     sum (minus the identity) together with the points themselves.
 
     A hypergroup that is no vector space over K, or whose line set fails a
-    geometry axiom, raises VerificationError with witnesses.  Geometries with at
-    most one point or at most one line are flagged degenerate but accepted.
+    geometry axiom, raises VerificationError with witnesses, and one with more
+    than GEOMETRY_POINT_BOUND points SizeGuardError from ``check_geometry``.
+    Geometries with at most one point or at most one line are flagged
+    degenerate but accepted.
     """
     bad = _vector_space_violations(h)
     if bad:
         raise VerificationError(bad, "hypergroup is not a vector space over the two-element hyperfield")
     elems = [x for x in range(h.m) if x != h.e]
-    if len(elems) > GEOMETRY_POINT_BOUND:
-        raise SizeGuardError(
-            f"geometry extraction refused: {len(elems)} points exceeds {GEOMETRY_POINT_BOUND}"
-        )
     pos = {x: i for i, x in enumerate(elems)}
     lines = {h.masks[p][q] & ~(1 << h.e) | 1 << p | 1 << q for p, q in itertools.combinations(elems, 2)}
     return verified_geometry(len(elems), sorted(tuple(pos[t] for t in _members(line)) for line in lines))

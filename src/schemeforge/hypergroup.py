@@ -23,6 +23,10 @@ many as fit in the block, and every temporary is at most 2 MB unless one a
 needs more.  Reversibility is two gathers over the nonzero cells.  Witnesses
 come in ascending (a, b, c) order, at most 25 per axiom.
 
+Associativity here, the group and ring checks, both morphism passes and the
+Veblen-Young check all find their first witnesses by one blocked scan,
+``_first_flagged``.
+
 A table of singletons is a group table (class hypergroups of group schemes,
 ``group_as_hypergroup``, quotients of groups).  Where its m^3 scan would
 outgrow the smallest block, from m = 21 on, its associativity is first put
@@ -36,9 +40,10 @@ y and each generator a.  The a that pass (Light's set) are closed under *:
 for a and b in it, (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y),
 each step one of a's or b's identities.  So every product of generators,
 every element, lies in it, and that is associativity.  The test only ever
-accepts: a table it does not accept is scanned as above, so the witnesses
-do not depend on the route.  ``build_group`` and ``build_ring`` put their
-tables to the same test on the same size route.
+accepts: it is the proof of the scan, and a table it does not accept is
+scanned as above, so the witnesses do not depend on the route.
+``build_group`` and ``build_ring`` put their tables to the same test on the
+same size route.
 
 A cell is held once, as ``masks[a][b]``, the Python int with bit t set for
 each t in a*b, and ``_table_masks`` alone turns a table's cells into masks.
@@ -146,13 +151,7 @@ def _verified(support: np.ndarray, e: int, inv, masks=None) -> Hypergroup | Repo
     # the entries (a*m + b, t) of the cells in C order; cell k's are at bounds[k]:bounds[k + 1]
     cell, elem = np.divmod(support.ravel().nonzero()[0], m)
     bounds = np.searchsorted(cell, np.arange(m * m + 1))
-    # a single-valued table whose m^3 scan outgrows the smallest block is
-    # first offered to Light's test, which can only accept
-    if len(elem) == m * m and m * bits.nbytes > _BLOCK_BYTES[0] and _light_associative(elem.reshape(m, m)):
-        differ = []
-    else:
-        differ = _associativity_witnesses(bits, elem, bounds)
-    bad += [Violation("associativity", (x // (m * m), x // m % m, x % m)) for x in differ]
+    bad += [Violation("associativity", w) for w in _associativity_witnesses(bits, elem, bounds)]
 
     # c in ab needs a in c*inv(b) and b in inv(a)*c
     a, b = np.divmod(cell, m)
@@ -164,24 +163,46 @@ def _verified(support: np.ndarray, e: int, inv, masks=None) -> Hypergroup | Repo
     return Hypergroup._from_masks(m, _cell_masks(bits) if masks is None else masks, int(e), inv)
 
 
-def _associativity_witnesses(bits: np.ndarray, elem: np.ndarray, bounds: np.ndarray) -> list[int]:
-    """The first _WITNESS_CAP triples a*m^2 + b*m + c, ascending, where (ab)c
-    and a(bc) differ, read from the words bits[a, b] and the cell entries."""
+def _first_flagged(n: int, row_bytes: int, flags, cap: int = _WITNESS_CAP, proof=None) -> list[tuple[int, ...]]:
+    """The first cap indices, in row-major order, of the True entries of a bool
+    array of n rows, as tuples of ints; flags(rows) gives its rows at the
+    slice rows, a block at a time, each within _BLOCK_BYTES[1] at row_bytes a
+    row (one row at least).  Where the whole scan outgrows _BLOCK_BYTES[0],
+    proof() is tried first: it can only accept, and True means none is set."""
+    if proof is not None and n * row_bytes > _BLOCK_BYTES[0] and proof():
+        return []
+    step = max(1, _BLOCK_BYTES[1] // row_bytes)
+    found: list[tuple[int, ...]] = []
+    for r0 in range(0, n, step):
+        block = flags(slice(r0, r0 + step))
+        flat = np.flatnonzero(block)[:cap - len(found)]
+        if len(flat):
+            at = np.unravel_index(flat, block.shape)
+            found += zip((at[0] + r0).tolist(), *(i.tolist() for i in at[1:]))
+            if len(found) == cap:
+                break
+    return found
+
+
+def _associativity_witnesses(bits: np.ndarray, elem: np.ndarray, bounds: np.ndarray) -> list[tuple[int, int, int]]:
+    """The first _WITNESS_CAP triples (a, b, c), ascending, where (ab)c and
+    a(bc) differ, read from the words bits[a, b] and the cell entries, a
+    block of a at a time.  A single-valued table is first offered to Light's
+    test where its m^3 scan outgrows the smallest block."""
     m, words = bits.shape[0], bits.shape[2]
-    # (ab)c at [a*m + b - lo, c] joins the rows bits[t] = t*c, and a(bc) at
-    # [a - a0, b*m + c] the columns bits[a, t] = a*t, so both are in (a, b, c)
-    # order; a block of a at a time, each as large as bits times the block
-    step = max(1, _BLOCK_BYTES[1] // bits.nbytes)
-    differ: list[int] = []
-    for a0 in range(0, m, step):
-        lo, hi = a0 * m, min(a0 + step, m) * m
+
+    def differ(rows: slice) -> np.ndarray:
+        # (ab)c at [a*m + b - lo, c] joins the rows bits[t] = t*c, and a(bc)
+        # at [a - rows.start, b*m + c] the columns bits[a, t] = a*t, so both
+        # are in (a, b, c) order
+        lo, hi = rows.start * m, min(rows.stop, m) * m
         left = _or_cells(bits, elem, bounds[lo:hi + 1], 0).reshape(-1, words)
-        right = _or_cells(bits[a0:a0 + step], elem, bounds, 1).reshape(-1, words)
+        right = _or_cells(bits[rows], elem, bounds, 1).reshape(-1, words)
         ne = left[:, 0] != right[:, 0] if words == 1 else (left != right).any(axis=1)
-        differ += (ne.nonzero()[0][:_WITNESS_CAP - len(differ)] + lo * m).tolist()
-        if len(differ) >= _WITNESS_CAP:
-            break
-    return differ
+        return ne.reshape(-1, m, m)
+
+    light = functools.partial(_light_associative, elem.reshape(m, m)) if len(elem) == m * m else None
+    return _first_flagged(m, bits.nbytes, differ, proof=light)
 
 
 def _generators(t: np.ndarray) -> list[int]:

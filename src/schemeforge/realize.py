@@ -11,8 +11,8 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .errors import _WITNESS_CAP, SizeGuardError, VerificationError, Violation
-from .hypergroup import _BLOCK_BYTES, Hypergroup, _mask_support, _members
+from .errors import SizeGuardError, VerificationError, Violation
+from .hypergroup import Hypergroup, _first_flagged, _mask_support, _members
 from .scheme import (
     AssociationScheme,
     _pair_histogram,
@@ -62,16 +62,11 @@ def check_morphism(f: SchemeMorphism) -> MorphismReport:
 
     pm = np.array(f.point_map, dtype=np.int64)
     cm = np.array(f.class_map, dtype=np.int64)
-    # Both passes run over blocks of source points, each block's rows of the
-    # image and expected classes (n int64s a point) and its s x n_t boolean
-    # arrays within the block bound; row-major witnesses stay in order.
-    step = max(1, _BLOCK_BYTES[1] // max(src.s * tgt.n, 8 * src.n))
-    for a in range(0, src.n, step):
-        image = tgt.rel[pm[a:a + step, None], pm]
-        differ = np.argwhere(image != cm[src.rel[a:a + step]])[:_WITNESS_CAP - len(bad)]
-        bad += [Violation("morphism", (x + a, y)) for x, y in differ.tolist()]
-        if len(bad) == _WITNESS_CAP:
-            break
+    # Both passes run over blocks of source points: the image and expected
+    # classes take n int64s a point, the s x n_t booleans of the second pass
+    # s bytes (and the target's rows 8) a target point.
+    differ = _first_flagged(src.n, 8 * src.n, lambda xs: tgt.rel[pm[xs, None], pm] != cm[src.rel[xs]])
+    bad = [Violation("morphism", w) for w in differ]
     if not bad:
         # forced consequences, re-verified: identity class and star-equivariance
         if f.class_map[0] != 0:
@@ -82,20 +77,19 @@ def check_morphism(f: SchemeMorphism) -> MorphismReport:
     if bad:
         return MorphismReport(False, False, tuple(bad))
 
-    # hit[x, p, u]: some z in class p from x has pm[z] = u; a target point y in
-    # class cm[p] from pm[x] that is not hit is a miss, named once per (x, p)
-    found: list[tuple[int, int, int]] = []
-    for a in range(0, src.n, step):
-        rows = src.rel[a:a + step]
-        hit = np.zeros((len(rows), src.s, tgt.n), dtype=bool)
-        hit[np.arange(len(rows))[:, None], rows, pm] = True
-        miss = (tgt.rel[pm[a:a + step]][:, None, :] == cm[:, None]) & ~hit
-        xs, ps = np.nonzero(miss.any(axis=2))
-        xs, ps = xs[:_WITNESS_CAP - len(found)], ps[:_WITNESS_CAP - len(found)]
-        found += zip((xs + a).tolist(), miss[xs, ps].argmax(axis=1).tolist(), ps.tolist())
-        if len(found) == _WITNESS_CAP:
-            break
-    adm_bad = tuple(Violation("admissible", w) for w in found)
+    def first_misses(xs: slice) -> np.ndarray:
+        # a target point y in class cm[p] from pm[x] is a miss unless some z in
+        # class p from x has pm[z] = y; the first miss of each (x, p) is flagged
+        rows = src.rel[xs]
+        miss = tgt.rel[pm[xs]][:, None, :] == cm[:, None]
+        miss[np.arange(len(rows))[:, None], rows, pm] = False
+        x, p = np.nonzero(miss.any(axis=2))
+        first = np.zeros_like(miss)
+        first[x, p, miss[x, p].argmax(axis=1)] = True
+        return first
+
+    found = _first_flagged(src.n, max(src.s, 8) * tgt.n, first_misses)
+    adm_bad = tuple(Violation("admissible", (x, y, p)) for x, p, y in found)
     return MorphismReport(True, not adm_bad, adm_bad)
 
 

@@ -517,3 +517,54 @@ def naive_search_at_size(h, n: int):
         if found is not None:
             return found, leaves
     return None, leaves
+
+
+def naive_check_geometry(n_points: int, lines) -> list[tuple[str, tuple]]:
+    """check_geometry's (axiom, witness) pairs by the loops it once ran: line
+    shapes, duplicates by comparing every pair of lines, pair coverage through
+    a dict, then the Veblen-Young axiom per triple p < q < r and line i, the
+    first 10 failures."""
+    bad = []
+    sets = []
+    for i, line in enumerate(lines):
+        members = set(line)
+        if len(members) != len(tuple(line)) or not all(0 <= p < n_points for p in members):
+            bad.append(("line_points", (i,)))
+        elif len(members) < 3:
+            bad.append(("line_size", (i,)))
+        sets.append(frozenset(members))
+    for i in range(len(sets)):
+        for j in range(i + 1, len(sets)):
+            if sets[i] == sets[j]:
+                bad.append(("duplicate_line", (i, j)))
+    if bad:
+        return bad
+
+    line_through: dict[tuple[int, int], int] = {}
+    for i, members in enumerate(sets):
+        for p, q in itertools.combinations(sorted(members), 2):
+            if (p, q) in line_through:
+                bad.append(("pair_multicovered", (p, q)))
+            line_through[(p, q)] = i
+    for p, q in itertools.combinations(range(n_points), 2):
+        if (p, q) not in line_through:
+            bad.append(("pair_uncovered", (p, q)))
+    if bad:
+        return bad
+
+    def line_of(p: int, q: int) -> frozenset[int]:
+        return sets[line_through[(min(p, q), max(p, q))]]
+
+    for p, q, r in itertools.combinations(range(n_points), 3):
+        side_pq, side_pr = line_of(p, q), line_of(p, r)
+        if r in side_pq:
+            continue  # collinear triple, no triangle
+        side_qr = line_of(q, r)
+        for i, members in enumerate(sets):
+            xs = (members & side_pq) - {p}
+            ys = (members & side_pr) - {p}
+            if xs and ys and not members & side_qr:
+                bad.append(("veblen_young", (p, q, r, i)))
+                if len(bad) >= 10:
+                    return bad
+    return bad

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from math import inf
 
@@ -5,9 +6,9 @@ import numpy as np
 import pytest
 
 import schemeforge as sf
-from schemeforge import catalog
+from schemeforge import catalog, constructions, hypergroup, io
 
-from helpers import hamming_distance, naive_orbits, naive_partition_hypergroup
+from helpers import hamming_distance, naive_check_geometry, naive_orbits, naive_partition_hypergroup
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +547,7 @@ def test_product_of_krasner_is_not_a_vector_space_hypergroup():
 
 def test_check_geometry_detects_violations():
     assert sf.check_geometry(3, [(0, 1)]) [0].axiom == "line_size"
+    assert [v.axiom for v in sf.check_geometry(3, [(0.0, 1.0, 2.0), (0, 1, 2.5)])] == ["line_points"] * 2
     assert any(
         v.axiom == "pair_multicovered"
         for v in sf.check_geometry(4, [(0, 1, 2), (0, 1, 3)])
@@ -567,6 +569,145 @@ def test_check_geometry_veblen_young_fails_on_affine_plane():
     bad = sf.check_geometry(9, lines)
     assert bad
     assert all(v.axiom == "veblen_young" for v in bad)
+
+
+def projective_lines(d: int, q: int) -> tuple[int, list[tuple[int, ...]]]:
+    """PG(d, q) for a prime q: the points are the vectors of F_q^(d+1) whose
+    first nonzero coordinate is 1, in lexicographic order, and the line
+    through a and b holds a and the points of b + t*a."""
+    points = [v for v in itertools.product(range(q), repeat=d + 1) if any(v) and v[np.flatnonzero(v)[0]] == 1]
+    index = {v: i for i, v in enumerate(points)}
+
+    def point(v):
+        lead = next(x for x in v if x)
+        return index[tuple(x * pow(lead, -1, q) % q for x in v)]
+
+    lines, covered = set(), set()
+    for a, b in itertools.combinations(points, 2):
+        if (index[a], index[b]) not in covered:
+            line = tuple(sorted({index[a]} | {point([(y + t * x) % q for x, y in zip(a, b)]) for t in range(q)}))
+            lines.add(line)
+            covered |= set(itertools.combinations(line, 2))
+    return len(points), sorted(lines)
+
+
+def affine_lines(q: int) -> tuple[int, list[tuple[int, ...]]]:
+    """AG(2, q) for a prime q, the point (x, y) numbered q*x + y."""
+    lines = [tuple(q * c + y for y in range(q)) for c in range(q)]
+    lines += [tuple(q * x + (slope * x + c) % q for x in range(q)) for slope in range(q) for c in range(q)]
+    return q * q, lines
+
+
+def hyperring_geometry(q: int) -> tuple[int, list[tuple[int, ...]]]:
+    r = sf.gf_ring(q)
+    geom = sf.geometry_from_hypergroup(sf.quotient_hyperring(r, sf.units_of_order_dividing(r, 3)).hypergroup)
+    return geom.n_points, list(geom.lines)
+
+
+def perturbed(n, lines, rng):
+    """Six copies of a geometry with its points relabelled: with one point
+    deleted, with three deleted, with a line dropped, with a line repeated,
+    with a point added to a line, and with two lines sharing a point more."""
+    relabel = rng.permutation(n)
+    lines = [tuple(sorted(int(relabel[p]) for p in line)) for line in lines]
+    out = []
+    for k in (1, 3):
+        gone = set(rng.choice(n, k, replace=False).tolist())
+        keep = {p: i for i, p in enumerate(sorted(set(range(n)) - gone))}
+        out.append((n - k, [tuple(keep[p] for p in line if p in keep) for line in lines]))
+    i, j = rng.integers(len(lines), size=2).tolist()
+    out.append((n, lines[:i] + lines[i + 1:]))
+    out.append((n, lines + [lines[i]]))
+    grown = list(lines)
+    grown[i] = tuple(sorted(set(lines[i]) | {next(p for p in range(n + 1) if p not in lines[i])}))
+    out.append((n, grown))
+    grown = list(grown)
+    grown[j] = tuple(sorted(set(lines[j]) | {lines[i][0]}))
+    out.append((n, grown))
+    return out
+
+
+@functools.cache
+def geometry_cases():
+    """(n_points, lines, naive_check_geometry's answer) on projective spaces,
+    affine planes and a near-pencil, 54 perturbed copies of them and 300
+    random line sets; the loops run once however many tests read them."""
+    rng = np.random.default_rng(29)
+    spaces = [sf.fano_plane(), projective_lines(3, 2), hyperring_geometry(16), hyperring_geometry(64),
+              projective_lines(2, 3), projective_lines(2, 5), projective_lines(3, 3), projective_lines(2, 7),
+              affine_lines(3)]
+    cases = spaces + [affine_lines(5), (6, [(0, 1, 2, 3, 4)] + [(5, p) for p in range(5)])]
+    for n, lines in spaces:
+        cases += perturbed(n, lines, rng)
+    for _ in range(300):
+        n = int(rng.integers(3, 10))
+        cases.append((n, [tuple(rng.choice(n + 1, int(rng.integers(2, min(6, n + 2))), replace=False).tolist())
+                          for _ in range(int(rng.integers(1, 13)))]))
+    return [(n, lines, naive_check_geometry(n, lines)) for n, lines in cases]
+
+
+@pytest.mark.parametrize("block", [None, (1 << 16, 1)], ids=["default-block", "one-point-block"])
+def test_geometry_check_matches_the_triple_loop(block, monkeypatch):
+    """check_geometry names the same witnesses, in the same order, as the
+    loops it replaced, on every case of geometry_cases.  With one point a
+    block, the Veblen-Young scan of a valid space spans every block, and
+    that of a broken one stops at 10 witnesses."""
+    if block is not None:
+        monkeypatch.setattr(hypergroup, "_BLOCK_BYTES", block)
+    axioms = set()
+    for n, lines, want in geometry_cases():
+        assert [(v.axiom, v.witness) for v in sf.check_geometry(n, lines)] == want, (n, lines)
+        axioms |= {axiom for axiom, _ in want}
+    assert axioms == {"line_points", "line_size", "duplicate_line", "pair_multicovered", "pair_uncovered",
+                      "veblen_young"}
+    vy = [want for _, _, want in geometry_cases() if want and want[0][0] == "veblen_young"]
+    assert len(vy) >= 10 and all(len(want) == 10 for want in vy)
+    assert sum(n >= 3 and not want for n, _, want in geometry_cases()) >= 9
+
+
+def test_geometry_check_refuses_above_its_point_bound():
+    """64 points on one line pass and 65 are refused before anything is built,
+    as is a file of 3,000 points and no lines (whose pair loop would list
+    4,498,500 uncovered pairs)."""
+    assert sf.check_geometry(64, [tuple(range(64))]) == []
+    with pytest.raises(sf.SizeGuardError, match="65 points exceeds 64"):
+        sf.check_geometry(65, [tuple(range(65))])
+    with pytest.raises(sf.SizeGuardError, match="3000 points exceeds 64"):
+        io.load_geometry('{"points": 3000, "lines": []}')
+
+
+def test_geometry_check_refuses_a_negative_point_count():
+    """A negative point count is a ValueError, also from verified_geometry and
+    load_geometry, not a degenerate geometry."""
+    for check in (sf.check_geometry, constructions.verified_geometry):
+        with pytest.raises(ValueError, match="nonnegative"):
+            check(-5, [])
+    with pytest.raises(ValueError, match="nonnegative"):
+        io.load_geometry('{"points": -5, "lines": []}')
+
+
+def test_pg_5_2_passes_at_the_point_bound():
+    """PG(5, 2), the nonzero vectors of F_2^6 with the lines {a, b, a xor b},
+    has 63 points on 651 lines and passes."""
+    lines = sorted({tuple(sorted((a - 1, b - 1, (a ^ b) - 1))) for a, b in itertools.combinations(range(1, 64), 2)})
+    assert len(lines) == 651
+    assert sf.check_geometry(63, lines) == []
+
+
+def test_geometry_from_hypergroup_meets_the_point_bound():
+    """The projective line on k points as a hypergroup (x + y the other points,
+    x + x = {0, x}): 64 points give one line, and 65 are refused by
+    check_geometry's bound."""
+    for k in (64, 65):
+        points = set(range(1, k + 1))
+        table = [[{y} if x == 0 else {x} if y == 0 else {0, x} if x == y else points - {x, y}
+                  for y in range(k + 1)] for x in range(k + 1)]
+        h = sf.require(sf.build_hypergroup(table, 0, list(range(k + 1))))
+        if k == 64:
+            assert sf.geometry_from_hypergroup(h).lines == (tuple(range(64)),)
+        else:
+            with pytest.raises(sf.SizeGuardError, match="65 points exceeds 64"):
+                sf.geometry_from_hypergroup(h)
 
 
 def test_collinearity_matches_complex_multiplication_f64():

@@ -284,6 +284,30 @@ def test_class_sets_are_read_off_the_masks():
     assert from_table == ["hypergroup.py:_table_masks"]
 
 
+def test_first_witnesses_come_from_one_blocked_scan():
+    """Only hypergroup.py and scheme.py read _BLOCK_BYTES.  Associativity,
+    the group and ring checks, both morphism passes and the Veblen-Young
+    check find their first witnesses through hypergroup._first_flagged, and
+    none of them (nested functions included) steps a range over row blocks
+    of its own."""
+    readers, calls, stepped = set(), {}, {}
+    for path in sorted((SRC / "schemeforge").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any(getattr(n, "id", getattr(n, "attr", getattr(n, "name", None))) == "_BLOCK_BYTES"
+               for n in ast.walk(tree)):
+            readers.add(path.name)
+        for qualified, node in _functions(tree):
+            calls[f"{path.name}:{qualified}"] = _called_names(node)
+            stepped[f"{path.name}:{qualified}"] = any(
+                isinstance(n, ast.Call) and getattr(n.func, "id", None) == "range" and len(n.args) == 3
+                for n in ast.walk(node))
+    assert readers == {"hypergroup.py", "scheme.py"}
+    for name in ("hypergroup.py:_associativity_witnesses", "constructions.py:build_group",
+                 "constructions.py:build_ring", "realize.py:check_morphism", "constructions.py:check_geometry"):
+        assert "_first_flagged" in calls[name] and not stepped[name], name
+    assert not any(name.startswith("constructions.py:_first_triple") for name in calls)
+
+
 def test_constants_support_is_read_in_one_place():
     """constants > 0 is the class hypergroup's table; it is formed only where
     that hypergroup is built, and every class-set question goes through it."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import schemeforge as sf
-from schemeforge import catalog, realize, scheme
+from schemeforge import catalog, hypergroup, realize, scheme
 
 from helpers import naive_admissible
 
@@ -105,7 +105,7 @@ def test_admissibility_matches_the_definition(block, monkeypatch):
     up to 21 points, its product projections with Z2.  With one source point
     a block, the witnesses span blocks and the pass stops at the cap."""
     if block is not None:
-        monkeypatch.setattr(realize, "_BLOCK_BYTES", block)
+        monkeypatch.setattr(hypergroup, "_BLOCK_BYTES", block)
     rng = np.random.default_rng(24)
     z2 = catalog.catalog_scheme("Z2")
 
@@ -143,7 +143,7 @@ def test_structure_witnesses_match_the_definition(block, monkeypatch):
     relabelled or its nondiagonal classes rotated.  With one source point a
     block, the witnesses span blocks and the pass stops at the cap."""
     if block is not None:
-        monkeypatch.setattr(realize, "_BLOCK_BYTES", block)
+        monkeypatch.setattr(hypergroup, "_BLOCK_BYTES", block)
     rng = np.random.default_rng(25)
     for name in catalog.scheme_names():
         s = catalog.catalog_scheme(name)

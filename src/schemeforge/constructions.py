@@ -3,6 +3,9 @@ quotient hyperrings, Hamming and flag schemes, linearly ordered hypergroups,
 valuation schemes, and projective geometries extracted from hypergroups.
 
 Everything here is finite and exhaustively verified at construction time.
+A group's table, a ring's product and a quotient hyperring's product are
+single-valued, and their associativity is ``hypergroup._table_witnesses``,
+the one check of every single-valued table.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ from .hypergroup import (
     Hypergroup,
     _first_flagged,
     _generators,
-    _light_associative,
+    _image,
     _members,
+    _table_witnesses,
     build_hypergroup,
     group_as_hypergroup,
 )
@@ -46,17 +50,13 @@ class FiniteGroup:
 def build_group(cayley) -> FiniteGroup:
     """Verify the group axioms on a Cayley table; identity and inverses are derived.
 
-    Associativity is Light's test (``hypergroup._light_associative``) where
-    the g^3 scan outgrows the smallest block, from g = 21 on: (x*a)*y =
-    x*(a*y) for all x, y and each a of a greedy generating set, O(g^2) a
-    generator, and a group of order g has at most log2(g) + 1 of them.  The
-    a that pass are closed under *: for a and b among them, (x(ab))y =
-    ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).  So every element, a product
-    of generators, passes, and that is associativity.  A smaller table, or
-    one the test does not accept, is scanned by ``hypergroup._first_flagged``
-    a block of x at a time, g^2 int64s an x, for its first non-associative
-    (x, y, z) in row-major order, which the refusal names; nothing of size
-    g^3 is allocated beyond the smallest block.
+    Associativity is ``hypergroup._table_witnesses`` with a cap of 1: Light's
+    test where the g^3 scan outgrows the smallest block, from g = 21 on,
+    O(g^2) for each of at most log2(g) + 1 generators of a group of order
+    g, and the blocked scan, g^2 int64s an x, on a smaller table or one the
+    test does not accept.  The refusal names the first non-associative
+    (x, y, z) in row-major order; nothing of size g^3 is allocated beyond
+    the smallest block.
     """
     t = np.asarray(cayley, dtype=np.int64)
     g = t.shape[0]
@@ -64,7 +64,7 @@ def build_group(cayley) -> FiniteGroup:
         raise ValueError("Cayley table must be square and nonempty")
     if t.min() < 0 or t.max() >= g:
         raise ValueError("Cayley table entries out of range")
-    witness = _first_flagged(g, 8 * g * g, lambda xs: t[t[xs]] != t[xs][:, t], 1, lambda: _light_associative(t))
+    witness = _table_witnesses(t, 1)
     if witness:
         raise ValueError(f"not associative at {witness[0]}")
     idx = np.arange(g)
@@ -220,12 +220,12 @@ class FiniteRing:
 def build_ring(add, mul) -> FiniteRing:
     """Verify commutative unital ring axioms on the two tables.
 
-    (R, +) is verified by ``build_group``, and (R, *) is associative by
-    Light's test, on the same size route.  Distributivity x(y + z) = xy + xz
-    is checked there for all x, y and each z of a greedy generating set of
-    (R, +): the z that pass are closed under +, as x(y + (z + w)) =
-    x((y + z) + w) = x(y + z) + xw = (xy + xz) + xw = xy + x(z + w), the last
-    step being w's at y = z.  So every z, a sum of generators, passes.  Once
+    (R, +) is verified by ``build_group``, and the associativity of (R, *)
+    by the same ``hypergroup._table_witnesses``.  On its size route (from
+    g = 21 on) distributivity x(y + z) = xy + xz is checked for all x, y
+    and each z of a greedy generating set of (R, +): the z that pass are
+    closed under +, as x(y + (z + w)) = x((y + z) + w) = x(y + z) + xw =
+    (xy + xz) + xw = xy + x(z + w), the last step being w's at y = z.  So every z, a sum of generators, passes.  Once
     distributivity holds, associativity is additive in its last factor as
     well, (ab)(c + d) = (ab)c + (ab)d = a(bc) + a(bd) = a(b(c + d)), so the
     additive generators would settle it too; Light's set is used because
@@ -246,7 +246,7 @@ def build_ring(add, mul) -> FiniteRing:
         raise ValueError("addition must be commutative")
     if not np.array_equal(m, m.T):
         raise ValueError("multiplication must be commutative")
-    if _first_flagged(g, 8 * g * g, lambda xs: m[m[xs]] != m[xs][:, m], 1, lambda: _light_associative(m)):
+    if _table_witnesses(m, 1):
         raise ValueError("multiplication must be associative")
     idx = np.arange(g)
     ones = [c for c in range(g) if np.array_equal(m[c], idx)]
@@ -362,7 +362,8 @@ def quotient_hyperring(r: FiniteRing, elements: Iterable[int]) -> QuotientHyperr
 
     The hyperaddition is the partition hypergroup of (R, +) under scaling by G,
     and the two operations are verified to distribute, with the zero orbit
-    absorbing.
+    absorbing.  The product's associativity is ``hypergroup._table_witnesses``,
+    and each axiom names at most 25 witnesses, in row-major order.
     """
     elems = unit_subgroup(r, elements)
     aut = scaling_automorphisms(r, elems)
@@ -385,21 +386,22 @@ def quotient_hyperring(r: FiniteRing, elements: Iterable[int]) -> QuotientHyperr
     mult = tuple(mult_rows)
 
     one_cls = orbit_of[r.one]
-    triples = list(itertools.product(range(k), repeat=3))
-    bad = [Violation("mult_identity", (b,)) for b in range(k) if mult[one_cls][b] != b]
-    bad += [Violation("mult_zero", (b,)) for b in range(k) if mult[0][b] != 0]
+    bad = [Violation("mult_identity", (b,)) for b in range(k) if mult[one_cls][b] != b][:_WITNESS_CAP]
+    bad += [Violation("mult_zero", (b,)) for b in range(k) if mult[0][b] != 0][:_WITNESS_CAP]
     bad += [
         Violation("mult_commutative", (a, b)) for a, b in itertools.product(range(k), repeat=2)
         if mult[a][b] != mult[b][a]
-    ]
+    ][:_WITNESS_CAP]
+    bad += [Violation("mult_associative", w) for w in _table_witnesses(np.array(mult))]
+    # (a + b)c against ac + bc; times[c][cell] is the image of a cell under t -> tc,
+    # formed once for each distinct cell
+    masks = hg.masks
+    cells = set(itertools.chain.from_iterable(masks))
+    times = [{cell: _image(cell, col) for cell in cells} for col in zip(*mult)]
     bad += [
-        Violation("mult_associative", (a, b, c)) for a, b, c in triples
-        if mult[mult[a][b]][c] != mult[a][mult[b][c]]
-    ]
-    bad += [
-        Violation("distributive", (a, b, c)) for a, b, c in triples
-        if frozenset(mult[t][c] for t in hg.table[a][b]) != hg.table[mult[a][c]][mult[b][c]]
-    ]
+        Violation("distributive", (a, b, c)) for a, b, c in itertools.product(range(k), repeat=3)
+        if times[c][masks[a][b]] != masks[mult[a][c]][mult[b][c]]
+    ][:_WITNESS_CAP]
     if bad:
         raise VerificationError(bad, "quotient hyperring axioms fail")
 

@@ -18,32 +18,35 @@ nonempty and in range, e the only identity and inv(x) x's only inverse.  The
 rows of the tensor are packed into bit words bits[a, b]: (ab)c is the OR of
 the rows bits[t] over t in ab and a(bc) the OR of the columns bits[a, t]
 over t in bc, both gathered straight into (a, b, c) order for a block of a
-at a time.  Larger cells are gathered whole and ORed by ``reduceat``, as
-many as fit in the block, and every temporary is at most 2 MB unless one a
+at a time.  The cells are gathered whole and ORed by ``reduceat``, as many
+as fit in the block, and every temporary is at most 2 MB unless one a
 needs more.  Reversibility is two gathers over the nonzero cells.  Witnesses
 come in ascending (a, b, c) order, at most 25 per axiom.
 
-Associativity here, the group and ring checks, both morphism passes and the
-Veblen-Young check all find their first witnesses by one blocked scan,
-``_first_flagged``.
-
-A table of singletons is a group table (class hypergroups of group schemes,
-``group_as_hypergroup``, quotients of groups).  Where its m^3 scan would
-outgrow the smallest block, from m = 21 on, its associativity is first put
-to Light's test (Clifford and Preston, The Algebraic Theory of Semigroups I,
-1961), which proves it in O(m^2) a generator.  ``_generators`` picks a
-greedy generating set: the smallest element not yet reached joins it, and
-the reached set is closed under right multiplication by every generator, so
-each element is a left-bracketed product of generators, which needs no
-associativity.  ``_light_associative`` checks (x*a)*y = x*(a*y) for all x,
-y and each generator a.  The a that pass (Light's set) are closed under *:
-for a and b in it, (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y),
-each step one of a's or b's identities.  So every product of generators,
-every element, lies in it, and that is associativity.  The test only ever
+A table of singletons (class hypergroups of group schemes,
+``group_as_hypergroup``, quotients of groups) is a single-valued table, and
+its associativity is not read from the words: ``_table_witnesses`` is the
+one associativity check of every single-valued table, a group's, a ring's
+product, a quotient hyperring's product and such a hypergroup's.  It
+compares t[t[x, y], z] with t[x, t[y, z]] a block of x at a time.  Where
+that m^3 scan would outgrow the smallest block, from m = 21 on, the table
+is first put to Light's test (Clifford and Preston, The Algebraic Theory
+of Semigroups I, 1961), which proves associativity in O(m^2) a generator.
+``_generators`` picks a greedy generating set: the smallest element not
+yet reached joins it, and the reached set is closed under right
+multiplication by every generator, so each element is a left-bracketed
+product of generators, which needs no associativity.
+``_light_associative`` checks (x*a)*y = x*(a*y) for all x, y and each
+generator a.  The a that pass (Light's set) are closed under *: for a and
+b in it, (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y), each step
+one of a's or b's identities.  So every product of generators, every
+element, lies in it, and that is associativity.  The test only ever
 accepts: it is the proof of the scan, and a table it does not accept is
-scanned as above, so the witnesses do not depend on the route.
-``build_group`` and ``build_ring`` put their tables to the same test on the
-same size route.
+scanned, so the witnesses do not depend on the route.
+
+Both associativity scans, ring distributivity, both morphism passes and
+the Veblen-Young check find their first witnesses by one blocked scan,
+``_first_flagged``.
 
 A cell is held once, as ``masks[a][b]``, the Python int with bit t set for
 each t in a*b, and ``_table_masks`` alone turns a table's cells into masks.
@@ -148,10 +151,12 @@ def _verified(support: np.ndarray, e: int, inv, masks=None) -> Hypergroup | Repo
     for x in (partners != eye[inv_arr]).any(axis=1).nonzero()[0].tolist():
         bad.append(Violation("inverse", (x, tuple(partners[x].nonzero()[0].tolist()))))
 
-    # the entries (a*m + b, t) of the cells in C order; cell k's are at bounds[k]:bounds[k + 1]
+    # the entries (a*m + b, t) of the cells in C order; with no cell empty, m^2
+    # of them make a table of singletons, whose elem is its single-valued table
     cell, elem = np.divmod(support.ravel().nonzero()[0], m)
-    bounds = np.searchsorted(cell, np.arange(m * m + 1))
-    bad += [Violation("associativity", w) for w in _associativity_witnesses(bits, elem, bounds)]
+    witnesses = (_table_witnesses(elem.reshape(m, m)) if len(elem) == m * m
+                 else _associativity_witnesses(bits, elem, np.searchsorted(cell, np.arange(m * m + 1))))
+    bad += [Violation("associativity", w) for w in witnesses]
 
     # c in ab needs a in c*inv(b) and b in inv(a)*c
     a, b = np.divmod(cell, m)
@@ -168,27 +173,30 @@ def _first_flagged(n: int, row_bytes: int, flags, cap: int = _WITNESS_CAP, proof
     array of n rows, as tuples of ints; flags(rows) gives its rows at the
     slice rows, a block at a time, each within _BLOCK_BYTES[1] at row_bytes a
     row (one row at least).  Where the whole scan outgrows _BLOCK_BYTES[0],
-    proof() is tried first: it can only accept, and True means none is set."""
+    proof() is tried first: it can only accept, and True means none is set.
+    A block with a flag is indexed a slice at a time, whose int64 indices
+    fit in _BLOCK_BYTES[0], until cap are found."""
     if proof is not None and n * row_bytes > _BLOCK_BYTES[0] and proof():
         return []
-    step = max(1, _BLOCK_BYTES[1] // row_bytes)
+    step, width = max(1, _BLOCK_BYTES[1] // row_bytes), max(1, _BLOCK_BYTES[0] // 8)
     found: list[tuple[int, ...]] = []
     for r0 in range(0, n, step):
         block = flags(slice(r0, r0 + step))
-        flat = np.flatnonzero(block)[:cap - len(found)]
-        if len(flat):
-            at = np.unravel_index(flat, block.shape)
-            found += zip((at[0] + r0).tolist(), *(i.tolist() for i in at[1:]))
-            if len(found) == cap:
-                break
+        flat = block.reshape(-1)
+        for i0 in range(0, flat.size if flat.any() else 0, width):
+            hits = np.flatnonzero(flat[i0:i0 + width])[:cap - len(found)]
+            if len(hits):
+                at = np.unravel_index(hits + i0, block.shape)
+                found += zip((at[0] + r0).tolist(), *(i.tolist() for i in at[1:]))
+                if len(found) == cap:
+                    return found
     return found
 
 
 def _associativity_witnesses(bits: np.ndarray, elem: np.ndarray, bounds: np.ndarray) -> list[tuple[int, int, int]]:
     """The first _WITNESS_CAP triples (a, b, c), ascending, where (ab)c and
-    a(bc) differ, read from the words bits[a, b] and the cell entries, a
-    block of a at a time.  A single-valued table is first offered to Light's
-    test where its m^3 scan outgrows the smallest block."""
+    a(bc) differ, read from the words bits[a, b] and the cell entries, cell
+    k's at elem[bounds[k]:bounds[k + 1]], a block of a at a time."""
     m, words = bits.shape[0], bits.shape[2]
 
     def differ(rows: slice) -> np.ndarray:
@@ -201,8 +209,16 @@ def _associativity_witnesses(bits: np.ndarray, elem: np.ndarray, bounds: np.ndar
         ne = left[:, 0] != right[:, 0] if words == 1 else (left != right).any(axis=1)
         return ne.reshape(-1, m, m)
 
-    light = functools.partial(_light_associative, elem.reshape(m, m)) if len(elem) == m * m else None
-    return _first_flagged(m, bits.nbytes, differ, proof=light)
+    return _first_flagged(m, bits.nbytes, differ)
+
+
+def _table_witnesses(t: np.ndarray, cap: int = _WITNESS_CAP) -> list[tuple[int, int, int]]:
+    """The first cap triples (x, y, z), row-major, where (xy)z and x(yz)
+    differ in the single-valued int table t[x, y] = xy, by ``_first_flagged``
+    a block of x at a time (m^2 int64s an x), with Light's test as its proof.
+    Every associativity check of a single-valued table is this one."""
+    return _first_flagged(len(t), 8 * t.size, lambda xs: t[t[xs]] != t[xs][:, t], cap,
+                          functools.partial(_light_associative, t))
 
 
 def _generators(t: np.ndarray) -> list[int]:
@@ -246,8 +262,6 @@ def _or_cells(rows: np.ndarray, elem: np.ndarray, bounds: np.ndarray, axis: int)
     at a time as fit in the block bound, and for one cell (m rows) at least."""
     n = len(bounds) - 1
     entries = elem[bounds[0]:bounds[n]]
-    if len(entries) == n:  # one element per cell
-        return np.take(rows, entries, axis=axis)
     limit = max(rows.shape[axis], _BLOCK_BYTES[1] * rows.shape[axis] // rows.nbytes)
     if len(entries) <= limit:
         return np.bitwise_or.reduceat(np.take(rows, entries, axis=axis), bounds[:n] - bounds[0], axis=axis)
@@ -330,6 +344,11 @@ def _members(mask: int) -> list[int]:
         out.append((mask & -mask).bit_length() - 1)
         mask &= mask - 1
     return out
+
+
+def _image(mask: int, f) -> int:
+    """The mask of {f[t] : t in mask}, an OR of bits, since f need not be injective."""
+    return functools.reduce(int.__or__, (1 << f[t] for t in _members(mask)), 0)
 
 
 def is_sub_hypergroup(h: Hypergroup, kset) -> bool:

@@ -12,7 +12,7 @@ from collections.abc import Callable
 import numpy as np
 
 from .errors import SizeGuardError, VerificationError, Violation
-from .hypergroup import Hypergroup, _first_flagged, _mask_support, _members
+from .hypergroup import Hypergroup, _first_flagged, _image, _mask_support, _members
 from .scheme import (
     AssociationScheme,
     _pair_histogram,
@@ -116,9 +116,9 @@ def induced_hom(f: SchemeMorphism) -> InducedHom:
     cm = f.class_map
     strict = True
     for p, q in itertools.product(range(hs.m), repeat=2):
-        image = {cm[r] for r in hs.table[p][q]}
-        cell = ht.table[cm[p]][cm[q]]
-        if not image <= cell:
+        image = _image(hs.masks[p][q], cm)
+        cell = ht.masks[cm[p]][cm[q]]
+        if image & ~cell:
             raise VerificationError([Violation("homomorphism", (p, q))],
                                     "induced class map is not a homomorphism")
         if image != cell:

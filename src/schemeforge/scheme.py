@@ -332,15 +332,16 @@ def build_scheme(n: int, rel) -> AssociationScheme | Report:
     at 1.1 GB peak RSS, and Z/1024's would take 8 GiB.
     """
     rel = np.asarray(rel)
-    if rel.ndim != 2 or rel.shape != (n, n) or not np.issubdtype(rel.dtype, np.integer):
+    # a scheme has the diagonal class, so at least one point
+    if n < 1 or rel.ndim != 2 or rel.shape != (n, n) or not np.issubdtype(rel.dtype, np.integer):
         return Report((Violation("shape", (n, tuple(rel.shape))),))
     rel = rel.astype(np.int64)
     rel_flat = rel.ravel()
 
-    if rel.size and rel.min() < 0:
+    if rel.min() < 0:
         x, y = divmod(int(np.argmax(rel_flat < 0)), n)
         return Report((Violation("classes", (x, y, int(rel[x, y]))),))
-    s = int(rel.max()) + 1 if rel.size else 0
+    s = int(rel.max()) + 1
     # the distinct labels, sorted: a bincount no larger than rel, or a sort when
     # some label exceeds n*n (and so leaves classes missing), not np.unique,
     # which imports numpy.ma

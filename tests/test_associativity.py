@@ -186,22 +186,57 @@ def test_hypergroup_routes_agree(name, monkeypatch):
     assert run() == light
 
 
+def test_table_witnesses_match_the_triple_loop_on_both_sides_of_the_gate(monkeypatch):
+    """_table_witnesses(t, 25) names the triple loop's first 25 witnesses on
+    seeded random magmas of 5 to 30 elements, none associative; Light's
+    test is tried first from m = 21 on, where the m^3 scan outgrows the
+    smallest block, and does not accept.  An associative table has none."""
+    tried = []
+
+    def spy(t, real=hypergroup._light_associative):
+        tried.append(len(t))
+        return real(t)
+
+    monkeypatch.setattr(hypergroup, "_light_associative", spy)
+    rng = np.random.default_rng(30)
+    for m in range(5, 31):
+        t = rng.integers(0, m, (m, m))
+        want = naive_associative(t.tolist(), 25)
+        assert want and hypergroup._table_witnesses(t, 25) == want, m
+        assert hypergroup._table_witnesses(t, 1) == want[:1], m
+    assert tried == [m for m in range(21, 31) for _ in range(2)]
+    assert hypergroup._table_witnesses(relabel(RINGS["Z/23"][0], rng.permutation(23))) == []
+
+
 def test_routes_are_taken_on_each_side_of_the_smallest_block(monkeypatch):
     """The m^3 scan of Z/20 fits the 64 KB block and runs alone; from Z/21 on
-    Light's test runs first, and the blocked scan (which ORs cells in
-    _or_cells) only on a table it does not accept.  A table with a cell of
-    two elements is scanned at any m."""
+    Light's test runs first, and the blocked scan only on a table it does
+    not accept.  A table of singletons is scanned as an int table, which
+    ORs no cells; a table with a cell of two elements is scanned by its
+    words (which ORs cells in _or_cells) at any m."""
     taken = []
+
+    def note(route):
+        if taken[-1:] != [route]:
+            taken.append(route)
+
     for route in ("_light_associative", "_or_cells"):
         def spy(*args, route=route, real=getattr(hypergroup, route)):
-            if taken[-1:] != [route]:
-                taken.append(route)
+            note(route)
             return real(*args)
         monkeypatch.setattr(hypergroup, route, spy)
+
+    def flagged(n, row_bytes, flags, *args, real=hypergroup._first_flagged):
+        def scan(rows):
+            note("scan")
+            return flags(rows)
+        return real(n, row_bytes, scan, *args)
+
+    monkeypatch.setattr(hypergroup, "_first_flagged", flagged)
     rng = np.random.default_rng(20)
     expected = {
-        20: (["_or_cells"], ["_or_cells"]),
-        21: (["_light_associative"], ["_light_associative", "_or_cells"]),
+        20: (["scan"], ["scan"]),
+        21: (["_light_associative"], ["_light_associative", "scan"]),
     }
     for m, (valid, mutant) in expected.items():
         t = RINGS[f"Z/{m}"][0]
@@ -219,7 +254,7 @@ def test_routes_are_taken_on_each_side_of_the_smallest_block(monkeypatch):
     table = [[{(a + b) % 21} for b in range(21)] for a in range(21)]
     table[0][0] = {0, 1}
     assert isinstance(sf.build_hypergroup(table, 0, (-np.arange(21) % 21).tolist()), sf.Report)
-    assert taken == ["_or_cells"]
+    assert taken == ["scan", "_or_cells"]
 
 
 def test_builders_take_light_test_on_the_same_side(monkeypatch):
@@ -228,11 +263,11 @@ def test_builders_take_light_test_on_the_same_side(monkeypatch):
     ring (its addition, then its multiplication), and distributivity is
     read from the additive generators only at 21."""
     taken = []
-    for route in ("_light_associative", "_generators"):
-        def spy(t, route=route, real=getattr(constructions, route)):
+    for module, route in ((hypergroup, "_light_associative"), (constructions, "_generators")):
+        def spy(t, route=route, real=getattr(module, route)):
             taken.append((route, len(t)))
             return real(t)
-        monkeypatch.setattr(constructions, route, spy)
+        monkeypatch.setattr(module, route, spy)
     for n in (20, 21):
         add, mul = RINGS[f"Z/{n}"]
         taken.clear()

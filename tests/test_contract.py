@@ -80,8 +80,9 @@ def test_count_routes_refuse_alike_under_python_dash_o():
 
 def test_generator_route_refuses_alike_under_python_dash_o():
     """Z/21 with two cells swapped fails Light's test as a group table and as
-    a 21-element single-valued hypergroup; the full scans behind it then name
-    the same witnesses under -O, with no assert on the way."""
+    a 21-element single-valued hypergroup, both put to it by
+    hypergroup._table_witnesses; the full scans behind it then name the same
+    witnesses under -O, with no assert on the way."""
     code = (
         "import json\n"
         "import schemeforge as sf\n"
@@ -111,7 +112,7 @@ def test_generator_route_refuses_alike_under_python_dash_o():
     group, violations, taken = json.loads(optimized)
     assert group.startswith("not associative at ")
     assert "associativity" in {axiom for axiom, _ in violations}
-    assert taken == [False]
+    assert taken == [False, False]
 
 
 def test_star_refusal_leaves_numpy_ma_unimported():
@@ -260,10 +261,11 @@ def test_normality_and_quotients_share_one_coset_pass():
 
 def test_class_sets_are_read_off_the_masks():
     """The closure lattice, sub-hypergroup test, cosets, congruence images,
-    quotients, products, the isomorphism search, the realization search and
-    geometries read Hypergroup.masks and never its table, and only
-    hypergroup._table_masks turns a table into masks (a function that reads
-    ``table`` and shifts bits)."""
+    quotients, products, the isomorphism search, the realization search,
+    induced homomorphisms, quotient hyperrings and geometries read
+    Hypergroup.masks and never its table, and only hypergroup._table_masks
+    turns a table into masks (a function that reads ``table`` and shifts
+    bits)."""
     reads, from_table = {}, []
     for path in sorted((SRC / "schemeforge").rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -277,19 +279,62 @@ def test_class_sets_are_read_off_the_masks():
         "closure_lattice", "is_sub_hypergroup", "_cosets", "_congruence", "congruence_quotient",
         "product_hypergroup", "_signatures", "hypergroup_isomorphic", "Hypergroup.product",
         "Hypergroup.is_commutative")]
-    readers += [f"realize.py:{name}" for name in ("_search_plan", "_identity_first", "_search_at_size")]
-    readers += [f"constructions.py:{name}" for name in ("_vector_space_violations", "geometry_from_hypergroup")]
+    readers += [f"realize.py:{name}" for name in ("_search_plan", "_identity_first", "_search_at_size", "induced_hom")]
+    readers += [f"constructions.py:{name}" for name in (
+        "_vector_space_violations", "geometry_from_hypergroup", "quotient_hyperring")]
     for name in readers:
         assert "masks" in reads[name] and "table" not in reads[name], name
     assert from_table == ["hypergroup.py:_table_masks"]
 
 
+def _indexes_itself(node) -> bool:
+    """True when the function indexes an array or table by its own entries,
+    t[t[...]] or t[:, t[...]], as a product of products (xy)z = t[t[x, y], z]
+    does; type annotations are not read."""
+    def base(n):
+        while isinstance(n, ast.Subscript):
+            n = n.value
+        return ast.unparse(n)
+
+    notes = {id(n) for a in ast.walk(node) for field in ("annotation", "returns")
+             if getattr(a, field, None) is not None for n in ast.walk(getattr(a, field))}
+    return any(
+        isinstance(n, ast.Subscript) and id(n) not in notes
+        and any(isinstance(i, ast.Subscript) and base(i) == base(n)
+                for i in (n.slice.elts if isinstance(n.slice, ast.Tuple) else [n.slice]))
+        for n in ast.walk(node))
+
+
+def test_single_valued_associativity_is_one_check():
+    """build_group, build_ring, quotient_hyperring and the hypergroup check
+    reach hypergroup._table_witnesses, only it names _light_associative, and
+    no other function in src/ indexes a table by its own entries, as an
+    associativity scan must: none but Light's test, its proof, and
+    inner_automorphisms, whose conjugation h x h^-1 checks nothing."""
+    calls, names, self_indexed = {}, {}, []
+    for path in sorted((SRC / "schemeforge").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for qualified, node in _functions(tree):
+            key = f"{path.name}:{qualified}"
+            calls[key] = _called_names(node)
+            names[key] = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
+            if _indexes_itself(node):
+                self_indexed.append(key)
+    for name in ("constructions.py:build_group", "constructions.py:build_ring",
+                 "constructions.py:quotient_hyperring", "hypergroup.py:_verified"):
+        assert "_table_witnesses" in calls[name], name
+    assert [key for key, held in names.items() if "_light_associative" in held] == ["hypergroup.py:_table_witnesses"]
+    assert self_indexed == ["constructions.py:inner_automorphisms", "hypergroup.py:_table_witnesses",
+                            "hypergroup.py:_light_associative"]
+
+
 def test_first_witnesses_come_from_one_blocked_scan():
-    """Only hypergroup.py and scheme.py read _BLOCK_BYTES.  Associativity,
-    the group and ring checks, both morphism passes and the Veblen-Young
-    check find their first witnesses through hypergroup._first_flagged, and
-    none of them (nested functions included) steps a range over row blocks
-    of its own."""
+    """Only hypergroup.py and scheme.py read _BLOCK_BYTES.  Associativity
+    (the word scan, and _table_witnesses for a single-valued table, which
+    build_group takes), ring distributivity, both morphism passes and the
+    Veblen-Young check find their first witnesses through
+    hypergroup._first_flagged, and none of them (nested functions included)
+    steps a range over row blocks of its own."""
     readers, calls, stepped = set(), {}, {}
     for path in sorted((SRC / "schemeforge").rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -302,9 +347,10 @@ def test_first_witnesses_come_from_one_blocked_scan():
                 isinstance(n, ast.Call) and getattr(n.func, "id", None) == "range" and len(n.args) == 3
                 for n in ast.walk(node))
     assert readers == {"hypergroup.py", "scheme.py"}
-    for name in ("hypergroup.py:_associativity_witnesses", "constructions.py:build_group",
+    for name in ("hypergroup.py:_associativity_witnesses", "hypergroup.py:_table_witnesses",
                  "constructions.py:build_ring", "realize.py:check_morphism", "constructions.py:check_geometry"):
         assert "_first_flagged" in calls[name] and not stepped[name], name
+    assert "_table_witnesses" in calls["constructions.py:build_group"] and not stepped["constructions.py:build_group"]
     assert not any(name.startswith("constructions.py:_first_triple") for name in calls)
 
 

@@ -752,6 +752,36 @@ def test_hypergroup_check_peak_memory_on_a_dense_table():
     assert peak <= 1.1 * 37.4 * 2 ** 20, peak / 2 ** 20
 
 
+def test_first_flagged_indexes_an_all_true_block_within_the_smallest_block():
+    """Two all-True blocks of 2 MB each: the first one's first flags come
+    in row-major order and the scan stops there, and indexing them adds at
+    most twice the smallest block to the block itself; indexing the whole
+    block at once took 8 bytes a flag, 16 MB more.  A block whose one flag
+    is its last entry is searched through every slice to it."""
+    small, large = hypergroup._BLOCK_BYTES
+    shape = (256, 128)  # one row of flags: 32 KB, so 64 rows make a block
+
+    def ones(rows):
+        return np.ones((len(range(128)[rows]),) + shape, dtype=bool)
+
+    for cap in (1, 25):
+        tracemalloc.start()
+        try:
+            found = hypergroup._first_flagged(128, prod(shape), ones, cap=cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found == [(0, 0, z) for z in range(cap)]
+        assert peak <= large + 2 * small, peak / 2 ** 20
+
+    def last(rows):
+        block = np.zeros((len(range(128)[rows]),) + shape, dtype=bool)
+        block[-1, -1, -1] = True
+        return block
+
+    assert hypergroup._first_flagged(128, prod(shape), last) == [(63, 255, 127), (127, 255, 127)]
+
+
 def test_class_hypergroup_shares_one_frozenset_per_distinct_cell():
     for h, distinct in ((sf.to_hypergroup(sf.group_scheme(sf.cyclic_group(64))), 64),
                         (sf.to_hypergroup(catalog.catalog_scheme("F64/F4")), 253)):

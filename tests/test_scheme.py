@@ -53,6 +53,15 @@ def test_build_reports_shape_and_classes_and_diagonal():
     assert isinstance(diag, sf.SchemeReport) and diag.violations[0].axiom == "diagonal"
 
 
+def test_build_refuses_an_empty_matrix_by_its_shape():
+    """No point means no diagonal class: a 0 x 0 matrix, of any integer
+    dtype, is refused as a shape like an empty list, before any pass."""
+    for rel in ([], np.zeros((0, 0), int), np.zeros((0, 0), np.int8)):
+        report = sf.build_scheme(0, rel)
+        assert isinstance(report, sf.Report)
+        assert [(v.axiom, v.witness) for v in report.violations] == [("shape", (0, np.shape(rel)))]
+
+
 def test_build_constants_violation_has_five_part_witness():
     # edges of the path 0-1-2-3 versus non-edges: symmetric classes, but the
     # vertex degrees differ, so the counts cannot be constant on the diagonal

@@ -14,11 +14,10 @@ import dataclasses
 import itertools
 from collections.abc import Iterable, Sequence
 from math import inf
-from numbers import Integral
 
 import numpy as np
 
-from .errors import _WITNESS_CAP, Report, SizeGuardError, VerificationError, Violation, require
+from .errors import _WITNESS_CAP, Report, SizeGuardError, VerificationError, Violation, _integers, require
 from .hypergroup import (
     Hypergroup,
     _first_flagged,
@@ -58,12 +57,10 @@ def build_group(cayley) -> FiniteGroup:
     (x, y, z) in row-major order; nothing of size g^3 is allocated beyond
     the smallest block.
     """
-    t = np.asarray(cayley, dtype=np.int64)
-    g = t.shape[0]
-    if t.ndim != 2 or t.shape != (g, g) or g == 0:
-        raise ValueError("Cayley table must be square and nonempty")
-    if t.min() < 0 or t.max() >= g:
-        raise ValueError("Cayley table entries out of range")
+    t = _integers(cayley, 2)
+    g = 0 if t is None else len(t)
+    if g == 0 or t.shape != (g, g) or t.min() < 0 or t.max() >= g:
+        raise ValueError("Cayley table must be a square nonempty table of integers in 0..g-1")
     witness = _table_witnesses(t, 1)
     if witness:
         raise ValueError(f"not associative at {witness[0]}")
@@ -137,17 +134,16 @@ class AutSubgroup:
 
 def aut_subgroup(g: FiniteGroup, perms: Iterable[Sequence[int]]) -> AutSubgroup:
     """Verify a set of permutations forms a subgroup of the automorphism group."""
-    t = np.array(g.cayley, dtype=np.int64)
-    seen = {tuple(int(x) for x in p) for p in perms}
-    ident = tuple(range(g.order))
-    if ident not in seen:
-        raise ValueError("automorphism set must contain the identity map")
-    for p in seen:
-        arr = np.array(p, dtype=np.int64)
-        if sorted(p) != list(range(g.order)):
+    t, seen = np.array(g.cayley), set()
+    for p in perms:
+        arr = _integers(p, 1)
+        if arr is None or sorted(arr.tolist()) != list(range(g.order)):
             raise ValueError(f"not a permutation: {p}")
         if not np.array_equal(arr[t], t[np.ix_(arr, arr)]):
             raise ValueError(f"not an automorphism: {p}")
+        seen.add(tuple(arr.tolist()))
+    if tuple(range(g.order)) not in seen:
+        raise ValueError("automorphism set must contain the identity map")
     for p, q in itertools.product(seen, repeat=2):
         comp = tuple(p[q[i]] for i in range(g.order))
         if comp not in seen:
@@ -234,14 +230,10 @@ def build_ring(add, mul) -> FiniteRing:
     ``build_group`` scans associativity for its first (x, y, z) in row-major
     order, which the refusal names.
     """
-    a = np.asarray(add, dtype=np.int64)
-    m = np.asarray(mul, dtype=np.int64)
-    g = a.shape[0]
-    if a.shape != (g, g) or m.shape != (g, g):
-        raise ValueError("addition and multiplication tables must be square and matching")
-    grp = build_group(a.tolist())
-    if m.min() < 0 or m.max() >= g:
-        raise ValueError("multiplication table entries out of range")
+    grp = build_group(add)
+    a, m, g = np.array(grp.cayley), _integers(mul, 2), grp.order
+    if m is None or m.shape != (g, g) or m.min() < 0 or m.max() >= g:
+        raise ValueError("multiplication table must be a table of integers in 0..g-1 the size of addition")
     if not np.array_equal(a, a.T):
         raise ValueError("addition must be commutative")
     if not np.array_equal(m, m.T):
@@ -261,8 +253,8 @@ def build_ring(add, mul) -> FiniteRing:
     zero = grp.e
     if not np.array_equal(m[zero], np.full(g, zero)):
         raise ValueError("zero must be absorbing")
-    return FiniteRing(order=g, add=tuple(map(tuple, a.tolist())),
-                      mul=tuple(map(tuple, m.tolist())), zero=zero, one=ones[0], additive=grp)
+    return FiniteRing(order=g, add=grp.cayley, mul=tuple(map(tuple, m.tolist())), zero=zero, one=ones[0],
+                      additive=grp)
 
 
 def additive_group(r: FiniteRing) -> FiniteGroup:
@@ -306,10 +298,10 @@ def ring_units(r: FiniteRing) -> tuple[int, ...]:
 
 def unit_subgroup(r: FiniteRing, elements: Iterable[int]) -> tuple[int, ...]:
     """Verify the elements form a multiplicative subgroup of the units."""
-    elems = tuple(sorted({int(x) for x in elements}))
-    units = set(ring_units(r))
-    if not elems or not set(elems) <= units:
-        raise ValueError(f"not a subset of the units: {elems}")
+    elems = set(map(_integers, elements))
+    if not elems or not elems <= set(ring_units(r)):
+        raise ValueError(f"not a subset of the units: {elements!r}")
+    elems = tuple(sorted(elems))
     if r.one not in elems:
         raise ValueError("unit subgroup must contain 1")
     for x, y in itertools.product(elems, repeat=2):
@@ -674,15 +666,15 @@ def check_geometry(n_points: int, lines: Sequence[Sequence[int]]) -> list[Violat
     come in row-major order from ``hypergroup._first_flagged``, a block of p
     at a time.
     """
-    if n_points < 0:
-        raise ValueError(f"point count must be nonnegative, got {n_points}")
+    if _integers(n_points) is None or n_points < 0:
+        raise ValueError(f"point count must be a nonnegative integer, got {n_points!r}")
     if n_points > GEOMETRY_POINT_BOUND:
         raise SizeGuardError(f"geometry check refused: {n_points} points exceeds {GEOMETRY_POINT_BOUND}")
     bad: list[Violation] = []
     sets = []
     for i, line in enumerate(lines):
-        members = set(line)
-        in_range = all(isinstance(p, Integral) and 0 <= p < n_points for p in members)
+        members = set(map(_integers, line))
+        in_range = all(p is not None and 0 <= p < n_points for p in members)
         if len(members) != len(tuple(line)) or not in_range:
             bad.append(Violation("line_points", (i,)))
         elif len(members) < 3:
@@ -730,7 +722,7 @@ def verified_geometry(n_points: int, lines: Sequence[tuple[int, ...]]) -> Incide
     bad = check_geometry(n_points, lines)
     if bad:
         raise VerificationError(bad, "geometry axiom fails")
-    return IncidenceGeometry(n_points, tuple(lines), degenerate=n_points <= 1 or len(lines) <= 1)
+    return IncidenceGeometry(n_points, tuple(map(tuple, lines)), degenerate=n_points <= 1 or len(lines) <= 1)
 
 
 def geometry_from_hypergroup(h: Hypergroup) -> IncidenceGeometry:

@@ -4,11 +4,19 @@ Every builder either returns a verified value or a ``Report`` of violations,
 and ``require`` turns such a result into the value or a ``VerificationError``.
 Internal invariants are checked with explicit raises, never with ``assert``,
 so the contract also holds under ``python -O``.
+
+The integers a caller hands in (a class matrix, a table's cells and entries,
+an identity and its inverses, class and element sets, permutations, points,
+file headers) are read through ``_integers`` alone, which decides what an
+integer input is; each caller words its own refusal of what it returns None for.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
+
+import numpy as np
 
 _WITNESS_CAP = 25  # the most witnesses a check records for one axiom
 
@@ -61,6 +69,30 @@ class VerificationError(SchemeForgeError):
 
 # former names, kept so existing callers keep working
 TriangleConditionError = CongruenceError = GeometryError = VerificationError
+
+
+def _integers(value, ndim: int = 0):
+    """value as a Python int (ndim 0) or as a fresh int64 array of ndim <= 2
+    dimensions, or None when it is not one: the one test of an integer input.
+
+    An integer is a Python int or a numpy integer within int64; a bool is
+    none.  An array must have an integer dtype and hold no uint64 above
+    2^63 - 1 and, when it comes as nested lists, no bool (numpy would read
+    True as 1, so the lists are scanned once; an ndarray carries its dtype).
+    Floats, strings and None are refused, never converted, and a ragged list
+    raises numpy's ValueError.  Scalars take a pure-Python path, since cells
+    and class sets call it once an element.
+    """
+    if type(value) is int and -(1 << 63) <= value < 1 << 63:
+        return value if ndim == 0 else None
+    if ndim == 0:
+        return int(value) if isinstance(value, np.integer) and -(1 << 63) <= value < 1 << 63 else None
+    array = np.asarray(value)
+    refused = (array.ndim != ndim or array.dtype.kind not in "iu"
+               or array.dtype == np.uint64 and array.size and array.max() >= 1 << 63
+               or not isinstance(value, np.ndarray) and not {bool, np.bool_}.isdisjoint(
+                   map(type, value if ndim == 1 else itertools.chain.from_iterable(value))))
+    return None if refused else array.astype(np.int64)
 
 
 def require(result):

@@ -67,7 +67,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .errors import _WITNESS_CAP, Report, SizeGuardError, VerificationError, Violation, require
+from .errors import _WITNESS_CAP, Report, SizeGuardError, VerificationError, Violation, _integers, require
 
 SUB_HYPERGROUP_BOUND = 20
 ISOMORPHISM_BOUND = 24
@@ -95,7 +95,7 @@ class Hypergroup:
     def __init__(self, m: int, table: tuple[tuple[frozenset[int], ...], ...], e: int, inv: tuple[int, ...]) -> None:
         masks = _table_masks(table, m)
         if any(-1 in row for row in masks):
-            raise ValueError(f"a cell holds an element outside 0..{m - 1}")
+            raise ValueError(f"a cell holds an element that is no integer in 0..{m - 1}")
         vars(self).update(m=m, e=e, inv=inv, masks=masks)
 
     @classmethod
@@ -132,9 +132,10 @@ def _verified(support: np.ndarray, e: int, inv, masks=None) -> Hypergroup | Repo
     broken = (~bits.any(axis=2).ravel()).nonzero()[0]
     if broken.size:
         return Report(tuple(Violation("cell", divmod(k, m)) for k in broken[:_WITNESS_CAP].tolist()))
-    inv = tuple(int(x) for x in inv)
-    if not (0 <= e < m) or len(inv) != m or not all(0 <= g < m for g in inv):
-        return Report((Violation("shape", (e, inv)),))
+    given = e, tuple(inv)
+    e, inv = _integers(e), tuple(map(_integers, given[1]))
+    if e is None or None in inv or not (0 <= e < m) or len(inv) != m or not all(0 <= g < m for g in inv):
+        return Report((Violation("shape", given),))
 
     # c is an identity when c*x = {x} = x*c for every x; identities c and d give
     # c = c*d = d, so the others are looked for only when e is none
@@ -165,7 +166,7 @@ def _verified(support: np.ndarray, e: int, inv, masks=None) -> Hypergroup | Repo
         bad.append(Violation("reversibility", (int(a[x]), int(b[x]), int(elem[x]))))
     if bad:
         return Report(tuple(bad))
-    return Hypergroup._from_masks(m, _cell_masks(bits) if masks is None else masks, int(e), inv)
+    return Hypergroup._from_masks(m, _cell_masks(bits) if masks is None else masks, e, inv)
 
 
 def _first_flagged(n: int, row_bytes: int, flags, cap: int = _WITNESS_CAP, proof=None) -> list[tuple[int, ...]]:
@@ -287,15 +288,15 @@ def _cell_masks(bits: np.ndarray) -> tuple[tuple[int, ...], ...]:
 
 def _table_masks(table, m: int) -> tuple[tuple[int, ...], ...]:
     """Each cell of a table as a mask, the OR of 2^t over its elements t (each
-    read by ``int``), or -1 when an element lies outside 0..m-1.  This is the
-    one place where cells become masks."""
+    read by ``errors._integers``), or -1 when an element is no integer in
+    0..m-1.  This is the one place where cells become masks."""
     rows = []
     for row in table:
         masks = []
         for cell in row:
             mask = 0
-            for t in map(int, cell):
-                mask |= 1 << t if 0 <= t < m else -1
+            for t in map(_integers, cell):
+                mask |= 1 << t if t is not None and 0 <= t < m else -1
             masks.append(mask)
         rows.append(tuple(masks))
     return tuple(rows)
@@ -355,9 +356,11 @@ def is_sub_hypergroup(h: Hypergroup, kset) -> bool:
     """True when the subset contains e and is closed under * and inv.  It then
     inherits every axiom from h: associativity and reversibility speak of cells
     inside it, e is its only identity (c*e = {c}), and inv(x) is x's only partner."""
-    members = {int(x) for x in kset}
+    members = set(map(_integers, kset))
     if not members:
         raise ValueError("element set must be nonempty")
+    if None in members:
+        raise ValueError("element set holds a non-integer")
     if not all(0 <= x < h.m for x in members):
         raise ValueError(f"element set out of range: {tuple(sorted(members))}")
     mask, reached = sum(1 << x for x in members), 1 << h.e
@@ -429,7 +432,7 @@ def sub_hypergroups(h: Hypergroup) -> list[frozenset[int]]:
 def _cosets(h: Hypergroup, lset) -> tuple[int, list[int], list[int]]:
     """(L, [L*x for every x], [x*L for every x]) for a sub-hypergroup L, each
     set as a mask: L*x is the OR of L's rows, x*L of L's columns."""
-    lset = frozenset(int(x) for x in lset)
+    lset = frozenset(map(_integers, lset))
     if not is_sub_hypergroup(h, lset):
         raise ValueError(f"{sorted(lset)} is not a sub-hypergroup")
     lx = xl = [0] * h.m
@@ -469,7 +472,7 @@ def quotient_hypergroup(h: Hypergroup, nset) -> Hypergroup:
     By all of h it is the one-element hypergroup, built once at import.  Both
     sets are closed and normal, so they are answered before the coset pass.
     """
-    members = frozenset(int(x) for x in nset)
+    members = frozenset(map(_integers, nset))
     if members == {h.e}:
         return h
     if members == frozenset(range(h.m)):
@@ -490,15 +493,15 @@ class CongruenceRelation:
 
     @staticmethod
     def from_blocks(blocks: Iterable[Iterable[int]], m: int) -> "CongruenceRelation":
-        block_of = [-1] * m
+        block_of: dict[int, int] = {}
         for i, block in enumerate(blocks):
-            for x in block:
-                if not 0 <= x < m or block_of[x] >= 0:
+            for x in map(_integers, block):
+                if x is None or x in block_of or not 0 <= x < m:
                     raise ValueError("blocks must partition 0..m-1")
                 block_of[x] = i
-        if any(b < 0 for b in block_of):
+        if _integers(m) != len(block_of):
             raise ValueError("blocks must cover 0..m-1")
-        return CongruenceRelation(tuple(block_of))
+        return CongruenceRelation(tuple(block_of[x] for x in range(m)))
 
     @staticmethod
     def trivial(m: int) -> "CongruenceRelation":

@@ -14,7 +14,7 @@ from .constructions import (
     build_ring,
     verified_geometry,
 )
-from .errors import Report
+from .errors import Report, _integers
 from .hypergroup import Hypergroup, build_hypergroup
 from .scheme import AssociationScheme, build_scheme
 
@@ -27,15 +27,26 @@ def dump_scheme(scheme: AssociationScheme) -> str:
     return canonical_json({"n": scheme.n, "rel": scheme.rel.tolist()})
 
 
+def _fields(obj, word: str, keys: tuple[str, ...], integers: tuple[str, ...] = ()) -> list:
+    """The values of keys in a file's parsed JSON, or ValueError when it is no
+    object holding them all or when a header field named in integers is not
+    an integer to ``errors._integers``; the builders check the rest."""
+    if not isinstance(obj, dict) or not set(keys) <= set(obj):
+        raise ValueError(f"{word} files need keys {' and '.join(map(json.dumps, keys))}")
+    for key in integers:
+        if _integers(obj[key]) is None:
+            raise ValueError(f'{word} files need an integer "{key}"')
+    return [obj[key] for key in keys]
+
+
 def load_scheme(text: str) -> AssociationScheme | Report:
     """Parse and rebuild a scheme; only the relation matrix is authoritative."""
     return _scheme_from(json.loads(text))
 
 
 def _scheme_from(obj) -> AssociationScheme | Report:
-    if not isinstance(obj, dict) or "n" not in obj or "rel" not in obj:
-        raise ValueError('scheme files need keys "n" and "rel"')
-    return build_scheme(int(obj["n"]), obj["rel"])
+    n, rel = _fields(obj, "scheme", ("n", "rel"), ("n",))
+    return build_scheme(n, rel)
 
 
 def dump_hypergroup(h: Hypergroup) -> str:
@@ -52,12 +63,10 @@ def load_hypergroup(text: str) -> Hypergroup | Report:
 
 
 def _hypergroup_from(obj) -> Hypergroup | Report:
-    needed = {"m", "e", "inv", "table"}
-    if not isinstance(obj, dict) or not needed <= set(obj):
-        raise ValueError(f'hypergroup files need keys {sorted(needed)}')
-    if len(obj["table"]) != int(obj["m"]):
+    m, e, inv, table = _fields(obj, "hypergroup", ("m", "e", "inv", "table"), ("m", "e"))
+    if m != len(table):
         raise ValueError("table size disagrees with m")
-    return build_hypergroup(obj["table"], int(obj["e"]), obj["inv"])
+    return build_hypergroup(table, e, inv)
 
 
 def dump_geometry(g: IncidenceGeometry) -> str:
@@ -65,10 +74,7 @@ def dump_geometry(g: IncidenceGeometry) -> str:
 
 
 def load_geometry(text: str) -> IncidenceGeometry:
-    obj = json.loads(text)
-    if not isinstance(obj, dict) or "points" not in obj or "lines" not in obj:
-        raise ValueError('geometry files need keys "points" and "lines"')
-    return verified_geometry(int(obj["points"]), tuple(tuple(int(p) for p in line) for line in obj["lines"]))
+    return verified_geometry(*_fields(json.loads(text), "geometry", ("points", "lines"), ("points",)))
 
 
 def dump_group(g: FiniteGroup) -> str:
@@ -76,12 +82,10 @@ def dump_group(g: FiniteGroup) -> str:
 
 
 def load_group(text: str) -> FiniteGroup:
-    obj = json.loads(text)
-    if not isinstance(obj, dict) or "order" not in obj or "cayley" not in obj:
-        raise ValueError('group files need keys "order" and "cayley"')
-    if len(obj["cayley"]) != int(obj["order"]):
+    order, cayley = _fields(json.loads(text), "group", ("order", "cayley"), ("order",))
+    if order != len(cayley):
         raise ValueError("cayley size disagrees with order")
-    return build_group(obj["cayley"])
+    return build_group(cayley)
 
 
 def dump_ring(r: FiniteRing) -> str:
@@ -92,7 +96,4 @@ def dump_ring(r: FiniteRing) -> str:
 
 
 def load_ring(text: str) -> FiniteRing:
-    obj = json.loads(text)
-    if not isinstance(obj, dict) or "add" not in obj or "mul" not in obj:
-        raise ValueError('ring files need keys "add" and "mul"')
-    return build_ring(obj["add"], obj["mul"])
+    return build_ring(*_fields(json.loads(text), "ring", ("add", "mul")))

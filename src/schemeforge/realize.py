@@ -11,7 +11,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .errors import SizeGuardError, VerificationError, Violation
+from .errors import SizeGuardError, VerificationError, Violation, _integers
 from .hypergroup import Hypergroup, _first_flagged, _image, _mask_support, _members
 from .scheme import (
     AssociationScheme,
@@ -53,15 +53,14 @@ def check_morphism(f: SchemeMorphism) -> MorphismReport:
     """
     src, tgt = f.source, f.target
     bad: list[Violation] = []
-    if len(f.point_map) != src.n or not all(0 <= u < tgt.n for u in f.point_map):
+    pm, cm = _integers(f.point_map, 1), _integers(f.class_map, 1)
+    if pm is None or len(pm) != src.n or not ((0 <= pm) & (pm < tgt.n)).all():
         bad.append(Violation("point_range", (len(f.point_map),)))
-    if len(f.class_map) != src.s or not all(0 <= c < tgt.s for c in f.class_map):
+    if cm is None or len(cm) != src.s or not ((0 <= cm) & (cm < tgt.s)).all():
         bad.append(Violation("class_range", (len(f.class_map),)))
     if bad:
         return MorphismReport(False, False, tuple(bad))
 
-    pm = np.array(f.point_map, dtype=np.int64)
-    cm = np.array(f.class_map, dtype=np.int64)
     # Both passes run over blocks of source points: the image and expected
     # classes take n int64s a point, the s x n_t booleans of the second pass
     # s bytes (and the target's rows 8) a target point.

@@ -55,7 +55,7 @@ import functools
 
 import numpy as np
 
-from .errors import _WITNESS_CAP, Report, SizeGuardError, VerificationError, Violation, require
+from .errors import _WITNESS_CAP, Report, SizeGuardError, VerificationError, Violation, _integers, require
 from .hypergroup import (
     _BLOCK_BYTES,
     Hypergroup,
@@ -324,6 +324,8 @@ def build_scheme(n: int, rel) -> AssociationScheme | Report:
     are settled, so a refusal names the same witnesses in the same order as
     a check of every class.
 
+    A matrix that ``errors._integers`` does not read as an int64 array, or
+    an n that it does not read as an integer, is refused by shape.
     Missing classes are found from the distinct labels, so a huge label
     costs no memory.  Every class of a scheme occurs in row 0, so a matrix
     with more classes than points is refused there, before any s^3 array.
@@ -331,11 +333,10 @@ def build_scheme(n: int, rel) -> AssociationScheme | Report:
     constants are allocated: the group scheme of Z/512 (1 GiB of them) builds
     at 1.1 GB peak RSS, and Z/1024's would take 8 GiB.
     """
-    rel = np.asarray(rel)
+    given, rel = rel, _integers(rel, 2)
     # a scheme has the diagonal class, so at least one point
-    if n < 1 or rel.ndim != 2 or rel.shape != (n, n) or not np.issubdtype(rel.dtype, np.integer):
-        return Report((Violation("shape", (n, tuple(rel.shape))),))
-    rel = rel.astype(np.int64)
+    if rel is None or _integers(n) is None or n < 1 or rel.shape != (n, n):
+        return Report((Violation("shape", (n, np.shape(given) if rel is None else rel.shape)),))
     rel_flat = rel.ravel()
 
     if rel.min() < 0:
@@ -412,9 +413,11 @@ def build_scheme(n: int, rel) -> AssociationScheme | Report:
 def _check_class_sets(scheme: AssociationScheme, *sets) -> list[frozenset[int]]:
     out = []
     for part in sets:
-        part = frozenset(int(p) for p in part)
+        part = frozenset(map(_integers, part))
         if not part:
             raise ValueError("class set must be nonempty")
+        if None in part:
+            raise ValueError("class indices must be integers")
         if not part <= scheme.class_set():
             raise ValueError(f"class indices out of range 0..{scheme.s - 1}: {sorted(part)}")
         out.append(part)
@@ -485,8 +488,8 @@ def restrict_scheme(scheme: AssociationScheme, tset, x0: int) -> AssociationSche
     renumbered in increasing original order; structure constants carry over.
     """
     tset = _closed_set(scheme, tset)
-    if not 0 <= x0 < scheme.n:
-        raise ValueError(f"point {x0} out of range")
+    if _integers(x0) is None or not 0 <= x0 < scheme.n:
+        raise ValueError(f"point {x0!r} out of range")
     points = [y for y in range(scheme.n) if scheme.rel[x0, y] in tset]
     # T is closed, so every pair of these points has its class in T: rank it there
     new_rel = np.searchsorted(sorted(tset), scheme.rel[np.ix_(points, points)])

@@ -9,6 +9,7 @@ explicitly instead of asserting, so they also hold under ``python -O``.
 from __future__ import annotations
 
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -568,3 +569,49 @@ def naive_check_geometry(n_points: int, lines) -> list[tuple[str, tuple]]:
                 if len(bad) >= 10:
                     return bad
     return bad
+
+
+# the strangers that malformed() puts in place of an int x, none of them an integer input
+_STRANGERS = (
+    float, lambda x: x + 0.5, lambda x: bool(x % 2), str, lambda x: None, lambda x: 10 ** 30,
+    lambda x: -(2 ** 63) - 1, lambda x: [x], lambda x: {"x": x},
+)
+
+
+def _nodes(value, path=()):
+    """(path, node) for value and everything nested in its lists, tuples and dicts."""
+    yield path, value
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, (list, tuple)) else ()
+    for key, item in items:
+        yield from _nodes(item, path + (key,))
+
+
+def _integers_only(value, top=True) -> bool:
+    """True when every leaf is a Python int within int64, under lists, tuples
+    and the top-level dict of a file."""
+    if isinstance(value, dict):
+        return top and all(_integers_only(v, False) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return all(_integers_only(v, False) for v in value)
+    return type(value) is int and -(2 ** 63) <= value < 2 ** 63
+
+
+def malformed(rng, value):
+    """A copy of value (nested lists, tuples and one top-level dict of ints)
+    with one node replaced, and whether the copy holds integers alone.
+
+    The node is a leaf, a row or a whole field, drawn uniformly from all of
+    them.  A quarter of the time it becomes another int in -2..5, which keeps
+    the copy integers alone; otherwise it becomes a stranger made from it (or
+    from 1 for a container): a float, x + 0.5, a bool, a string, None, 10^30,
+    -2^63 - 1, a list [x] or a dict."""
+    copy = json.loads(json.dumps(value))
+    nodes = list(_nodes(copy))[1:]
+    path, node = nodes[int(rng.integers(len(nodes)))]
+    x = node if type(node) is int else 1
+    new = int(rng.integers(-2, 6)) if rng.random() < 0.25 else _STRANGERS[int(rng.integers(len(_STRANGERS)))](x)
+    parent = copy
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    return copy, _integers_only(copy)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Sequence, Sized
 from math import inf
 
 import numpy as np
@@ -33,6 +33,7 @@ from .scheme import AssociationScheme, build_scheme
 HAMMING_LENGTH_BOUND = 12
 HAMMING_POINT_BOUND = 4096
 GEOMETRY_POINT_BOUND = 64
+GROUP_ORDER_BOUND = 2048  # Z/2048: 0.43 s at a 270 MB peak (see build_group)
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +57,14 @@ def build_group(cayley) -> FiniteGroup:
     test does not accept.  The refusal names the first non-associative
     (x, y, z) in row-major order; nothing of size g^3 is allocated beyond
     the smallest block.
+
+    A table of more than GROUP_ORDER_BOUND rows raises SizeGuardError before
+    its entries are read, so before Light's test and the g^2 tuple table:
+    Z/2048 builds in 0.43 s at a 270 MB peak RSS from an array (0.63 s and
+    382 MB from lists) on a 2-core machine, and memory grows with g^2.
     """
+    if isinstance(cayley, Sized) and len(cayley) > GROUP_ORDER_BOUND:
+        raise SizeGuardError(f"group verification refused: order {len(cayley)} exceeds bound {GROUP_ORDER_BOUND}")
     t = _integers(cayley, 2)
     g = 0 if t is None else len(t)
     if g == 0 or t.shape != (g, g) or t.min() < 0 or t.max() >= g:

@@ -35,6 +35,13 @@ FILES = {
     "garbled.json": "{oops",
     "typed.json": '{"m":1,"e":0,"inv":[0],"table":5}',
     "nulln.json": '{"n":null,"rel":[[0]]}',
+    # numbers that are no integer input: none is converted
+    "floatrel.json": '{"n":2,"rel":[[0,1.0],[1.0,0]]}',
+    "truerel.json": '{"n":2,"rel":[[0,true],[true,0]]}',
+    "strn.json": '{"n":"2","rel":[[0,1],[1,0]]}',
+    "floatn.json": '{"n":2.7,"rel":[[0,1],[1,0]]}',
+    "floatcell.json": '{"e":0,"inv":[0,1],"m":2,"table":[[[0],[1.0]],[[1],[0]]]}',
+    "boolinv.json": '{"e":0,"inv":[0,true],"m":2,"table":[[[0],[1]],[[1],[0]]]}',
 }
 
 VERBS = ["catalog", "build", "verify", "hyper", "mult", "sub", "quotient", "product",
@@ -108,6 +115,12 @@ COMMANDS = [
     ["verify", "hyper", "typed.json"],
     ["verify", "hyper", "nulln.json"],
     ["verify", "scheme", "nulln.json"],
+    ["verify", "scheme", "floatrel.json"],
+    ["verify", "scheme", "truerel.json"],
+    ["verify", "scheme", "strn.json"],
+    ["verify", "scheme", "floatn.json"],
+    ["verify", "hyper", "floatcell.json"],
+    ["verify", "hyper", "boolinv.json"],
     ["verify", "scheme", "sign.json"],
     ["build", "f3.json", "--witnesses", "x"],
     ["--help"],

@@ -23,6 +23,24 @@ def test_build_group_rejects_bad_tables():
         sf.build_group([[0, 1], [1, 1]])  # boolean OR monoid
 
 
+def test_group_order_bound(monkeypatch):
+    """Z/GROUP_ORDER_BOUND builds; one row more is refused by the row count,
+    before any entry is read: a table of one-entry rows would fail the
+    square check, and the gate is never called.  build_ring and
+    io.load_group inherit the guard."""
+    g = constructions.GROUP_ORDER_BOUND
+    idx = np.arange(g)
+    grp = sf.build_group((idx[:, None] + idx) % g)
+    assert grp.order == g and grp.e == 0 and grp.inv[1] == g - 1
+    read = []
+    monkeypatch.setattr(constructions, "_integers", lambda *args: read.append(args))
+    for call in (lambda: sf.build_group([[0]] * (g + 1)), lambda: sf.build_ring([[0]] * (g + 1), [[0]]),
+                 lambda: io.load_group(io.canonical_json({"order": g + 1, "cayley": [[0]] * (g + 1)}))):
+        with pytest.raises(sf.SizeGuardError, match=f"order {g + 1} exceeds bound {g}"):
+            call()
+    assert read == []
+
+
 def test_symmetric_and_alternating_groups():
     s3 = sf.symmetric_group(3)
     assert s3.order == 6 and s3.e == 0

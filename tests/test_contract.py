@@ -26,6 +26,7 @@ def test_library_holds_no_assert_statement():
 
 def test_require_raises_under_python_dash_o():
     code = (
+        "import json\n"
         "import schemeforge as sf\n"
         "report = sf.build_hypergroup([[{0}, {1}], [{1}, {1}]], 0, (0, 1))\n"
         "assert False, 'asserts must be stripped under -O'\n"
@@ -33,14 +34,23 @@ def test_require_raises_under_python_dash_o():
         "    sf.require(report)\n"
         "except sf.VerificationError as exc:\n"
         "    print(exc.violations == report.violations, len(exc.violations))\n"
+        "try:\n"
+        "    sf.build_group([[0, 1.5], [1, 0]])\n"
+        "except ValueError as exc:\n"
+        "    group = str(exc)\n"
+        "print(json.dumps([sf.build_scheme(2, [[0, True], [True, 0]]).violations[0].axiom,\n"
+        "                  sf.build_hypergroup([[{0}, {1.0}], [{1}, {0}]], 0, (0, 1)).violations[0].axiom, group]))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=False,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
     assert proc.returncode == 0, proc.stderr
-    flag, count = proc.stdout.split()
+    verdict, gate = proc.stdout.splitlines()
+    flag, count = verdict.split()
     assert flag == "True" and int(count) >= 1
+    # three refusals of the input gate, which no assert carries either
+    assert json.loads(gate) == ["shape", "cell", "Cayley table must be a square nonempty table of integers in 0..g-1"]
 
 
 def test_count_routes_refuse_alike_under_python_dash_o():
@@ -417,6 +427,100 @@ def test_cli_prints_in_one_place():
     text, = error_print.args
     assert isinstance(text, ast.JoinedStr) and text.values[0].value == "error: "
     assert [(k.arg, getattr(k.value, "attr", None)) for k in error_print.keywords] == [("file", "stderr")]
+
+
+def _gated_names(node) -> set[str]:
+    """Names a function binds from a call of errors._integers, alone or in a
+    tuple assignment such as ``given, rel = rel, _integers(rel, 2)``."""
+    def gate(value):
+        return isinstance(value, ast.Call) and getattr(value.func, "id", None) == "_integers"
+
+    names = set()
+    for assign in (n for n in ast.walk(node) if isinstance(n, ast.Assign)):
+        for target in assign.targets:
+            pairs = (zip(target.elts, assign.value.elts) if isinstance(target, ast.Tuple)
+                     and isinstance(assign.value, ast.Tuple) else [(target, assign.value)])
+            names |= {t.id for t, v in pairs if isinstance(t, ast.Name) and gate(v)}
+    return names
+
+
+def _root(expr) -> str | None:
+    """The name a subscript or attribute chain starts from: obj for obj["n"]."""
+    while isinstance(expr, (ast.Subscript, ast.Attribute)):
+        expr = expr.value
+    return expr.id if isinstance(expr, ast.Name) else None
+
+
+def _caller_values(node) -> set[str]:
+    """The names in a function that hold a caller's value as given: its
+    parameters (nested functions' too) not rebound from the gate, and the
+    loop and comprehension variables that run over one of them, directly or
+    through enumerate, zip, sorted, list, tuple or set."""
+    params = {a.arg for f in ast.walk(node) if isinstance(f, (ast.FunctionDef, ast.Lambda))
+              for a in f.args.posonlyargs + f.args.args + f.args.kwonlyargs + [f.args.vararg, f.args.kwarg] if a}
+    held, loops = params - _gated_names(node), [n for n in ast.walk(node) if isinstance(n, (ast.comprehension, ast.For))]
+
+    def over(it):
+        if isinstance(it, ast.Call) and getattr(it.func, "id", None) in ("enumerate", "zip", "sorted", "list",
+                                                                          "tuple", "set"):
+            return any(over(a) for a in it.args)
+        return _root(it) in held
+
+    while True:
+        more = {t.id for loop in loops if over(loop.iter)
+                for t in ast.walk(loop.target) if isinstance(t, ast.Name)} - held
+        if not more:
+            return held
+        held |= more
+
+
+def test_inputs_pass_one_gate():
+    """errors._integers alone decides what an integer input is.  Outside it,
+    src/ names no numbers.Integral and no np.issubdtype, converts with
+    dtype=np.int64 only values the library computed (a verified group or
+    ring, a search's own matrix, valencies and class orders), and applies
+    int() (or map(int, ...)) to no caller's value: no parameter as given, no
+    item or attribute of one, nor a variable that runs over one (cli.py's
+    int() of command-line text parses a string it split itself).  Every
+    builder, loader and index argument that reads caller integers names the
+    gate, and the io loaders read their headers through io._fields."""
+    found, int64, ints, mentions = [], [], [], {}
+    for path in sorted((SRC / "schemeforge").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {getattr(n, "id", getattr(n, "attr", getattr(n, "name", None))) for n in ast.walk(tree)}
+        found += [f"{path.name}:{name}" for name in ("Integral", "numbers", "issubdtype") if name in names]
+        if path.name == "errors.py":
+            continue
+        for qualified, node in _functions(tree):
+            mentions[f"{path.name}:{qualified}"] = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            held = _caller_values(node)
+            for call in (n for n in ast.walk(node) if isinstance(n, ast.Call)):
+                name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                if name in ("array", "asarray") and any(
+                        k.arg == "dtype" and ast.unparse(k.value) == "np.int64" for k in call.keywords):
+                    int64.append(f"{path.name}:{node.name}")
+                args = call.args[1:] if name == "map" and ast.unparse(call.args[0]) == "int" else (
+                    call.args if name == "int" else [])
+                if any(_root(a) in held for a in args):
+                    ints.append(f"{path.name}:{node.name}")
+    assert found == []
+    assert sorted(set(int64)) == ["constructions.py:partition_scheme", "constructions.py:valuation_relation",
+                                  "realize.py:_search_at_size", "scheme.py:_radix_counts", "scheme.py:build_scheme"]
+    assert ints == []
+    readers = [f"scheme.py:{name}" for name in ("build_scheme", "_check_class_sets", "restrict_scheme")]
+    readers += [f"hypergroup.py:{name}" for name in (
+        "_table_masks", "_verified", "is_sub_hypergroup", "_cosets", "quotient_hypergroup",
+        "CongruenceRelation.from_blocks")]
+    readers += [f"constructions.py:{name}" for name in (
+        "build_group", "build_ring", "aut_subgroup", "unit_subgroup", "check_geometry")]
+    readers += ["realize.py:check_morphism", "io.py:_fields"]
+    for name in readers:
+        assert "_integers" in mentions[name], name
+    for name in ("_scheme_from", "_hypergroup_from", "load_geometry", "load_group", "load_ring"):
+        assert "_fields" in mentions[f"io.py:{name}"], name
 
 
 def test_caches_stay_where_they_are():

@@ -83,7 +83,7 @@ def _integers(value, ndim: int = 0):
     raises numpy's ValueError.  Scalars take a pure-Python path, since cells
     and class sets call it once an element.
     """
-    if type(value) is int and -(1 << 63) <= value < 1 << 63:
+    if type(value) is int and -(1 << 63) <= value < 1 << 63:  # the common case, in one test
         return value if ndim == 0 else None
     if ndim == 0:
         return int(value) if isinstance(value, np.integer) and -(1 << 63) <= value < 1 << 63 else None

@@ -86,7 +86,17 @@ def build_group(cayley) -> FiniteGroup:
     return FiniteGroup(order=g, cayley=tuple(map(tuple, t.tolist())), e=e, inv=tuple(inv))
 
 
+def _order(n) -> None:
+    """Refuse a group or ring order that is no positive integer (ValueError)
+    or exceeds GROUP_ORDER_BOUND (SizeGuardError), before any table is built."""
+    if _integers(n) is None or n < 1:
+        raise ValueError(f"order must be a positive integer, got {n!r}")
+    if n > GROUP_ORDER_BOUND:
+        raise SizeGuardError(f"group verification refused: order {n} exceeds bound {GROUP_ORDER_BOUND}")
+
+
 def cyclic_group(n: int) -> FiniteGroup:
+    _order(n)
     return build_group([[(a + b) % n for b in range(n)] for a in range(n)])
 
 
@@ -106,12 +116,16 @@ def _parity(perm: tuple[int, ...]) -> int:
 
 def symmetric_group(k: int) -> FiniteGroup:
     """S_k on lexicographically ordered permutations; the identity is element 0."""
+    if _integers(k) is None:
+        raise ValueError(f"symmetric_group needs an integer k, got {k!r}")
     if not 1 <= k <= 4:
         raise SizeGuardError(f"symmetric_group supports k <= 4, got {k}")
     return _perm_group([tuple(p) for p in itertools.permutations(range(k))])
 
 
 def alternating_group(k: int) -> FiniteGroup:
+    if _integers(k) is None:
+        raise ValueError(f"alternating_group needs an integer k, got {k!r}")
     if not 1 <= k <= 4:
         raise SizeGuardError(f"alternating_group supports k <= 4, got {k}")
     return _perm_group([tuple(p) for p in itertools.permutations(range(k)) if _parity(tuple(p)) == 0])
@@ -236,11 +250,16 @@ def build_ring(add, mul) -> FiniteRing:
     associativity is checked, and refused, before distributivity.  Below the
     route, or when a generator fails, distributivity is scanned as
     ``build_group`` scans associativity for its first (x, y, z) in row-major
-    order, which the refusal names.
+    order, which the refusal names.  ``mul``'s rows are counted against the
+    verified order before any of its entries is read, so GROUP_ORDER_BOUND
+    bounds both tables.
     """
     grp = build_group(add)
-    a, m, g = np.array(grp.cayley), _integers(mul, 2), grp.order
-    if m is None or m.shape != (g, g) or m.min() < 0 or m.max() >= g:
+    g = grp.order
+    square = mul.shape == (g, g) if isinstance(mul, np.ndarray) else (
+        isinstance(mul, Sized) and len(mul) == g and all(isinstance(row, Sized) and len(row) == g for row in mul))
+    a, m = np.array(grp.cayley), _integers(mul, 2) if square else None
+    if m is None or m.min() < 0 or m.max() >= g:
         raise ValueError("multiplication table must be a table of integers in 0..g-1 the size of addition")
     if not np.array_equal(a, a.T):
         raise ValueError("addition must be commutative")
@@ -271,6 +290,7 @@ def additive_group(r: FiniteRing) -> FiniteGroup:
 
 
 def zmod_ring(n: int) -> FiniteRing:
+    _order(n)
     add = [[(a + b) % n for b in range(n)] for a in range(n)]
     mul = [[(a * b) % n for b in range(n)] for a in range(n)]
     return build_ring(add, mul)
@@ -322,13 +342,17 @@ def unit_subgroup(r: FiniteRing, elements: Iterable[int]) -> tuple[int, ...]:
 
 
 def units_of_order_dividing(r: FiniteRing, d: int) -> tuple[int, ...]:
-    """The subgroup of units u with u^d = 1 (for example a subfield's unit group)."""
+    """The subgroup of units u with u^d = 1 (for example a subfield's unit
+    group): those whose multiplicative order divides d, found in at most
+    r.order steps each, whatever the size of d."""
+    if _integers(d) is None:
+        raise ValueError(f"exponent must be an integer, got {d!r}")
     out = []
     for u in ring_units(r):
-        acc = r.one
-        for _ in range(d):
-            acc = r.mul[acc][u]
-        if acc == r.one:
+        acc, order = u, 1  # acc = u^order
+        while acc != r.one:
+            acc, order = r.mul[acc][u], order + 1
+        if d % order == 0:
             out.append(u)
     return unit_subgroup(r, out)
 
@@ -434,6 +458,8 @@ def sign_hypergroup() -> Hypergroup:
 
 def hamming_scheme(n: int, q: int = 2) -> AssociationScheme:
     """Distance scheme on words of length n over a q-letter alphabet."""
+    if _integers(n) is None or _integers(q) is None:
+        raise ValueError(f"hamming_scheme needs integers n and q, got {n!r} and {q!r}")
     if not 1 <= n <= HAMMING_LENGTH_BOUND:
         raise SizeGuardError(f"hamming_scheme requires 1 <= n <= {HAMMING_LENGTH_BOUND}, got {n}")
     if q < 2 or q ** n > HAMMING_POINT_BOUND:
@@ -552,8 +578,9 @@ def valued_ring(ring: FiniteRing, chain: Sequence, values: Sequence) -> ValuedRi
 
 def padic_valued_ring(n: int, p: int) -> ValuedRing:
     """Z/n with the p-adic value map; n must be a power of p."""
-    if p < 2 or n < 1:
-        raise ValueError(f"need p >= 2 and n >= 1, got n={n}, p={p}")
+    if _integers(n) is None or _integers(p) is None or p < 2 or n < 1:
+        raise ValueError(f"need integers p >= 2 and n >= 1, got n={n!r}, p={p!r}")
+    _order(n)
     k, m = 0, n
     while m % p == 0:
         m //= p

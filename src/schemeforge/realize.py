@@ -393,6 +393,8 @@ def search_realization(
     "n=<k> exhausted: <count> candidate matrices, 0 matches" is emitted,
     where <count> is the number of leaves of the lex-leader-pruned tree.
     """
+    if _integers(n_max) is None:
+        raise ValueError(f"n_max must be an integer, got {n_max!r}")
     if n_max > SEARCH_POINT_BOUND:
         raise SizeGuardError(
             f"realization search refused: n_max={n_max} exceeds bound {SEARCH_POINT_BOUND}"

@@ -39,10 +39,15 @@ rank s.  Those words are the coordinates of the words in the A_g, so
 V lies in alg(G), and V V lies in alg(G) V, which lies in V.  So A_p A_q is some
 sum_r d_r A_r for every p and q.  Its entry at the first pair of class r is
 d_r, and it is also the count read there, c[p, q, r].  So every count equals
-its constant, though only G's were checked.  The words are integer vectors,
-and rank s mod a prime gives s of them whose determinant is nonzero mod the
-prime, so nonzero: rank s over Q.  ``_PRIME`` < 2^20 keeps the float64
-products of residues exact.  ``generating_classes`` finds G from the constants
+its constant, though only G's were checked.  The words are nonnegative
+integer vectors, as the constants are counts.  So the support of a word is
+exact, and a word whose support leaves the union of the earlier words'
+supports by one class is independent of them: s such words have rank s over
+Q, with no prime and no floats.  ``generating_classes`` finds G that way when
+every word it forms leaves that union by at most one class (every group
+scheme's do), and otherwise by rank mod a prime: rank s there gives s words
+whose determinant is nonzero mod the prime, so nonzero, and ``_PRIME`` < 2^20
+keeps the float64 products of residues exact.  It finds G from the constants
 as read; the argument trusts nothing but the two checks, so on a matrix that
 is no scheme some row of G fails.  Class 0's counts always hold: c[0, q, r]
 is 1 when q = r and 0 otherwise.
@@ -124,13 +129,10 @@ _PRIME = 1048573  # the largest prime below 2^20, so a product of two residues i
 
 
 def _mulmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b mod _PRIME for int64 residues, by float64 BLAS over slices of the
-    inner axis short enough that every partial sum is an integer below 2^53."""
-    step = (2 ** 53 - _PRIME) // (_PRIME - 1) ** 2
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for j in range(0, a.shape[1], step):
-        out = (out + (a[:, j:j + step].astype(float) @ b[j:j + step].astype(float)).astype(np.int64)) % _PRIME
-    return out
+    """a @ b mod _PRIME for int64 residues, by one float64 BLAS product: the
+    inner axis is at most s <= CONSTANTS_CLASS_BOUND long, so every partial
+    sum is an integer below 512 * (_PRIME - 1)^2 < 2^53."""
+    return (a.astype(float) @ b.astype(float)).astype(np.int64) % _PRIME
 
 
 def _extend(basis: np.ndarray, pivots: list[int], new: np.ndarray) -> np.ndarray:
@@ -159,15 +161,78 @@ def _extend(basis: np.ndarray, pivots: list[int], new: np.ndarray) -> np.ndarray
 
 def generating_classes(constants: np.ndarray, order) -> list[int] | None:
     """Classes G whose words reach every class from the diagonal: the words in
-    the L_g, L_g[r, q] = constants[g, q, r], applied to e_0 span rank s mod
-    _PRIME.  Each g is the first class in ``order`` whose e_g lies outside the
-    span reached so far; None if ``order`` runs out first.
+    the L_g, L_g[r, q] = constants[g, q, r], applied to e_0 span rank s.  Each
+    g is the first class in ``order`` whose e_g lies outside the span reached
+    so far, once that span is closed under every earlier L_g; None if
+    ``order`` runs out first.
 
-    The span is closed under every L_g in rounds.  A round applies each L_g to
-    the rows new in the last round, and the newest generator's L_g^(2^j) to
-    the whole span, so a long orbit takes log-many rounds.  Soundness does not
-    depend on the order, the prime or the constants being right (see the
+    The support pass finds G when it can, with no prime and no floats;
+    otherwise the mod-_PRIME rounds find it, from the start.  Soundness does
+    not depend on the order, the prime or the constants being right (see the
     module docstring).
+    """
+    gens = _support_generators(constants, order)
+    return _rank_generators(constants, order) if gens is None else gens
+
+
+def _support_generators(constants: np.ndarray, order) -> list[int] | None:
+    """generating_classes read off the supports of the words, or None to hand
+    over to the rounds.
+
+    The constants are counts, so every L_g and every word is a nonnegative
+    integer vector: no cancellation can occur, and the support of L_g w is
+    exact, the OR over q in the support of w of the mask {r : c[g, q, r] > 0}.
+    U, a mask, is the union of the supports of the words kept so far, from
+    e_0.  Each kept word's image under each generator is formed once, first
+    in first out, and kept when it leaves U by exactly one class t: it is
+    then c e_t plus a vector inside U, with c > 0.  So the kept words form a
+    triangular system, each independent of the earlier ones, and by
+    induction they span span{e_t : t in U} over Q; an image inside U adds
+    nothing.  When no image is left to form, that span is closed under every
+    L_g of G, so it is the span the rounds close to: its reduced echelon
+    basis is the unit vectors of U, which is the rounds' "inside" set, and
+    the next generator, the first class in ``order`` outside U, is theirs.
+    G is therefore the rounds' G, except where a pivot vanishes mod _PRIME
+    and the rounds lose rank that the supports keep.  Once U holds every
+    class, s kept words have rank s over Q.  An image that leaves U by two
+    or more classes, or an ``order`` that runs out, hands over.
+    """
+    s = len(constants)
+    inside, gens, images = 1, [], []  # images[i][q]: the support of L_g e_q, g = gens[i]
+    words, todo, done = [1], [], 0  # todo: (word, images[i]) pairs, formed in order from done
+    while inside != (1 << s) - 1:
+        if done == len(todo):
+            # the span is closed under every L_g so far: add a class outside it
+            g = next((p for p in order if not inside >> p & 1), None)
+            if g is None:
+                return None
+            packed = np.packbits(constants[g] > 0, axis=1, bitorder="little").tobytes()
+            width = len(packed) // s
+            images.append([int.from_bytes(packed[i:i + width], "little") for i in range(0, len(packed), width)])
+            gens.append(g)
+            todo += [(word, images[-1]) for word in words]
+        word, image = todo[done]
+        done += 1
+        out = 0  # the support of the image: image[q] ORed over the classes q of word
+        while word:
+            low = word & -word
+            out |= image[low.bit_length() - 1]
+            word ^= low
+        new = out & ~inside
+        if new & (new - 1):
+            return None
+        if new:
+            inside |= new
+            words.append(out)
+            todo += [(out, each) for each in images]
+    return gens
+
+
+def _rank_generators(constants: np.ndarray, order) -> list[int] | None:
+    """generating_classes by rank mod _PRIME: the words' span is closed under
+    every L_g in rounds.  A round applies each L_g to the rows new in the
+    last round, and the newest generator's L_g^(2^j) to the whole span, so a
+    long orbit takes log-many rounds.
     """
     s = len(constants)
     basis, pivots = np.eye(1, s, dtype=np.int64), [0]

@@ -92,11 +92,14 @@ def test_generator_route_refuses_alike_under_python_dash_o():
     """Z/21 with two cells swapped fails Light's test as a group table and as
     a 21-element single-valued hypergroup, both put to it by
     hypergroup._table_witnesses; the full scans behind it then name the same
-    witnesses under -O, with no assert on the way."""
+    witnesses under -O, with no assert on the way.  A relabelled Z/64 is
+    certified by the generating set that the support pass finds, with no
+    mod-p round, under -O as well."""
     code = (
         "import json\n"
+        "import numpy as np\n"
         "import schemeforge as sf\n"
-        "from schemeforge import hypergroup\n"
+        "from schemeforge import hypergroup, scheme\n"
         "taken = []\n"
         "def spy(t, real=hypergroup._light_associative):\n"
         "    taken.append(real(t))\n"
@@ -109,7 +112,18 @@ def test_generator_route_refuses_alike_under_python_dash_o():
         "except ValueError as exc:\n"
         "    group = str(exc)\n"
         "report = sf.build_hypergroup([[{x} for x in row] for row in t], 0, [-a % 21 for a in range(21)])\n"
-        "print(json.dumps([group, [[v.axiom, v.witness] for v in report.violations], taken]))\n"
+        "light, gens, rounds = list(taken), [], []\n"
+        "def find(constants, order, real=scheme.generating_classes):\n"
+        "    gens.append(real(constants, order))\n"
+        "    return gens[-1]\n"
+        "scheme.generating_classes = find\n"
+        "scheme._extend = lambda *args, real=scheme._extend: rounds.append(1) or real(*args)\n"
+        "rng = np.random.default_rng(91)\n"
+        "sigma, pi = rng.permutation(64), np.concatenate([[0], 1 + rng.permutation(63)])\n"
+        "z64 = pi[sf.group_scheme(sf.cyclic_group(64)).rel[np.ix_(sigma, sigma)]]\n"
+        "certified = isinstance(sf.build_scheme(64, z64), sf.AssociationScheme)\n"
+        "print(json.dumps([group, [[v.axiom, v.witness] for v in report.violations], light,\n"
+        "                  [certified, gens, len(rounds)]]))\n"
     )
     runs = [
         subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True, check=False,
@@ -119,10 +133,11 @@ def test_generator_route_refuses_alike_under_python_dash_o():
     assert all(proc.returncode == 0 for proc in runs), [proc.stderr for proc in runs]
     plain, optimized = (proc.stdout for proc in runs)
     assert plain == optimized
-    group, violations, taken = json.loads(optimized)
+    group, violations, taken, (certified, gens, rounds) = json.loads(optimized)
     assert group.startswith("not associative at ")
     assert "associativity" in {axiom for axiom, _ in violations}
     assert taken == [False, False]
+    assert certified and gens and all(gens) and rounds == 0
 
 
 def test_star_refusal_leaves_numpy_ma_unimported():
@@ -515,10 +530,14 @@ def test_inputs_pass_one_gate():
         "_table_masks", "_verified", "is_sub_hypergroup", "_cosets", "quotient_hypergroup",
         "CongruenceRelation.from_blocks")]
     readers += [f"constructions.py:{name}" for name in (
-        "build_group", "build_ring", "aut_subgroup", "unit_subgroup", "check_geometry")]
-    readers += ["realize.py:check_morphism", "io.py:_fields"]
+        "build_group", "build_ring", "aut_subgroup", "unit_subgroup", "check_geometry", "_order",
+        "symmetric_group", "alternating_group", "hamming_scheme", "padic_valued_ring", "units_of_order_dividing")]
+    readers += ["realize.py:check_morphism", "realize.py:search_realization", "io.py:_fields"]
     for name in readers:
         assert "_integers" in mentions[name], name
+    # family sizes: the group and ring orders pass one check before any table is built
+    for name in ("cyclic_group", "zmod_ring", "padic_valued_ring"):
+        assert "_order" in mentions[f"constructions.py:{name}"], name
     for name in ("_scheme_from", "_hypergroup_from", "load_geometry", "load_group", "load_ring"):
         assert "_fields" in mentions[f"io.py:{name}"], name
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import schemeforge as sf
-from schemeforge import catalog, io
+from schemeforge import catalog, constructions, io
 from schemeforge.cli import run
 from schemeforge.errors import _integers
 from schemeforge.hypergroup import CongruenceRelation
@@ -160,6 +160,93 @@ def test_permutations_and_units_hold_integers_only():
         with pytest.raises(ValueError, match="not a subset of the units"):
             sf.unit_subgroup(z5, units)
     assert sf.unit_subgroup(z5, [np.int64(1), 4]) == (1, 4)
+
+
+def _spy(monkeypatch, module, name):
+    """Record the calls of module.name, then make them."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_cyclic_group_order_is_an_integer_within_the_bound(monkeypatch):
+    """True is not 1: cyclic_group(True) returned Z/1.  An order above
+    GROUP_ORDER_BOUND is refused before the g x g lists are built."""
+    built = _spy(monkeypatch, constructions, "build_group")
+    for n in (True, 2.0, "3", None, 0, -4):
+        with pytest.raises(ValueError, match="order must be a positive integer"):
+            sf.cyclic_group(n)
+    for n in (constructions.GROUP_ORDER_BOUND + 1, 10 ** 12):
+        with pytest.raises(sf.SizeGuardError, match=f"order {n} exceeds bound"):
+            sf.cyclic_group(n)
+    assert built == [] and sf.cyclic_group(np.int64(3)).order == 3
+
+
+def test_zmod_ring_order_is_an_integer_within_the_bound(monkeypatch):
+    built = _spy(monkeypatch, constructions, "build_ring")
+    for n in (True, 2.0, "3", None, 0):
+        with pytest.raises(ValueError, match="order must be a positive integer"):
+            sf.zmod_ring(n)
+    with pytest.raises(sf.SizeGuardError, match="exceeds bound"):
+        sf.zmod_ring(10 ** 12)
+    assert built == []
+
+
+def test_hamming_scheme_sizes_are_integers():
+    for args in ((True,), (3, True), (2.0,), (3, 2.0), ("3",), (None, 2)):
+        with pytest.raises(ValueError, match="hamming_scheme needs integers n and q"):
+            sf.hamming_scheme(*args)
+    assert sf.hamming_scheme(np.int64(2)).n == 4
+
+
+def test_symmetric_and_alternating_degrees_are_integers():
+    for k in (True, 3.0, "3", None):
+        for family in (sf.symmetric_group, sf.alternating_group):
+            with pytest.raises(ValueError, match="needs an integer k"):
+                family(k)
+
+
+def test_padic_valued_ring_sizes_are_integers_within_the_bound(monkeypatch):
+    for n, p in ((True, 2), (8, True), (8.0, 2), (8, 2.0), ("8", 2)):
+        with pytest.raises(ValueError, match="need integers p >= 2 and n >= 1"):
+            sf.padic_valued_ring(n, p)
+    built = _spy(monkeypatch, constructions, "zmod_ring")
+    with pytest.raises(sf.SizeGuardError, match="exceeds bound"):
+        sf.padic_valued_ring(2 ** 40, 2)
+    assert built == []
+
+
+def test_units_of_order_dividing_reads_its_exponent():
+    """The exponent is read through the gate, and its size costs nothing: the
+    units are kept by their multiplicative order, which divides d or not."""
+    gf16 = sf.gf_ring(16)
+    for d in (True, 3.0, "3", None):
+        with pytest.raises(ValueError, match="exponent must be an integer"):
+            sf.units_of_order_dividing(gf16, d)
+    assert len(sf.units_of_order_dividing(gf16, 3)) == 3 and len(sf.units_of_order_dividing(gf16, 5)) == 5
+    assert sf.units_of_order_dividing(gf16, 15 * 10 ** 15) == sf.units_of_order_dividing(gf16, 15)
+    assert len(sf.units_of_order_dividing(gf16, 15)) == 15
+
+
+def test_search_bound_is_an_integer():
+    """search_realization(h, True) searched at most one point and returned None."""
+    for n_max in (True, 3.0, "3", None):
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            sf.search_realization(sf.krasner_hypergroup(), n_max)
+
+
+def test_ring_product_rows_are_counted_before_they_are_read(monkeypatch):
+    """A 3000 x 3000 product against a one-element addition is refused by
+    its row count: the gate never reads it (it took 0.53 s when it did)."""
+    read = _spy(monkeypatch, constructions, "_integers")
+    mul = [[0] * 3000] * 3000
+    for given in (mul, np.zeros((3000, 3000), dtype=np.int64)):
+        with pytest.raises(ValueError, match="the size of addition"):
+            sf.build_ring([[0]], given)
+        assert read and all(args[0] is not given for args in read)
+    for ragged in ([[0, 0], [0]], [[0, 0], 5], [[0, 0]], np.array(5)):
+        with pytest.raises(ValueError, match="the size of addition"):
+            sf.build_ring([[0, 1], [1, 0]], ragged)
 
 
 def test_geometry_points_are_integers():

@@ -329,6 +329,71 @@ def test_generating_classes_run_out_of_order():
     assert gens == [4, 6, 3] and naive_generated_rank(z12.constants.tolist(), gens) == 12
 
 
+def test_support_pass_finds_the_rounds_generators():
+    """G is the same with the support pass on and forced off (the mod-p
+    rounds alone), on the small catalog schemes and on 20 relabellings each
+    of Z/64, H(8,2) and fano-flags; each G reaches rank s over Q."""
+    rng = np.random.default_rng(78)
+    bases = [(name, catalog.catalog_scheme(name).rel, 1) for name in SMALL_SCHEMES]
+    bases += [("Z/64", sf.group_scheme(sf.cyclic_group(64)).rel, 20), ("H(8,2)", sf.hamming_scheme(8).rel, 20),
+              ("fano-flags", sf.fano_flag_scheme().rel, 20)]
+    settled = {}
+    for name, rel, copies in bases:
+        for _ in range(copies):
+            constants = sf.require(sf.build_scheme(len(rel), relabelled(rel, rng))).constants
+            order = range(1, len(constants))
+            gens = scheme.generating_classes(constants, order)
+            assert gens == scheme._rank_generators(constants, order), name
+            assert naive_generated_rank(constants.tolist(), gens) == len(constants), name
+            settled[name] = settled.get(name, 0) + (scheme._support_generators(constants, order) is not None)
+    # every group scheme is settled by the pass; the others only sometimes
+    assert settled["Z/64"] == 20 and all(settled[name] for name in ("Z4", "S3", "A4", "H(8,2)", "fano-flags"))
+    assert settled["H(8,2)"] < 20 and settled["fano-flags"] < 20
+
+
+def test_support_pass_hands_over_and_the_rounds_finish(monkeypatch):
+    """On fano x fano and F16/F4 a word leaves the supports by two classes,
+    so the pass hands over, and build_scheme still accepts both through the
+    rounds' G."""
+    monkeypatch.setattr(scheme, "_BLOCK_BYTES", (1, 1))
+    passes, rounds = [], []
+    for name, record in (("_support_generators", passes), ("_rank_generators", rounds)):
+        def spy(constants, order, real=getattr(scheme, name), record=record):
+            record.append(real(constants, order))
+            return record[-1]
+        monkeypatch.setattr(scheme, name, spy)
+    fano = sf.fano_flag_scheme()
+    rng = np.random.default_rng(79)
+    for base in (sf.product_scheme(fano, fano), catalog.catalog_scheme("F16/F4")):
+        rel = relabelled(base.rel, rng)
+        passes.clear()
+        rounds.clear()
+        assert isinstance(sf.build_scheme(len(rel), rel), sf.AssociationScheme)
+        assert passes and passes[0] is None and rounds and rounds[0]
+
+
+def test_relabelled_cyclic_group_never_reaches_the_rounds(monkeypatch):
+    """A relabelled Z/64 takes the generator path, and its G comes from the
+    supports alone: the mod-p elimination ``_extend`` is never called."""
+    found = spy_on_generators(monkeypatch)
+    monkeypatch.setattr(scheme, "_extend", lambda *args: pytest.fail("the rounds ran"))
+    rel = relabelled(sf.group_scheme(sf.cyclic_group(64)).rel, np.random.default_rng(80))
+    assert isinstance(sf.build_scheme(64, rel), sf.AssociationScheme)
+    assert found and found[0]
+
+
+def test_mulmod_is_one_exact_product():
+    """Every inner axis of the rounds is at most s <= CONSTANTS_CLASS_BOUND
+    long, so one float64 product of residues holds every partial sum exactly."""
+    assert scheme.CONSTANTS_CLASS_BOUND * (scheme._PRIME - 1) ** 2 < 2 ** 53
+    rng = np.random.default_rng(81)
+    k = scheme.CONSTANTS_CLASS_BOUND
+    a, b = rng.integers(0, scheme._PRIME, (3, k)), rng.integers(0, scheme._PRIME, (k, 4))
+    a[0], b[:, 0] = scheme._PRIME - 1, scheme._PRIME - 1  # the largest partial sums
+    exact = [[sum(int(x) * int(y) for x, y in zip(row, col)) % scheme._PRIME for col in b.T] for row in a]
+    assert scheme._mulmod(a, b).tolist() == exact
+
+
 def test_more_classes_than_points_refused_by_row_0():
     # each unordered pair its own class: every earlier axiom holds
     rel = np.zeros((5, 5), dtype=np.int64)

@@ -83,6 +83,8 @@ class Hypergroup:
     Each cell a*b is held once, as ``masks[a][b]``, the int sum of 2^t over t
     in a*b, and equality and hash read m, e, inv and the masks.  ``table`` is
     the frozenset view of the masks, built on first read; repr shows it.
+    The constructor reads m, e, inv and the cells through ``errors._integers``
+    but checks no range and no axiom: the builders verify.
     """
 
     m: int
@@ -93,6 +95,9 @@ class Hypergroup:
     masks: tuple[tuple[int, ...], ...] = dataclasses.field(init=False)
 
     def __init__(self, m: int, table: tuple[tuple[frozenset[int], ...], ...], e: int, inv: tuple[int, ...]) -> None:
+        m, e, inv = _integers(m), _integers(e), tuple(map(_integers, inv))
+        if m is None or e is None or None in inv:
+            raise ValueError("m, e and every inverse must be integers")
         masks = _table_masks(table, m)
         if any(-1 in row for row in masks):
             raise ValueError(f"a cell holds an element that is no integer in 0..{m - 1}")

@@ -47,7 +47,7 @@ Q, with no prime and no floats.  ``generating_classes`` finds G that way when
 every word it forms leaves that union by at most one class (every group
 scheme's do), and otherwise by rank mod a prime: rank s there gives s words
 whose determinant is nonzero mod the prime, so nonzero, and ``_PRIME`` < 2^20
-keeps the float64 products of residues exact.  It finds G from the constants
+keeps every int64 product of residues exact.  It finds G from the constants
 as read; the argument trusts nothing but the two checks, so on a matrix that
 is no scheme some row of G fails.  Class 0's counts always hold: c[0, q, r]
 is 1 when q = r and 0 otherwise.
@@ -129,34 +129,26 @@ _PRIME = 1048573  # the largest prime below 2^20, so a product of two residues i
 
 
 def _mulmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b mod _PRIME for int64 residues, by one float64 BLAS product: the
-    inner axis is at most s <= CONSTANTS_CLASS_BOUND long, so every partial
-    sum is an integer below 512 * (_PRIME - 1)^2 < 2^53."""
-    return (a.astype(float) @ b.astype(float)).astype(np.int64) % _PRIME
+    """a @ b mod _PRIME for int64 residues: the inner axis is at most s <=
+    CONSTANTS_CLASS_BOUND = 2^9 long, so every partial sum is an integer
+    below 2^9 * 2^40 = 2^49, exact in int64."""
+    return a @ b % _PRIME
 
 
 def _extend(basis: np.ndarray, pivots: list[int], new: np.ndarray) -> np.ndarray:
-    """The reduced echelon basis mod _PRIME of span(basis) + span(new).  pivots
-    grows in place, and the rows after the old ones span what is new."""
+    """The reduced echelon basis mod _PRIME of span(basis) + span(new), by
+    Gauss-Jordan one pivot at a time.  pivots grows in place, and the rows
+    after the old ones span what is new."""
     rest = (new - _mulmod(new[:, pivots], basis)) % _PRIME
-    rows = basis[:0]
     while len(rest := rest[rest.any(axis=1)]):
-        # rows with distinct leading columns, each zero at the others' leads,
-        # are independent and go in at once; else the first of them goes alone
-        at = np.full(len(rest[0]), len(rest))
-        np.minimum.at(at, np.argmax(rest != 0, axis=1), np.arange(len(rest)))
-        leads = np.flatnonzero(at < len(rest))
-        at = at[leads]
-        if np.count_nonzero(rest[at[:, None], leads]) > len(at):
-            leads, at = leads[:1], at[:1]
-        inverse = [pow(a, -1, _PRIME) for a in rest[at, leads].tolist()]
-        take = rest[at] * np.array(inverse)[:, None] % _PRIME
-        rest = (rest - _mulmod(rest[:, leads], take)) % _PRIME
-        rows = np.vstack([(rows - _mulmod(rows[:, leads], take)) % _PRIME, take])
-        pivots += leads.tolist()
-    if not len(rows):
-        return basis
-    return np.vstack([(basis - _mulmod(basis[:, pivots[len(basis):]], rows)) % _PRIME, rows])
+        # the first row, scaled to lead 1, clears its lead column elsewhere;
+        # each term of the outer products is below 2^40
+        lead = int(np.argmax(rest[0] != 0))
+        row = rest[0] * pow(int(rest[0, lead]), -1, _PRIME) % _PRIME
+        basis = np.vstack([(basis - np.outer(basis[:, lead], row)) % _PRIME, row])
+        rest = (rest[1:] - np.outer(rest[1:, lead], row)) % _PRIME
+        pivots.append(lead)
+    return basis
 
 
 def generating_classes(constants: np.ndarray, order) -> list[int] | None:
@@ -167,9 +159,9 @@ def generating_classes(constants: np.ndarray, order) -> list[int] | None:
     ``order`` runs out first.
 
     The support pass finds G when it can, with no prime and no floats;
-    otherwise the mod-_PRIME rounds find it, from the start.  Soundness does
-    not depend on the order, the prime or the constants being right (see the
-    module docstring).
+    otherwise the int64 rounds mod _PRIME find it, from the start.
+    Soundness does not depend on the order, the prime or the constants
+    being right (see the module docstring).
     """
     gens = _support_generators(constants, order)
     return _rank_generators(constants, order) if gens is None else gens
@@ -230,17 +222,16 @@ def _support_generators(constants: np.ndarray, order) -> list[int] | None:
 
 def _rank_generators(constants: np.ndarray, order) -> list[int] | None:
     """generating_classes by rank mod _PRIME: the words' span is closed under
-    every L_g in rounds.  A round applies each L_g to the rows new in the
-    last round, and the newest generator's L_g^(2^j) to the whole span, so a
-    long orbit takes log-many rounds.
+    every L_g in rounds.  A new generator's L_g is applied to the whole span;
+    each later round applies every L_g in G to the rows new in the last
+    round, until a round adds none.
     """
     s = len(constants)
     basis, pivots = np.eye(1, s, dtype=np.int64), [0]
     gens, stack, fresh = [], np.zeros((s, 0), dtype=np.int64), basis[:0]
     while len(pivots) < s:
         if len(fresh):
-            power = _mulmod(power, power)
-            new = np.vstack([_mulmod(fresh, stack).reshape(-1, s), _mulmod(basis, power)])
+            new = _mulmod(fresh, stack).reshape(-1, s)
         else:
             # the span is closed under every L_g so far: add a class outside it
             inside = np.zeros(s, dtype=bool)
@@ -249,9 +240,8 @@ def _rank_generators(constants: np.ndarray, order) -> list[int] | None:
             if g is None:
                 return None
             gens.append(g)
-            power = constants[g] % _PRIME
-            stack = np.hstack([stack, power])
-            new = _mulmod(basis, power)
+            stack = np.hstack([stack, constants[g] % _PRIME])
+            new = _mulmod(basis, stack[:, -s:])
         k = len(basis)
         basis = _extend(basis, pivots, new)
         fresh = basis[k:]
@@ -368,7 +358,7 @@ def _radix_counts(rel: np.ndarray, s: int, ys: np.ndarray, zs: np.ndarray) -> tu
 
 
 def build_scheme(n: int, rel) -> AssociationScheme | Report:
-    """Verify the scheme axioms for an n x n class matrix by direct counting.
+    """Verify the scheme axioms for an n x n class matrix, every count exactly.
 
     Returns a fully populated AssociationScheme on success.  On failure returns
     a Report whose violations all belong to the first failing axiom, each
@@ -388,6 +378,15 @@ def build_scheme(n: int, rel) -> AssociationScheme | Report:
     a row of G fails, the other classes follow in order until 25 witnesses
     are settled, so a refusal names the same witnesses in the same order as
     a check of every class.
+
+    Once the counts pass, sum_r c[p, q, r] k_r = k_p k_q for the valencies
+    k_p = c[p, star p, 0], so it is not checked.  The diagonal and star
+    checks give rel[x, y] = star(rel[y, x]), star an involution, and (y, y)
+    in class 0, so the verified count of (p, star p) at (y, y) is #{x :
+    rel[y, x] = p}: every row holds k_p points of class p.  For one y, the
+    pairs (x, z) with rel[y, x] = p and rel[x, z] = q number k_p k_q by x,
+    and sum_r k_r c[p, q, r] by z.  On the radix route with G this rests on
+    the module docstring's argument that every count equals its constant.
 
     A matrix that ``errors._integers`` does not read as an int64 array, or
     an n that it does not read as an integer, is refused by shape.
@@ -462,13 +461,6 @@ def build_scheme(n: int, rel) -> AssociationScheme | Report:
         return Report(tuple(bad))
 
     valency = tuple(int(constants[p, star[p], 0]) for p in range(s))
-    nr = np.array(valency, dtype=np.int64)
-    lhs = constants @ nr
-    rhs = np.outer(nr, nr)
-    if not np.array_equal(lhs, rhs):
-        p, q = np.argwhere(lhs != rhs)[0]
-        return Report((Violation("counting", (int(p), int(q))),))
-
     return AssociationScheme(
         n=n, s=s, rel=_freeze(rel), star=tuple(star.tolist()),
         constants=_freeze(constants), valency=valency,

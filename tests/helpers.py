@@ -51,25 +51,60 @@ def naive_constant_witnesses(rel, s: int, cap: int = 25) -> list[tuple[int, int,
     return [key + witness[key] for key in sorted(witness)[:cap]]
 
 
-def naive_generated_rank(constants, gens) -> int:
-    """Rank over Q of the words in the matrices L_g, L_g[r][q] = constants[g][q][r]
-    for g in gens, applied to e_0: exact Fraction elimination, each new
-    independent vector multiplied by every L_g in turn."""
+def _apply(constants, g, v) -> list:
+    """L_g v, L_g[r][q] = constants[g][q][r]."""
     s = len(constants)
-    rows: list[tuple[int, list[Fraction]]] = []  # (pivot, row with 1 there), each zero at earlier pivots
-    todo = [[Fraction(int(r == 0)) for r in range(s)]]
+    return [sum(int(constants[g][q][r]) * v[q] for q in range(s) if v[q]) for r in range(s)]
+
+
+def _reduced(v, rows) -> list:
+    """v minus its components along rows, each zero at earlier pivots: zero
+    exactly when v lies in their span."""
+    for pivot, row in rows:
+        if v[pivot]:
+            v = [a - v[pivot] * b for a, b in zip(v, row)]
+    return v
+
+
+def _close(constants, gens, rows, todo) -> None:
+    """Grow rows, (pivot, row with 1 there) pairs each zero at earlier pivots,
+    to span the vectors of todo and their words in the L_g for g in gens:
+    exact Fraction elimination, each new independent vector multiplied by
+    every L_g in turn."""
     while todo:
-        v = todo.pop()
-        for pivot, row in rows:
-            if v[pivot]:
-                v = [a - v[pivot] * b for a, b in zip(v, row)]
-        lead = next((r for r in range(s) if v[r]), None)
+        v = _reduced(todo.pop(), rows)
+        lead = next((r for r, a in enumerate(v) if a), None)
         if lead is None:
             continue
         rows.append((lead, [a / v[lead] for a in v]))
-        for g in gens:
-            todo.append([sum(int(constants[g][q][r]) * v[q] for q in range(s) if v[q]) for r in range(s)])
+        todo += [_apply(constants, g, v) for g in gens]
+
+
+def naive_generated_rank(constants, gens) -> int:
+    """Rank over Q of the words in the matrices L_g, L_g[r][q] = constants[g][q][r]
+    for g in gens, applied to e_0."""
+    rows: list[tuple[int, list[Fraction]]] = []
+    _close(constants, gens, rows, [[Fraction(int(r == 0)) for r in range(len(constants))]])
     return len(rows)
+
+
+def naive_generating_classes(constants, order) -> list[int] | None:
+    """The greedy generating set over Q: the next class is the first in order
+    whose unit vector lies outside the span of the words reached from e_0,
+    once that span is closed under the L_g of every class chosen so far;
+    None if order runs out before the span is everything."""
+    s = len(constants)
+    rows: list[tuple[int, list[Fraction]]] = []
+    gens: list[int] = []
+    _close(constants, gens, rows, [[Fraction(int(r == 0)) for r in range(s)]])
+    while len(rows) < s:
+        g = next((p for p in order if any(_reduced([Fraction(int(r == p)) for r in range(s)], rows))), None)
+        if g is None:
+            return None
+        gens.append(g)
+        # the span is closed under the earlier L_g: the new one goes over all of it
+        _close(constants, gens, rows, [_apply(constants, g, row) for _, row in rows])
+    return gens
 
 
 def naive_complex_mult(constants, s: int, pset, qset) -> set[int]:

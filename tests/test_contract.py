@@ -493,7 +493,7 @@ def test_inputs_pass_one_gate():
     """errors._integers alone decides what an integer input is.  Outside it,
     src/ names no numbers.Integral and no np.issubdtype, converts with
     dtype=np.int64 only values the library computed (a verified group or
-    ring, a search's own matrix, valencies and class orders), and applies
+    ring, a search's own matrix and class orders), and applies
     int() (or map(int, ...)) to no caller's value: no parameter as given, no
     item or attribute of one, nor a variable that runs over one (cli.py's
     int() of command-line text parses a string it split itself).  Every
@@ -523,11 +523,11 @@ def test_inputs_pass_one_gate():
                     ints.append(f"{path.name}:{node.name}")
     assert found == []
     assert sorted(set(int64)) == ["constructions.py:partition_scheme", "constructions.py:valuation_relation",
-                                  "realize.py:_search_at_size", "scheme.py:_radix_counts", "scheme.py:build_scheme"]
+                                  "realize.py:_search_at_size", "scheme.py:_radix_counts"]
     assert ints == []
     readers = [f"scheme.py:{name}" for name in ("build_scheme", "_check_class_sets", "restrict_scheme")]
     readers += [f"hypergroup.py:{name}" for name in (
-        "_table_masks", "_verified", "is_sub_hypergroup", "_cosets", "quotient_hypergroup",
+        "Hypergroup.__init__", "_table_masks", "_verified", "is_sub_hypergroup", "_cosets", "quotient_hypergroup",
         "CongruenceRelation.from_blocks")]
     readers += [f"constructions.py:{name}" for name in (
         "build_group", "build_ring", "aut_subgroup", "unit_subgroup", "check_geometry", "_order",

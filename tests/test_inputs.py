@@ -5,6 +5,7 @@ that an earlier version converted or met with a raw exception, then a seeded
 malformed-input run over every public builder, every loader and ``cli.run``.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -112,6 +113,19 @@ def test_identity_and_inverses_are_integers():
         assert witnesses(sf.build_hypergroup(Z2_CELLS, e, inv)) == [("shape", (e, tuple(inv)))]
     h = sf.require(sf.build_hypergroup(Z2_CELLS, np.int64(0), np.array([0, 1])))
     assert type(h.e) is int and all(type(x) is int for x in h.inv)
+
+
+def test_unverified_constructor_reads_identity_and_inverses_through_the_gate():
+    # Hypergroup(...) checks no axiom, but it stores integers alone
+    with pytest.raises(ValueError, match="must be integers"):
+        sf.Hypergroup(2, Z2_CELLS, 0.0, (0, 1.0))
+    for m, e, inv in ((2.0, 0, (0, 1)), (2, 0, (0, 1.0)), (2, True, (0, 1)), (2, 0, ("0", 1))):
+        with pytest.raises(ValueError, match="must be integers"):
+            sf.Hypergroup(m, Z2_CELLS, e, inv)
+    h = sf.Hypergroup(np.int64(2), Z2_CELLS, np.int64(0), np.array([0, 1]))
+    assert type(h.m) is int and type(h.e) is int and h.inv == (0, 1) and all(type(x) is int for x in h.inv)
+    # range and axioms stay unchecked, so replace still builds invalid values
+    assert dataclasses.replace(h, e=5).e == 5 and dataclasses.replace(h, inv=[1, 0]).inv == (1, 0)
 
 
 def test_element_sets_refuse_non_integers():

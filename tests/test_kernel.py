@@ -24,6 +24,7 @@ from helpers import (
     naive_constant_witnesses,
     naive_constants,
     naive_generated_rank,
+    naive_generating_classes,
     naive_hypergroup_violations,
     naive_star,
     naive_star_witnesses,
@@ -382,10 +383,33 @@ def test_relabelled_cyclic_group_never_reaches_the_rounds(monkeypatch):
     assert found and found[0]
 
 
+def test_rank_rounds_match_the_greedy_oracle():
+    """_rank_generators, called directly so the rounds run whatever the
+    support pass would do, finds the exact greedy G of the Fraction oracle
+    on inputs with long orbits under one L_g: relabellings of Z/64 under
+    x -> -x (s = 33), of PG(2,5)'s scheme (Z5^3 under F5* scaling, s = 32)
+    and of fano x H(3,2), each in class order and reversed.  On A4 a later
+    round must apply every earlier L_g, not the newest alone."""
+    z64, z5 = sf.cyclic_group(64), sf.cyclic_group(5)
+    z5_3 = sf.product_group(z5, sf.product_group(z5, z5))
+    scalings = [[sum(k * (x // 5 ** i) % 5 * 5 ** i for i in range(3)) for x in range(125)] for k in range(1, 5)]
+    bases = [("Z/64 under -1", sf.partition_scheme(z64, sf.aut_subgroup(z64, [range(64), [-x % 64 for x in range(64)]]))),
+             ("PG(2,5)", sf.partition_scheme(z5_3, sf.aut_subgroup(z5_3, scalings))),
+             ("fano x H(3,2)", sf.product_scheme(sf.fano_flag_scheme(), sf.hamming_scheme(3))),
+             ("A4", catalog.catalog_scheme("A4"))]
+    rng = np.random.default_rng(82)
+    for name, base in bases:
+        for _ in range(2):
+            constants = sf.require(sf.build_scheme(base.n, relabelled(base.rel, rng))).constants
+            for order in (range(1, base.s), range(base.s - 1, 0, -1)):
+                gens = scheme._rank_generators(constants, order)
+                assert gens and gens == naive_generating_classes(constants.tolist(), order), name
+
+
 def test_mulmod_is_one_exact_product():
     """Every inner axis of the rounds is at most s <= CONSTANTS_CLASS_BOUND
-    long, so one float64 product of residues holds every partial sum exactly."""
-    assert scheme.CONSTANTS_CLASS_BOUND * (scheme._PRIME - 1) ** 2 < 2 ** 53
+    long, so one int64 product of residues holds every partial sum exactly."""
+    assert scheme.CONSTANTS_CLASS_BOUND * (scheme._PRIME - 1) ** 2 < 2 ** 63
     rng = np.random.default_rng(81)
     k = scheme.CONSTANTS_CLASS_BOUND
     a, b = rng.integers(0, scheme._PRIME, (3, k)), rng.integers(0, scheme._PRIME, (k, 4))

@@ -51,6 +51,18 @@ keeps every int64 product of residues exact.  It finds G from the constants
 as read; the argument trusts nothing but the two checks, so on a matrix that
 is no scheme some row of G fails.  Class 0's counts always hold: c[0, q, r]
 is 1 when q = r and 0 otherwise.
+
+A class g of G may skip its product and be counted through its
+neighbourhoods N_g(y) = {x : rel[y, x] = g}, in int64.  The count of (g, q)
+at (y, z) is the number of x in N_g(y) with rel[x, z] = q.  When every row
+holds exactly k_g points of class g, checked directly, that count is at most
+k_g, and so is each constant c[g, q, r], read at a pair whose row holds k_g
+points of g too.  With K the largest such k_g and v[q] = (K + 1)^q, the
+counts of g at (y, z) are the digits of radix K + 1 of the sum of
+v[rel[x, z]] over x in N_g(y).  No digit carries, so the packing is
+injective, and when (K + 1)^s < 2^63 every sum, partial sum and packed
+constant is an int64 below it.  G is sought in ascending valency, so that
+its classes are sparse.
 """
 
 from __future__ import annotations
@@ -290,31 +302,70 @@ def _histogram_counts(rel: np.ndarray, s: int, ys: np.ndarray, zs: np.ndarray) -
     return constants, witness
 
 
+_NEIGHBOURHOOD_COST = 32  # measured where neighbourhoods beat products (build_scheme)
+
+
+def _neighbourhood_counts(rel: np.ndarray, constants: np.ndarray, classes: list[int], k: list[int]) -> list[int] | None:
+    """The classes g of ``classes`` whose counts all hold, checked through the
+    neighbourhoods N_g(y) in int64, or None if a count differs.  g is checked
+    when every row holds exactly k[g] points of class g and (k[g] + 1)^s <
+    2^63; with K the largest such k[g], row y's packed counts of g are the
+    sum of v[rel[x]] over x in N_g(y), v[q] = (K + 1)^q, in row blocks of
+    256 KB (the module docstring says why this is exact)."""
+    n, s = len(rel), len(constants)
+    cols = {}  # g -> the k[g] points of class g in each row, row by row
+    for g in classes:
+        if (k[g] + 1) ** s < 2 ** 63:
+            at = np.flatnonzero(rel == g)
+            if np.array_equal(at // n, np.arange(n * k[g]) // k[g]):
+                cols[g] = (at % n).reshape(n, k[g])
+    if not cols:
+        return []
+    v = (max(k[g] for g in cols) + 1) ** np.arange(s, dtype=np.int64)  # digit q's place value
+    vrel = np.take(v, rel)
+    step = max(1, (1 << 18) // (8 * n))
+    for g, points in cols.items():
+        want = constants[g].T @ v  # class r's packed constants of g
+        for start in range(0, n, step):
+            got = np.take(vrel, points[start:start + step, 0], axis=0)
+            for j in range(1, k[g]):
+                got += np.take(vrel, points[start:start + step, j], axis=0)
+            if not np.array_equal(got, np.take(want, rel[start:start + step])):
+                return None
+    return list(cols)
+
+
 def _radix_counts(rel: np.ndarray, s: int, ys: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """_histogram_counts by packed float64 products (see build_scheme); witness
-    is exact at the first _WITNESS_CAP keys it holds."""
+    """_histogram_counts by packed float64 products, and G's sparse classes
+    through their neighbourhoods in int64 (see build_scheme); witness is exact
+    at the first _WITNESS_CAP keys it holds."""
     n = len(rel)
     keys = (rel[ys] * s + rel[:, zs].T) * s + np.arange(s)[:, None]
     constants = np.bincount(keys.ravel(), minlength=s ** 3).reshape(s, s, s)
 
     radix, group, place = count_radices(rel, s)
     groups = group[-1] + 1 if s else 0
+
+    # G pays off only when the check is more than one largest block, and only
+    # when every column holds row 0's count of each class, as a scheme's do
+    gens = []
+    if (s - 1) * 8 * n * n * groups > _BLOCK_BYTES[1] and np.array_equal(np.bincount(rel[0], minlength=s) + 1, radix):
+        gens = generating_classes(constants, sorted(range(1, s), key=radix.__getitem__))
+        # G's sparse classes go through their neighbourhoods; if those hold, the
+        # rest of G goes by products
+        k = [r - 1 for r in radix]
+        routed = _neighbourhood_counts(rel, constants, [g for g in gens if _NEIGHBOURHOOD_COST * k[g] <= n * groups], k)
+        if routed is not None:
+            gens = [g for g in gens if g not in routed]
+            if not gens:
+                return constants, None
+
     weights = np.zeros((s, groups))
     weights[np.arange(s), group] = place
     packed = np.take(weights, rel, axis=0).reshape(n, n * groups)
     # a block's product takes no more bytes than packed itself, within the bounds
     block = min(max(packed.nbytes, _BLOCK_BYTES[0]), _BLOCK_BYTES[1])
     step = max(1, block // (8 * max(n * groups, 1)))
-
-    # G pays off only when the check is more than one largest block, and only
-    # when every column holds row 0's count of each class, as a scheme's do
-    gens = []
-    if (s - 1) * packed.nbytes > _BLOCK_BYTES[1] and np.array_equal(np.bincount(rel[0], minlength=s) + 1, radix):
-        gens = generating_classes(constants, range(1, s))
-        if packed.nbytes > _BLOCK_BYTES[1] and len(gens) > 1:
-            # one class's rows fill several blocks: the later finds may do without
-            # the first (on a matrix that is no scheme they may reach less)
-            gens = generating_classes(constants, gens[::-1]) or gens
     # rows of class 0 always pass; G's go first, and if they pass they settle the rest
     order = np.array(gens + [p for p in range(1, s) if p not in gens], dtype=np.int64)
     cut, end = len(gens) * n, len(order) * n
@@ -372,12 +423,25 @@ def build_scheme(n: int, rel) -> AssociationScheme | Report:
     packing of the constants.  Each class p costs groups * n^3
     multiply-adds, in row blocks of at most 2 MB.  Class 0 is never checked,
     and the rows of a generating set G go first; if they pass, the matrix is
-    a scheme (the module docstring says why), so a scheme costs |G| * groups
-    * n^3.  G is sought only when the whole check is more than one 2 MB
-    block, and only when every column holds row 0's count of each class.  If
-    a row of G fails, the other classes follow in order until 25 witnesses
-    are settled, so a refusal names the same witnesses in the same order as
-    a check of every class.
+    a scheme (the module docstring says why).  G is sought, in ascending
+    valency, only when the whole check is more than one 2 MB block, and only
+    when every column holds row 0's count of each class.
+
+    A class g of G with _NEIGHBOURHOOD_COST * k_g <= groups * n is first
+    counted through its neighbourhoods instead, about k_g * n^2 int64
+    additions in row blocks of 256 KB (the module docstring says why this is
+    exact, and when it applies).  On a 2-core Intel Xeon with 7.8 GB and
+    OpenBLAS 0.3.31 at its default two threads, a product costs 0.025-0.045
+    ns a multiply-add and a neighbourhood 0.7-0.9 ns a point and pair, plus
+    2.5-8 ns a pair; the products and the neighbourhoods broke even at k_g =
+    groups * n / 20 on H(8,2), / 28 on fano x H(3,2), / 30 on H(10,2) and /
+    37 on H(9,2), so _NEIGHBOURHOOD_COST = 32 (256 KB blocks beat 64 KB and
+    2 MB ones).  A scheme thus costs about the sum of k_g * n^2 over the
+    classes of G so counted and groups * n^3 for each other one.  If a
+    neighbourhood differs, the check starts over with G's products.  If a
+    row of G fails, the other classes follow in order until 25 witnesses are
+    settled, so a refusal names the same witnesses in the same order as a
+    check of every class.
 
     Once the counts pass, sum_r c[p, q, r] k_r = k_p k_q for the valencies
     k_p = c[p, star p, 0], so it is not checked.  The diagonal and star

@@ -2,6 +2,7 @@
 build_hypergroup and the row-0 triangle check, against the by-definition
 oracles in helpers.py under seeded random relabellings and perturbations."""
 
+import functools
 import itertools
 import json
 import os
@@ -39,10 +40,15 @@ SMALL_SCHEMES = [name for name in catalog.scheme_names() if catalog.catalog_sche
 def relabelled(rel, rng):
     """rel under a random point permutation and a random permutation of the
     nondiagonal classes."""
+    return relabelled_by(rel, rng)[0]
+
+
+def relabelled_by(rel, rng):
+    """(relabelled(rel, rng), pi): class c of rel is class pi[c] of the copy."""
     rel = np.asarray(rel)
     sigma = rng.permutation(len(rel))
     pi = np.concatenate([[0], 1 + rng.permutation(int(rel.max()))])
-    return pi[rel[np.ix_(sigma, sigma)]]
+    return pi[rel[np.ix_(sigma, sigma)]], pi
 
 
 def assert_matches_oracle(n, rel):
@@ -353,9 +359,10 @@ def test_support_pass_finds_the_rounds_generators():
 
 
 def test_support_pass_hands_over_and_the_rounds_finish(monkeypatch):
-    """On fano x fano and F16/F4 a word leaves the supports by two classes,
-    so the pass hands over, and build_scheme still accepts both through the
-    rounds' G."""
+    """On F16/F4 a word leaves the supports by two classes, so the pass hands
+    over, and build_scheme still accepts it through the rounds' G.  Fano x
+    fano, whose G is sought in ascending valency, is settled by the pass
+    alone: the rounds are never called."""
     monkeypatch.setattr(scheme, "_BLOCK_BYTES", (1, 1))
     passes, rounds = [], []
     for name, record in (("_support_generators", passes), ("_rank_generators", rounds)):
@@ -365,12 +372,16 @@ def test_support_pass_hands_over_and_the_rounds_finish(monkeypatch):
         monkeypatch.setattr(scheme, name, spy)
     fano = sf.fano_flag_scheme()
     rng = np.random.default_rng(79)
-    for base in (sf.product_scheme(fano, fano), catalog.catalog_scheme("F16/F4")):
-        rel = relabelled(base.rel, rng)
-        passes.clear()
-        rounds.clear()
-        assert isinstance(sf.build_scheme(len(rel), rel), sf.AssociationScheme)
-        assert passes and passes[0] is None and rounds and rounds[0]
+    for base, hands_over in ((sf.product_scheme(fano, fano), False), (catalog.catalog_scheme("F16/F4"), True)):
+        for _ in range(3):
+            rel = relabelled(base.rel, rng)
+            passes.clear()
+            rounds.clear()
+            assert isinstance(sf.build_scheme(len(rel), rel), sf.AssociationScheme)
+            if hands_over:
+                assert passes and passes[0] is None and rounds and rounds[0]
+            else:
+                assert passes and passes[0] and rounds == []
 
 
 def test_relabelled_cyclic_group_never_reaches_the_rounds(monkeypatch):
@@ -630,6 +641,246 @@ def test_count_route_is_chosen_by_the_smallest_block(monkeypatch):
         assert route_of(built) == ["_histogram_counts"], built.n
         monkeypatch.setattr(scheme, "_BLOCK_BYTES", (at - 1, 1 << 21))
         assert route_of(built) == ["_radix_counts"], built.n
+
+
+# ---------------------------------------------------------------------------
+# the neighbourhood route: G's sparse classes checked in int64
+
+def spy_on_neighbourhoods(monkeypatch):
+    """Record (classes offered, classes checked or None) at each call of the
+    neighbourhood route."""
+    calls = []
+
+    def spy(rel, constants, classes, k, real=scheme._neighbourhood_counts):
+        calls.append((list(classes), real(rel, constants, classes, k)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(scheme, "_neighbourhood_counts", spy)
+    return calls
+
+
+def dense_constants(rel, s):
+    """naive_constants as an s x s x s array."""
+    out = np.zeros((s, s, s), dtype=np.int64)
+    for key, count in naive_constants(np.asarray(rel).tolist(), s).items():
+        out[key] = count
+    return out
+
+
+@functools.cache
+def neighbourhood_bases():
+    """(name, base, its constants by the oracle): H(2..8,2), fano-flags and
+    Z/n by naive_constants; the two products by naive_constants of their
+    factors, as c[(p1, p2), (q1, q2), (r1, r2)] = c1[p1, q1, r1] c2[p2, q2, r2]
+    (the definition's n^3 loop over fano x fano's 441 points takes ~20 s)."""
+    fano, h3 = sf.fano_flag_scheme(), sf.hamming_scheme(3)
+    bases = [(f"H({d},2)", sf.hamming_scheme(d)) for d in range(2, 9)]
+    bases += [("fano-flags", fano)] + [(f"Z/{n}", sf.group_scheme(sf.cyclic_group(n))) for n in (5, 12, 30, 40)]
+    out = [(name, built, dense_constants(built.rel, built.s)) for name, built in bases]
+    for name, (a, b) in (("fano x fano", (fano, fano)), ("fano x H(3,2)", (fano, h3))):
+        ca, cb = dense_constants(a.rel, a.s), dense_constants(b.rel, b.s)
+        s = a.s * b.s
+        out.append((name, sf.product_scheme(a, b), np.einsum("adg,beh->abdegh", ca, cb).reshape(s, s, s)))
+    return out
+
+
+def every_class_by_neighbourhoods(monkeypatch):
+    """G sought on every matrix (one-row blocks) and each class of G offered
+    to the neighbourhood route whatever its valency."""
+    monkeypatch.setattr(scheme, "_BLOCK_BYTES", (1, 1))
+    monkeypatch.setattr(scheme, "_NEIGHBOURHOOD_COST", 0)
+
+
+def test_neighbourhood_route_matches_oracle_on_accepted_schemes(monkeypatch):
+    """Relabelled schemes get the oracle's constants with the route at its
+    defaults and with every class of G offered to it; the route checks
+    classes on each."""
+    calls = spy_on_neighbourhoods(monkeypatch)
+    rng = np.random.default_rng(83)
+    bases = neighbourhood_bases()
+    for forced in (False, True):
+        if forced:
+            every_class_by_neighbourhoods(monkeypatch)
+        for name, built, constants in bases:
+            if not forced and built.n < 168:
+                continue
+            for _ in range(2):
+                rel, pi = relabelled_by(built.rel, rng)
+                calls.clear()
+                expected = np.zeros_like(constants)
+                expected[np.ix_(pi, pi, pi)] = constants
+                assert np.array_equal(sf.require(sf.build_scheme(built.n, rel)).constants, expected), name
+                assert calls and calls[0][1], (name, forced)
+
+
+def test_neighbourhood_route_mutants_match_oracle(monkeypatch):
+    """Switched copies keep every row and column's count of each class, so G
+    is sought, and break some neighbourhood of G: each gets the oracle's
+    witnesses, whether the route or the products see the first difference.
+    A copy where one row of a G class holds k_g + 1 points has uneven columns
+    too, so it goes by the products; the route, offered that class, does not
+    check it."""
+    calls = spy_on_neighbourhoods(monkeypatch)
+    every_class_by_neighbourhoods(monkeypatch)
+    rng = np.random.default_rng(84)
+    fell_back = refused = 0
+    for name, built, _ in neighbourhood_bases():
+        if built.n > 64 or built.s < 3:
+            continue
+        for _ in range(2):
+            base = relabelled(built.rel, rng)
+            star = naive_star(base.tolist(), built.s)
+            calls.clear()
+            constants = sf.require(sf.build_scheme(built.n, base)).constants
+            gens = calls[0][0]
+            rel = switched(base, star, rng)
+            if rel is not None:
+                calls.clear()
+                witnesses = naive_constant_witnesses(rel.tolist(), built.s)
+                result = sf.build_scheme(built.n, rel)
+                if witnesses:
+                    refused += 1
+                    fell_back += any(checked is None for _, checked in calls)
+                    assert [(v.axiom, v.witness) for v in result.violations] == [
+                        ("constants", w) for w in witnesses], name
+                else:
+                    assert_matches_oracle(built.n, rel)
+            # one more point of g in row y: (y, z) moves from another class d to g
+            g = gens[0]
+            y = int(rng.integers(1, built.n))
+            z = int(rng.choice(np.flatnonzero((base[y] != g) & (base[y] != 0))))
+            rel = base.copy()
+            rel[y, z], rel[z, y] = g, star[g]
+            calls.clear()
+            witnesses = naive_constant_witnesses(rel.tolist(), built.s)
+            assert witnesses, name
+            assert [(v.axiom, v.witness) for v in sf.build_scheme(built.n, rel).violations] == [
+                ("constants", w) for w in witnesses], name
+            assert calls == [], name
+            k = np.bincount(base[0], minlength=built.s).tolist()
+            assert scheme._neighbourhood_counts(rel, constants, [g], k) == [], name
+    # every class of G is offered and fits, so a refused copy always differs there
+    assert fell_back == refused >= 15, (refused, fell_back)
+
+
+def test_neighbourhood_route_agrees_under_python_dash_o():
+    """A relabelled fano x fano is certified through its neighbourhoods, and
+    a relabelled H(8,2) with a 2 x 2 switch differs there and is refused by
+    the products; route results, constants and witnesses are the same under
+    -O, with no assert on the way."""
+    code = (
+        "import json\n"
+        "import numpy as np\n"
+        "import schemeforge as sf\n"
+        "from schemeforge import scheme\n"
+        "fano = sf.fano_flag_scheme()\n"
+        "ff, h8 = sf.product_scheme(fano, fano).rel, sf.hamming_scheme(8).rel.copy()\n"
+        "h8[0, 2] = h8[1, 3] = h8[2, 0] = h8[3, 1] = 2\n"
+        "h8[0, 3] = h8[1, 2] = h8[3, 0] = h8[2, 1] = 1\n"
+        "taken = []\n"
+        "def spy(*args, real=scheme._neighbourhood_counts):\n"
+        "    taken.append(real(*args))\n"
+        "    return taken[-1]\n"
+        "scheme._neighbourhood_counts = spy\n"
+        "rng = np.random.default_rng(89)\n"
+        "out = []\n"
+        "for rel in (ff, h8):\n"
+        "    sigma, pi = rng.permutation(len(rel)), np.concatenate([[0], 1 + rng.permutation(int(rel.max()))])\n"
+        "    rel = pi[rel[np.ix_(sigma, sigma)]]\n"
+        "    built = sf.build_scheme(len(rel), rel)\n"
+        "    out.append(list(built.valency) if isinstance(built, sf.AssociationScheme)\n"
+        "               else [v.witness for v in built.violations])\n"
+        "print(json.dumps([taken, out]))\n"
+    )
+    runs = [
+        subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True, check=False,
+                       env=dict(os.environ, PYTHONPATH=SRC))
+        for flags in ([], ["-O"])
+    ]
+    assert all(proc.returncode == 0 for proc in runs), [proc.stderr for proc in runs]
+    plain, optimized = (proc.stdout for proc in runs)
+    assert plain == optimized
+    (certified, differs), (valency, witnesses) = json.loads(optimized)
+    assert certified and differs is None
+    fano = sf.fano_flag_scheme().valency
+    assert sorted(valency) == sorted(a * b for a in fano for b in fano) and witnesses
+
+
+def twisted(n, d):
+    """Z/n's class matrix with the classes inside the subgroup dZ/n doubled on
+    the block of points of that subgroup: x - y becomes 2(x - y) there.  With
+    n/d odd, doubling permutes the subgroup and commutes with negation, so
+    every row and column keeps its count of each class and the transposes
+    stay in place; Z/63 has no 2 x 2 switch, as its order is odd."""
+    rel = _cyclic_rel(n)
+    block = np.ix_(np.arange(0, n, d), np.arange(0, n, d))
+    rel[block] = 2 * rel[block] % n
+    return rel
+
+
+def test_int64_digit_guard_at_its_bound(monkeypatch):
+    """Z/62 packs 62 digits of radix 2, 2^62 < 2^63, and its generator goes
+    through its neighbourhoods; Z/63's 2^63 does not fit, and its generator,
+    offered to the route, goes by the products.  Both are accepted, and a
+    switched Z/62 and a twisted Z/63 get the oracle's witnesses."""
+    calls = spy_on_neighbourhoods(monkeypatch)
+    rng = np.random.default_rng(87)
+    for n, routed in ((62, True), (63, False)):
+        rel, pi = relabelled_by(_cyclic_rel(n), rng)
+        expected = np.zeros((n, n, n), dtype=np.int64)
+        expected[np.ix_(pi, pi, pi)] = dense_constants(_cyclic_rel(n), n)
+        calls.clear()
+        assert np.array_equal(sf.require(sf.build_scheme(n, rel)).constants, expected), n
+        (offered, checked), = calls
+        assert offered and checked == (offered if routed else []), n
+        star = naive_star(rel.tolist(), n)
+        copy = switched(rel, star, rng) if routed else relabelled(twisted(63, 3), rng)
+        witnesses = naive_constant_witnesses(copy.tolist(), n)
+        calls.clear()
+        assert witnesses and [v.witness for v in sf.build_scheme(n, copy).violations] == witnesses, n
+        assert [checked for _, checked in calls] == [None if routed else []], n
+
+
+def test_every_count_route_is_reached(monkeypatch):
+    """A fixed list of inputs reaches the pair histogram, the radix route
+    with no G, G wholly through neighbourhoods, G partly by products, and a
+    neighbourhood that differs: a switched H(8,2) at the default blocks and
+    cost rule, whose witnesses the products then name as the oracle does."""
+    taken, calls = [], spy_on_neighbourhoods(monkeypatch)
+    for route in ("_histogram_counts", "_radix_counts"):
+        def spy(*args, route=route, real=getattr(scheme, route)):
+            taken.append(route)
+            return real(*args)
+        monkeypatch.setattr(scheme, route, spy)
+    rng = np.random.default_rng(88)
+    z100 = sf.cyclic_group(100)
+    minus = sf.partition_scheme(z100, sf.aut_subgroup(z100, [range(100), [-x % 100 for x in range(100)]]))
+    h8 = relabelled(sf.hamming_scheme(8).rel, rng)
+    cases = {
+        "histogram": sf.hamming_scheme(3).rel,
+        "radix, no G": relabelled(catalog.catalog_scheme("F64/F4").rel, rng),
+        "G by neighbourhoods": relabelled(sf.product_scheme(sf.fano_flag_scheme(), sf.fano_flag_scheme()).rel, rng),
+        "G partly by products": relabelled(minus.rel, rng),
+        "a neighbourhood differs": switched(h8, naive_star(h8.tolist(), 9), rng),
+    }
+    reached = {}
+    for name, rel in cases.items():
+        taken.clear()
+        calls.clear()
+        result = sf.build_scheme(len(rel), rel)
+        if name == "a neighbourhood differs":
+            assert [v.witness for v in result.violations] == naive_constant_witnesses(rel.tolist(), 9)
+        else:
+            assert isinstance(result, sf.AssociationScheme), name
+        if taken == ["_histogram_counts"]:
+            reached[name] = "histogram"
+        elif not calls:
+            reached[name] = "radix, no G"
+        else:
+            (offered, checked), = calls
+            reached[name] = ("a neighbourhood differs" if checked is None else
+                             "G by neighbourhoods" if checked == offered else "G partly by products")
+    assert reached == {name: name for name in cases}
 
 
 def limited_child(argv, cwd=HERE):

@@ -79,15 +79,18 @@ def _integers(value, ndim: int = 0):
     none.  An array must have an integer dtype and hold no uint64 above
     2^63 - 1 and, when it comes as nested lists, no bool (numpy would read
     True as 1, so the lists are scanned once; an ndarray carries its dtype).
-    Floats, strings and None are refused, never converted, and a ragged list
-    raises numpy's ValueError.  Scalars take a pure-Python path, since cells
-    and class sets call it once an element.
+    Floats, strings, None and ragged lists are refused, never converted.
+    Scalars take a pure-Python path, since cells and class sets call it once
+    an element.
     """
     if type(value) is int and -(1 << 63) <= value < 1 << 63:  # the common case, in one test
         return value if ndim == 0 else None
     if ndim == 0:
         return int(value) if isinstance(value, np.integer) and -(1 << 63) <= value < 1 << 63 else None
-    array = np.asarray(value)
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged list
+        return None
     refused = (array.ndim != ndim or array.dtype.kind not in "iu"
                or array.dtype == np.uint64 and array.size and array.max() >= 1 << 63
                or not isinstance(value, np.ndarray) and not {bool, np.bool_}.isdisjoint(

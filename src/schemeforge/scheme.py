@@ -43,32 +43,35 @@ its constant, though only G's were checked.  The words are nonnegative
 integer vectors, as the constants are counts.  So the support of a word is
 exact, and a word whose support leaves the union of the earlier words'
 supports by one class is independent of them: s such words have rank s over
-Q, with no prime and no floats.  ``generating_classes`` finds G that way when
-every word it forms leaves that union by at most one class (every group
-scheme's do), and otherwise by rank mod a prime: rank s there gives s words
-whose determinant is nonzero mod the prime, so nonzero, and ``_PRIME`` < 2^20
-keeps every int64 product of residues exact.  It finds G from the constants
-as read; the argument trusts nothing but the two checks, so on a matrix that
-is no scheme some row of G fails.  Class 0's counts always hold: c[0, q, r]
-is 1 when q = r and 0 otherwise.
+Q, with no prime and no floats.  ``generating_classes`` keeps only such
+words.  A word that leaves the union by two or more classes is parked until
+the union grows, and a new class g joins G only when no word adds a class;
+L_g e_0 = e_g always adds g, so G reaches rank s unless the classes it may
+draw on run out.  It finds G from the constants as read; the argument
+trusts nothing but the two checks, so on a matrix that is no scheme some row
+of G fails.  Class 0's counts always hold: c[0, q, r] is 1 when q = r and 0
+otherwise.
 
 A class g of G may skip its product and be counted through its
 neighbourhoods N_g(y) = {x : rel[y, x] = g}, in int64.  The count of (g, q)
 at (y, z) is the number of x in N_g(y) with rel[x, z] = q.  When every row
 holds exactly k_g points of class g, checked directly, that count is at most
 k_g, and so is each constant c[g, q, r], read at a pair whose row holds k_g
-points of g too.  With K the largest such k_g and v[q] = (K + 1)^q, the
-counts of g at (y, z) are the digits of radix K + 1 of the sum of
-v[rel[x, z]] over x in N_g(y).  No digit carries, so the packing is
-injective, and when (K + 1)^s < 2^63 every sum, partial sum and packed
-constant is an int64 below it.  G is sought in ascending valency, so that
-its classes are sparse.
+points of g too.  With K the largest such k_g, the counts are digits of
+radix K + 1, split into int64 words of per digits, per the largest with
+(K + 1)^per < 2^63: class q's place value is (K + 1)^(q mod per) in word
+q // per.  The counts of g at (y, z) are the digits of the sum of those
+place values of rel[x, z] over x in N_g(y).  No digit carries, so the
+packing is injective, and every sum, partial sum and packed constant is a
+nonnegative int64 below (K + 1)^per, word by word.  G is sought in ascending
+valency, so that its classes are sparse.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 
 import numpy as np
 
@@ -119,6 +122,14 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _shape(value) -> tuple[int, ...]:
+    """value's shape as numpy reads it; a ragged list's is its length."""
+    try:
+        return np.shape(value)
+    except ValueError:
+        return (len(value),)
+
+
 def count_radices(rel: np.ndarray, s: int) -> tuple[list[int], list[int], list[int]]:
     """(radix, group, place) of each class q: its digit's radix, column group
     and place value in the count check (the module docstring says why)."""
@@ -137,76 +148,34 @@ def count_radices(rel: np.ndarray, s: int) -> tuple[list[int], list[int], list[i
     return radix, group, place
 
 
-_PRIME = 1048573  # the largest prime below 2^20, so a product of two residues is below 2^40
-
-
-def _mulmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b mod _PRIME for int64 residues: the inner axis is at most s <=
-    CONSTANTS_CLASS_BOUND = 2^9 long, so every partial sum is an integer
-    below 2^9 * 2^40 = 2^49, exact in int64."""
-    return a @ b % _PRIME
-
-
-def _extend(basis: np.ndarray, pivots: list[int], new: np.ndarray) -> np.ndarray:
-    """The reduced echelon basis mod _PRIME of span(basis) + span(new), by
-    Gauss-Jordan one pivot at a time.  pivots grows in place, and the rows
-    after the old ones span what is new."""
-    rest = (new - _mulmod(new[:, pivots], basis)) % _PRIME
-    while len(rest := rest[rest.any(axis=1)]):
-        # the first row, scaled to lead 1, clears its lead column elsewhere;
-        # each term of the outer products is below 2^40
-        lead = int(np.argmax(rest[0] != 0))
-        row = rest[0] * pow(int(rest[0, lead]), -1, _PRIME) % _PRIME
-        basis = np.vstack([(basis - np.outer(basis[:, lead], row)) % _PRIME, row])
-        rest = (rest[1:] - np.outer(rest[1:, lead], row)) % _PRIME
-        pivots.append(lead)
-    return basis
-
-
 def generating_classes(constants: np.ndarray, order) -> list[int] | None:
-    """Classes G whose words reach every class from the diagonal: the words in
-    the L_g, L_g[r, q] = constants[g, q, r], applied to e_0 span rank s.  Each
-    g is the first class in ``order`` whose e_g lies outside the span reached
-    so far, once that span is closed under every earlier L_g; None if
-    ``order`` runs out first.
-
-    The support pass finds G when it can, with no prime and no floats;
-    otherwise the int64 rounds mod _PRIME find it, from the start.
-    Soundness does not depend on the order, the prime or the constants
-    being right (see the module docstring).
-    """
-    gens = _support_generators(constants, order)
-    return _rank_generators(constants, order) if gens is None else gens
-
-
-def _support_generators(constants: np.ndarray, order) -> list[int] | None:
-    """generating_classes read off the supports of the words, or None to hand
-    over to the rounds.
+    """Classes G whose words reach every class from the diagonal, read off the
+    supports of the words with no prime and no floats: s words, the words in
+    the L_g, L_g[r, q] = constants[g, q, r], applied to e_0, of rank s over Q.
+    Each g is the first class in ``order`` outside U, the union of the kept
+    words' supports, once no image of a kept word adds one class to U; None
+    if ``order`` runs out first.
 
     The constants are counts, so every L_g and every word is a nonnegative
     integer vector: no cancellation can occur, and the support of L_g w is
     exact, the OR over q in the support of w of the mask {r : c[g, q, r] > 0}.
-    U, a mask, is the union of the supports of the words kept so far, from
-    e_0.  Each kept word's image under each generator is formed once, first
-    in first out, and kept when it leaves U by exactly one class t: it is
-    then c e_t plus a vector inside U, with c > 0.  So the kept words form a
-    triangular system, each independent of the earlier ones, and by
-    induction they span span{e_t : t in U} over Q; an image inside U adds
-    nothing.  When no image is left to form, that span is closed under every
-    L_g of G, so it is the span the rounds close to: its reduced echelon
-    basis is the unit vectors of U, which is the rounds' "inside" set, and
-    the next generator, the first class in ``order`` outside U, is theirs.
-    G is therefore the rounds' G, except where a pivot vanishes mod _PRIME
-    and the rounds lose rank that the supports keep.  Once U holds every
-    class, s kept words have rank s over Q.  An image that leaves U by two
-    or more classes, or an ``order`` that runs out, hands over.
+    Each kept word's image under each generator is formed once, first in
+    first out.  It is kept when it leaves U by exactly one class t: it is then
+    c e_t plus a vector inside U, with c > 0, so the kept words form a
+    triangular system, each independent of the earlier ones.  An image inside
+    U adds nothing, and one that leaves U by two or more classes is parked
+    and read again whenever U grows.  A new g is added only when no queued or
+    parked image adds a class, and its image of e_0, e_g, always does.  Once
+    U holds every class, s kept words have rank s over Q.  Soundness does not
+    depend on the order or on the constants being right (see the module
+    docstring).
     """
     s = len(constants)
     inside, gens, images = 1, [], []  # images[i][q]: the support of L_g e_q, g = gens[i]
-    words, todo, done = [1], [], 0  # todo: (word, images[i]) pairs, formed in order from done
+    words, todo, done, parked = [1], [], 0, []  # todo: (word, images[i]) pairs, formed in order from done
     while inside != (1 << s) - 1:
         if done == len(todo):
-            # the span is closed under every L_g so far: add a class outside it
+            # no image adds a class to U: add a class outside it
             g = next((p for p in order if not inside >> p & 1), None)
             if g is None:
                 return None
@@ -222,41 +191,18 @@ def _support_generators(constants: np.ndarray, order) -> list[int] | None:
             low = word & -word
             out |= image[low.bit_length() - 1]
             word ^= low
-        new = out & ~inside
-        if new & (new - 1):
-            return None
-        if new:
-            inside |= new
-            words.append(out)
-            todo += [(out, each) for each in images]
-    return gens
-
-
-def _rank_generators(constants: np.ndarray, order) -> list[int] | None:
-    """generating_classes by rank mod _PRIME: the words' span is closed under
-    every L_g in rounds.  A new generator's L_g is applied to the whole span;
-    each later round applies every L_g in G to the rows new in the last
-    round, until a round adds none.
-    """
-    s = len(constants)
-    basis, pivots = np.eye(1, s, dtype=np.int64), [0]
-    gens, stack, fresh = [], np.zeros((s, 0), dtype=np.int64), basis[:0]
-    while len(pivots) < s:
-        if len(fresh):
-            new = _mulmod(fresh, stack).reshape(-1, s)
-        else:
-            # the span is closed under every L_g so far: add a class outside it
-            inside = np.zeros(s, dtype=bool)
-            inside[np.array(pivots)[np.count_nonzero(basis, axis=1) == 1]] = True
-            g = next((p for p in order if not inside[p]), None)
-            if g is None:
-                return None
-            gens.append(g)
-            stack = np.hstack([stack, constants[g] % _PRIME])
-            new = _mulmod(basis, stack[:, -s:])
-        k = len(basis)
-        basis = _extend(basis, pivots, new)
-        fresh = basis[k:]
+        pending = [out]
+        while pending:
+            out = pending.pop()
+            new = out & ~inside
+            if new & (new - 1):
+                parked.append(out)
+            elif new:
+                # U grows: keep the word, and read every parked image again
+                inside |= new
+                words.append(out)
+                todo += [(out, each) for each in images]
+                pending, parked = pending + parked, []
     return gens
 
 
@@ -302,35 +248,50 @@ def _histogram_counts(rel: np.ndarray, s: int, ys: np.ndarray, zs: np.ndarray) -
     return constants, witness
 
 
-_NEIGHBOURHOOD_COST = 32  # measured where neighbourhoods beat products (build_scheme)
+_NEIGHBOURHOOD_COST = 16  # measured where neighbourhoods beat products (build_scheme)
+
+
+def _digits_per_word(k: int) -> int:
+    """The most digits of radix k + 1 that one int64 word holds: the largest
+    per with (k + 1)^per < 2^63, estimated in floats and settled in ints."""
+    per = int(63 / math.log2(k + 1))
+    while (k + 1) ** per >= 2 ** 63:
+        per -= 1
+    while (k + 1) ** (per + 1) < 2 ** 63:
+        per += 1
+    return per
 
 
 def _neighbourhood_counts(rel: np.ndarray, constants: np.ndarray, classes: list[int], k: list[int]) -> list[int] | None:
     """The classes g of ``classes`` whose counts all hold, checked through the
     neighbourhoods N_g(y) in int64, or None if a count differs.  g is checked
-    when every row holds exactly k[g] points of class g and (k[g] + 1)^s <
-    2^63; with K the largest such k[g], row y's packed counts of g are the
-    sum of v[rel[x]] over x in N_g(y), v[q] = (K + 1)^q, in row blocks of
-    256 KB (the module docstring says why this is exact)."""
+    when every row holds exactly k[g] points of class g; with K the largest
+    such k[g] and per = _digits_per_word(K), row y's packed counts of g are
+    the sum of v[rel[x]] over x in N_g(y), where v[q] holds (K + 1)^(q mod
+    per) in word q // per, in row blocks of 256 KB (the module docstring says
+    why this is exact)."""
     n, s = len(rel), len(constants)
     cols = {}  # g -> the k[g] points of class g in each row, row by row
     for g in classes:
-        if (k[g] + 1) ** s < 2 ** 63:
-            at = np.flatnonzero(rel == g)
-            if np.array_equal(at // n, np.arange(n * k[g]) // k[g]):
-                cols[g] = (at % n).reshape(n, k[g])
+        at = np.flatnonzero(rel == g)
+        if np.array_equal(at // n, np.arange(n * k[g]) // k[g]):
+            cols[g] = (at % n).reshape(n, k[g])
     if not cols:
         return []
-    v = (max(k[g] for g in cols) + 1) ** np.arange(s, dtype=np.int64)  # digit q's place value
-    vrel = np.take(v, rel)
-    step = max(1, (1 << 18) // (8 * n))
+    most = max(k[g] for g in cols)
+    per = _digits_per_word(most)
+    q = np.arange(s)
+    v = np.zeros((s, -(-s // per)), dtype=np.int64)  # digit q's place value, by word
+    v[q, q // per] = (most + 1) ** (q % per)
+    vrel = np.take(v, rel, axis=0)
+    step = max(1, (1 << 18) // (8 * n * v.shape[1]))
     for g, points in cols.items():
         want = constants[g].T @ v  # class r's packed constants of g
         for start in range(0, n, step):
             got = np.take(vrel, points[start:start + step, 0], axis=0)
             for j in range(1, k[g]):
                 got += np.take(vrel, points[start:start + step, j], axis=0)
-            if not np.array_equal(got, np.take(want, rel[start:start + step])):
+            if not np.array_equal(got, np.take(want, rel[start:start + step], axis=0)):
                 return None
     return list(cols)
 
@@ -352,9 +313,12 @@ def _radix_counts(rel: np.ndarray, s: int, ys: np.ndarray, zs: np.ndarray) -> tu
     if (s - 1) * 8 * n * n * groups > _BLOCK_BYTES[1] and np.array_equal(np.bincount(rel[0], minlength=s) + 1, radix):
         gens = generating_classes(constants, sorted(range(1, s), key=radix.__getitem__))
         # G's sparse classes go through their neighbourhoods; if those hold, the
-        # rest of G goes by products
+        # rest of G goes by products.  Each g's words are counted at its own
+        # radix: G ascends in valency, so the rule passes a prefix of G, and no
+        # class in it fills more words than the last
         k = [r - 1 for r in radix]
-        routed = _neighbourhood_counts(rel, constants, [g for g in gens if _NEIGHBOURHOOD_COST * k[g] <= n * groups], k)
+        routed = _neighbourhood_counts(rel, constants, [
+            g for g in gens if _NEIGHBOURHOOD_COST * k[g] * -(-s // _digits_per_word(k[g])) <= groups * n], k)
         if routed is not None:
             gens = [g for g in gens if g not in routed]
             if not gens:
@@ -427,17 +391,23 @@ def build_scheme(n: int, rel) -> AssociationScheme | Report:
     valency, only when the whole check is more than one 2 MB block, and only
     when every column holds row 0's count of each class.
 
-    A class g of G with _NEIGHBOURHOOD_COST * k_g <= groups * n is first
-    counted through its neighbourhoods instead, about k_g * n^2 int64
-    additions in row blocks of 256 KB (the module docstring says why this is
-    exact, and when it applies).  On a 2-core Intel Xeon with 7.8 GB and
-    OpenBLAS 0.3.31 at its default two threads, a product costs 0.025-0.045
-    ns a multiply-add and a neighbourhood 0.7-0.9 ns a point and pair, plus
-    2.5-8 ns a pair; the products and the neighbourhoods broke even at k_g =
-    groups * n / 20 on H(8,2), / 28 on fano x H(3,2), / 30 on H(10,2) and /
-    37 on H(9,2), so _NEIGHBOURHOOD_COST = 32 (256 KB blocks beat 64 KB and
-    2 MB ones).  A scheme thus costs about the sum of k_g * n^2 over the
-    classes of G so counted and groups * n^3 for each other one.  If a
+    A class g of G with _NEIGHBOURHOOD_COST * k_g * words <= groups * n is
+    first counted through its neighbourhoods instead, about k_g * n^2 * words
+    int64 additions in row blocks of 256 KB, words the int64 words its digits
+    fill (the module docstring says why this is exact, and when it applies).
+    On a 2-core Intel Xeon with 7.8 GB and OpenBLAS 0.3.31 at its default two
+    threads, with one class of each valency checked alone as G, a product
+    cost 0.027-0.16 ns a multiply-add (the most at the smallest n) and a
+    neighbourhood 0.6-1.4 ns a point, pair and word from valency 8 up, and
+    3-8 ns a pair and word at valency 1.  The two broke even at k_g * words
+    = groups * n / 6-7 on H(8,2), / 11-12 on H(9,2), / 18-19 on fano x
+    H(3,2), / 20-24 on the scaling schemes of PG(2,5) and PG(3,3), / 23-25
+    on fano x fano and / 28-30 on H(10,2), so _NEIGHBOURHOOD_COST = 16: of
+    35 classes measured on these, PG(2,7)'s, Z/512 under x -> -x and K_2 x
+    K_200, it sends two the slower way, of H(8,2) and H(9,2), by 0.6 and 2
+    ms, and neither is in their G (256 KB blocks beat 64 KB and 2 MB ones at
+    one word).  A scheme thus costs about the sum of k_g * n^2 * words over
+    the classes of G so counted and groups * n^3 for each other one.  If a
     neighbourhood differs, the check starts over with G's products.  If a
     row of G fails, the other classes follow in order until 25 witnesses are
     settled, so a refusal names the same witnesses in the same order as a
@@ -452,8 +422,9 @@ def build_scheme(n: int, rel) -> AssociationScheme | Report:
     and sum_r k_r c[p, q, r] by z.  On the radix route with G this rests on
     the module docstring's argument that every count equals its constant.
 
-    A matrix that ``errors._integers`` does not read as an int64 array, or
-    an n that it does not read as an integer, is refused by shape.
+    A matrix that ``errors._integers`` does not read as an int64 array, a
+    ragged list among them, or an n that it does not read as an integer, is
+    refused by shape.
     Missing classes are found from the distinct labels, so a huge label
     costs no memory.  Every class of a scheme occurs in row 0, so a matrix
     with more classes than points is refused there, before any s^3 array.
@@ -464,7 +435,7 @@ def build_scheme(n: int, rel) -> AssociationScheme | Report:
     given, rel = rel, _integers(rel, 2)
     # a scheme has the diagonal class, so at least one point
     if rel is None or _integers(n) is None or n < 1 or rel.shape != (n, n):
-        return Report((Violation("shape", (n, np.shape(given) if rel is None else rel.shape)),))
+        return Report((Violation("shape", (n, _shape(given) if rel is None else rel.shape)),))
     rel_flat = rel.ravel()
 
     if rel.min() < 0:

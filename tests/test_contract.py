@@ -13,6 +13,8 @@ import pytest
 import schemeforge as sf
 from schemeforge import constructions, errors, hypergroup, io, scheme
 
+from helpers import naive_generating_classes
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
@@ -92,9 +94,11 @@ def test_generator_route_refuses_alike_under_python_dash_o():
     """Z/21 with two cells swapped fails Light's test as a group table and as
     a 21-element single-valued hypergroup, both put to it by
     hypergroup._table_witnesses; the full scans behind it then name the same
-    witnesses under -O, with no assert on the way.  A relabelled Z/64 is
-    certified by the generating set that the support pass finds, with no
-    mod-p round, under -O as well."""
+    witnesses under -O, with no assert on the way.  PG(2,5)'s scaling scheme
+    with one 2 x 2 switch keeps every row and column's count of each class,
+    so its G is sought, on the parked-image path: G differs from the greedy
+    G of the Fraction oracle, which a pass that parks nothing finds.  It is
+    refused with the same witnesses under -O as well."""
     code = (
         "import json\n"
         "import numpy as np\n"
@@ -112,18 +116,23 @@ def test_generator_route_refuses_alike_under_python_dash_o():
         "except ValueError as exc:\n"
         "    group = str(exc)\n"
         "report = sf.build_hypergroup([[{x} for x in row] for row in t], 0, [-a % 21 for a in range(21)])\n"
-        "light, gens, rounds = list(taken), [], []\n"
+        "light, found = list(taken), []\n"
+        "z5 = sf.cyclic_group(5)\n"
+        "z5_3 = sf.product_group(z5, sf.product_group(z5, z5))\n"
+        "scalings = [[sum(k * (x // 5 ** i) % 5 * 5 ** i for i in range(3)) for x in range(125)] for k in range(1, 5)]\n"
+        "pg = sf.partition_scheme(z5_3, sf.aut_subgroup(z5_3, scalings))\n"
+        "rel, star = pg.rel.copy(), pg.star\n"
+        "b, c, d = next((b, c, d) for b in range(1, 125) for c in range(1, 125) for d in range(1, 125)\n"
+        "               if len({0, b, c, d}) == 4 and rel[0, c] == rel[b, d] != rel[0, d] == rel[b, c])\n"
+        "p, q = rel[0, c], rel[0, d]\n"
+        "rel[0, c], rel[b, d], rel[0, d], rel[b, c] = q, q, p, p\n"
+        "rel[c, 0], rel[d, b], rel[d, 0], rel[c, b] = star[q], star[q], star[p], star[p]\n"
         "def find(constants, order, real=scheme.generating_classes):\n"
-        "    gens.append(real(constants, order))\n"
-        "    return gens[-1]\n"
+        "    found.append([constants.tolist(), list(order), real(constants, order)])\n"
+        "    return found[-1][2]\n"
         "scheme.generating_classes = find\n"
-        "scheme._extend = lambda *args, real=scheme._extend: rounds.append(1) or real(*args)\n"
-        "rng = np.random.default_rng(91)\n"
-        "sigma, pi = rng.permutation(64), np.concatenate([[0], 1 + rng.permutation(63)])\n"
-        "z64 = pi[sf.group_scheme(sf.cyclic_group(64)).rel[np.ix_(sigma, sigma)]]\n"
-        "certified = isinstance(sf.build_scheme(64, z64), sf.AssociationScheme)\n"
-        "print(json.dumps([group, [[v.axiom, v.witness] for v in report.violations], light,\n"
-        "                  [certified, gens, len(rounds)]]))\n"
+        "refused = [v.witness for v in sf.build_scheme(125, rel).violations]\n"
+        "print(json.dumps([group, [[v.axiom, v.witness] for v in report.violations], light, found, refused]))\n"
     )
     runs = [
         subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True, check=False,
@@ -133,11 +142,12 @@ def test_generator_route_refuses_alike_under_python_dash_o():
     assert all(proc.returncode == 0 for proc in runs), [proc.stderr for proc in runs]
     plain, optimized = (proc.stdout for proc in runs)
     assert plain == optimized
-    group, violations, taken, (certified, gens, rounds) = json.loads(optimized)
+    group, violations, taken, found, refused = json.loads(optimized)
     assert group.startswith("not associative at ")
     assert "associativity" in {axiom for axiom, _ in violations}
     assert taken == [False, False]
-    assert certified and gens and all(gens) and rounds == 0
+    (constants, order, gens), = found
+    assert gens and gens != naive_generating_classes(constants, order) and refused
 
 
 def test_star_refusal_leaves_numpy_ma_unimported():

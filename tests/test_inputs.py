@@ -44,12 +44,10 @@ def test_gate_reads_integers_and_refuses_the_rest():
     assert not np.shares_memory(_integers(given, 2), given)
     refused = [[[0, True], [1, 0]], [[0, 1.0], [1, 0]], [[0, "1"], [1, 0]], [[0, None], [1, 0]],
                [[0, 10 ** 30], [1, 0]], [0, 1], [[[0]]], np.array([[0, 2 ** 63]], dtype=np.uint64),
-               np.array([[True]]), [[np.bool_(True), 1]], 5]
+               np.array([[True]]), [[np.bool_(True), 1]], 5, [[0], [0, 1]]]
     for value in refused:
         assert _integers(value, 2) is None, value
     assert _integers([0, False], 1) is None and _integers([0, np.int8(1)], 1).tolist() == [0, 1]
-    with pytest.raises(ValueError):
-        _integers([[0], [0, 1]], 2)  # ragged: numpy's own refusal
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +319,18 @@ def test_json_true_is_no_class_label(tmp_path, capsys):
     assert run(["verify", "scheme", str(path)]) == 1
     assert "AXIOM shape" in capsys.readouterr().out
     assert witnesses(io.load_scheme(path.read_text())) == [("shape", (2, (2, 2)))]
+
+
+def test_ragged_class_matrix_is_refused_by_shape(tmp_path, capsys):
+    """A ragged rel used to escape as numpy's own ValueError, so the CLI
+    exited 2; it is refused by shape, as a 2 x 3 rel is, with its length as
+    the shape numpy reads."""
+    path = tmp_path / "ragged.json"
+    path.write_text('{"n":2,"rel":[[0,1],[1]]}')
+    assert run(["verify", "scheme", str(path)]) == 1
+    assert capsys.readouterr().out.startswith("AXIOM shape WITNESS (2, (2,))\n")
+    assert witnesses(io.load_scheme(path.read_text())) == [("shape", (2, (2,)))]
+    assert witnesses(sf.build_scheme(2, [[0, 1], [1, 0, 1]])) == [("shape", (2, (2,)))]
 
 
 # ---------------------------------------------------------------------------

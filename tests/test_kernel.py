@@ -25,7 +25,6 @@ from helpers import (
     naive_constant_witnesses,
     naive_constants,
     naive_generated_rank,
-    naive_generating_classes,
     naive_hypergroup_violations,
     naive_star,
     naive_star_witnesses,
@@ -336,76 +335,20 @@ def test_generating_classes_run_out_of_order():
     assert gens == [4, 6, 3] and naive_generated_rank(z12.constants.tolist(), gens) == 12
 
 
-def test_support_pass_finds_the_rounds_generators():
-    """G is the same with the support pass on and forced off (the mod-p
-    rounds alone), on the small catalog schemes and on 20 relabellings each
-    of Z/64, H(8,2) and fano-flags; each G reaches rank s over Q."""
-    rng = np.random.default_rng(78)
-    bases = [(name, catalog.catalog_scheme(name).rel, 1) for name in SMALL_SCHEMES]
-    bases += [("Z/64", sf.group_scheme(sf.cyclic_group(64)).rel, 20), ("H(8,2)", sf.hamming_scheme(8).rel, 20),
-              ("fano-flags", sf.fano_flag_scheme().rel, 20)]
-    settled = {}
-    for name, rel, copies in bases:
-        for _ in range(copies):
-            constants = sf.require(sf.build_scheme(len(rel), relabelled(rel, rng))).constants
-            order = range(1, len(constants))
-            gens = scheme.generating_classes(constants, order)
-            assert gens == scheme._rank_generators(constants, order), name
-            assert naive_generated_rank(constants.tolist(), gens) == len(constants), name
-            settled[name] = settled.get(name, 0) + (scheme._support_generators(constants, order) is not None)
-    # every group scheme is settled by the pass; the others only sometimes
-    assert settled["Z/64"] == 20 and all(settled[name] for name in ("Z4", "S3", "A4", "H(8,2)", "fano-flags"))
-    assert settled["H(8,2)"] < 20 and settled["fano-flags"] < 20
-
-
-def test_support_pass_hands_over_and_the_rounds_finish(monkeypatch):
-    """On F16/F4 a word leaves the supports by two classes, so the pass hands
-    over, and build_scheme still accepts it through the rounds' G.  Fano x
-    fano, whose G is sought in ascending valency, is settled by the pass
-    alone: the rounds are never called."""
-    monkeypatch.setattr(scheme, "_BLOCK_BYTES", (1, 1))
-    passes, rounds = [], []
-    for name, record in (("_support_generators", passes), ("_rank_generators", rounds)):
-        def spy(constants, order, real=getattr(scheme, name), record=record):
-            record.append(real(constants, order))
-            return record[-1]
-        monkeypatch.setattr(scheme, name, spy)
-    fano = sf.fano_flag_scheme()
-    rng = np.random.default_rng(79)
-    for base, hands_over in ((sf.product_scheme(fano, fano), False), (catalog.catalog_scheme("F16/F4"), True)):
-        for _ in range(3):
-            rel = relabelled(base.rel, rng)
-            passes.clear()
-            rounds.clear()
-            assert isinstance(sf.build_scheme(len(rel), rel), sf.AssociationScheme)
-            if hands_over:
-                assert passes and passes[0] is None and rounds and rounds[0]
-            else:
-                assert passes and passes[0] and rounds == []
-
-
-def test_relabelled_cyclic_group_never_reaches_the_rounds(monkeypatch):
-    """A relabelled Z/64 takes the generator path, and its G comes from the
-    supports alone: the mod-p elimination ``_extend`` is never called."""
-    found = spy_on_generators(monkeypatch)
-    monkeypatch.setattr(scheme, "_extend", lambda *args: pytest.fail("the rounds ran"))
-    rel = relabelled(sf.group_scheme(sf.cyclic_group(64)).rel, np.random.default_rng(80))
-    assert isinstance(sf.build_scheme(64, rel), sf.AssociationScheme)
-    assert found and found[0]
-
-
-def test_rank_rounds_match_the_greedy_oracle():
-    """_rank_generators, called directly so the rounds run whatever the
-    support pass would do, finds the exact greedy G of the Fraction oracle
-    on inputs with long orbits under one L_g: relabellings of Z/64 under
-    x -> -x (s = 33), of PG(2,5)'s scheme (Z5^3 under F5* scaling, s = 32)
-    and of fano x H(3,2), each in class order and reversed.  On A4 a later
-    round must apply every earlier L_g, not the newest alone."""
+def test_generating_set_reaches_rank_s_in_either_order():
+    """generating_classes, called directly, never runs out of classes, and
+    its G reaches rank s over Q by the Fraction oracle, in class order and
+    reversed.  On F16/F4 and F64/F4 some image leaves the supports by two
+    classes and is parked; relabellings of PG(2,5)'s scheme (Z5^3 under F5*
+    scaling, s = 32), of Z/64 under x -> -x (s = 33) and of fano x H(3,2)
+    have long orbits under one L_g, and on A4 a later word must be read
+    under every earlier L_g, not the newest alone."""
     z64, z5 = sf.cyclic_group(64), sf.cyclic_group(5)
     z5_3 = sf.product_group(z5, sf.product_group(z5, z5))
     scalings = [[sum(k * (x // 5 ** i) % 5 * 5 ** i for i in range(3)) for x in range(125)] for k in range(1, 5)]
-    bases = [("Z/64 under -1", sf.partition_scheme(z64, sf.aut_subgroup(z64, [range(64), [-x % 64 for x in range(64)]]))),
+    bases = [("F16/F4", catalog.catalog_scheme("F16/F4")), ("F64/F4", catalog.catalog_scheme("F64/F4")),
              ("PG(2,5)", sf.partition_scheme(z5_3, sf.aut_subgroup(z5_3, scalings))),
+             ("Z/64 under -1", sf.partition_scheme(z64, sf.aut_subgroup(z64, [range(64), [-x % 64 for x in range(64)]]))),
              ("fano x H(3,2)", sf.product_scheme(sf.fano_flag_scheme(), sf.hamming_scheme(3))),
              ("A4", catalog.catalog_scheme("A4"))]
     rng = np.random.default_rng(82)
@@ -413,20 +356,21 @@ def test_rank_rounds_match_the_greedy_oracle():
         for _ in range(2):
             constants = sf.require(sf.build_scheme(base.n, relabelled(base.rel, rng))).constants
             for order in (range(1, base.s), range(base.s - 1, 0, -1)):
-                gens = scheme._rank_generators(constants, order)
-                assert gens and gens == naive_generating_classes(constants.tolist(), order), name
+                gens = scheme.generating_classes(constants, order)
+                assert gens and naive_generated_rank(constants.tolist(), gens) == base.s, name
 
 
-def test_mulmod_is_one_exact_product():
-    """Every inner axis of the rounds is at most s <= CONSTANTS_CLASS_BOUND
-    long, so one int64 product of residues holds every partial sum exactly."""
-    assert scheme.CONSTANTS_CLASS_BOUND * (scheme._PRIME - 1) ** 2 < 2 ** 63
-    rng = np.random.default_rng(81)
-    k = scheme.CONSTANTS_CLASS_BOUND
-    a, b = rng.integers(0, scheme._PRIME, (3, k)), rng.integers(0, scheme._PRIME, (k, 4))
-    a[0], b[:, 0] = scheme._PRIME - 1, scheme._PRIME - 1  # the largest partial sums
-    exact = [[sum(int(x) * int(y) for x, y in zip(row, col)) % scheme._PRIME for col in b.T] for row in a]
-    assert scheme._mulmod(a, b).tolist() == exact
+def test_parked_generating_set_certifies_f16_over_f4(monkeypatch):
+    """F16/F4, where an image leaves the supports by two classes and is
+    parked, is accepted when checked through its G with one-row blocks, and
+    that G reaches rank s over Q."""
+    found = spy_on_generators(monkeypatch)
+    rng = np.random.default_rng(79)
+    for _ in range(3):
+        rel = relabelled(catalog.catalog_scheme("F16/F4").rel, rng)
+        built = sf.build_scheme(len(rel), rel)
+        assert isinstance(built, sf.AssociationScheme) and found and found[-1]
+        assert naive_generated_rank(built.constants.tolist(), found[-1]) == built.s
 
 
 def test_more_classes_than_points_refused_by_row_0():
@@ -819,54 +763,64 @@ def twisted(n, d):
 
 
 def test_int64_digit_guard_at_its_bound(monkeypatch):
-    """Z/62 packs 62 digits of radix 2, 2^62 < 2^63, and its generator goes
-    through its neighbourhoods; Z/63's 2^63 does not fit, and its generator,
-    offered to the route, goes by the products.  Both are accepted, and a
-    switched Z/62 and a twisted Z/63 get the oracle's witnesses."""
+    """An int64 word holds 62 digits of radix 2, as 2^62 < 2^63: Z/62 packs
+    its 62 digits in one word and Z/63 its 63 in two, and the generator of
+    each goes through its neighbourhoods.  Both are accepted, and a switched
+    Z/62 and a twisted Z/63 differ there and get the oracle's witnesses."""
+    assert scheme._digits_per_word(1) == 62
+    for k in [*range(2, 300), 2 ** 21 - 1, 2 ** 21, 3 ** 20 - 1, 10 ** 9]:
+        per = scheme._digits_per_word(k)
+        assert (k + 1) ** per < 2 ** 63 <= (k + 1) ** (per + 1), k
     calls = spy_on_neighbourhoods(monkeypatch)
     rng = np.random.default_rng(87)
-    for n, routed in ((62, True), (63, False)):
+    for n in (62, 63):
         rel, pi = relabelled_by(_cyclic_rel(n), rng)
         expected = np.zeros((n, n, n), dtype=np.int64)
         expected[np.ix_(pi, pi, pi)] = dense_constants(_cyclic_rel(n), n)
         calls.clear()
         assert np.array_equal(sf.require(sf.build_scheme(n, rel)).constants, expected), n
         (offered, checked), = calls
-        assert offered and checked == (offered if routed else []), n
+        assert offered and checked == offered, n
         star = naive_star(rel.tolist(), n)
-        copy = switched(rel, star, rng) if routed else relabelled(twisted(63, 3), rng)
+        copy = switched(rel, star, rng) if n == 62 else relabelled(twisted(63, 3), rng)
         witnesses = naive_constant_witnesses(copy.tolist(), n)
         calls.clear()
         assert witnesses and [v.witness for v in sf.build_scheme(n, copy).violations] == witnesses, n
-        assert [checked for _, checked in calls] == [None if routed else []], n
+        assert [checked for _, checked in calls] == [None], n
 
 
 def test_every_count_route_is_reached(monkeypatch):
     """A fixed list of inputs reaches the pair histogram, the radix route
-    with no G, G wholly through neighbourhoods, G partly by products, and a
-    neighbourhood that differs: a switched H(8,2) at the default blocks and
-    cost rule, whose witnesses the products then name as the oracle does."""
+    with no G, G wholly through neighbourhoods in one word and in two or
+    more, G partly by products (K_2 x K_200, whose G holds a class of
+    valency 199, too dense for the cost rule), and a neighbourhood that
+    differs: a switched H(8,2) at the default blocks and cost rule, whose
+    witnesses the products then name as the oracle does."""
     taken, calls = [], spy_on_neighbourhoods(monkeypatch)
     for route in ("_histogram_counts", "_radix_counts"):
         def spy(*args, route=route, real=getattr(scheme, route)):
             taken.append(route)
             return real(*args)
         monkeypatch.setattr(scheme, route, spy)
+    found = []
+    monkeypatch.setattr(scheme, "generating_classes",
+                        lambda *args, real=scheme.generating_classes: found.append(real(*args)) or found[-1])
     rng = np.random.default_rng(88)
-    z100 = sf.cyclic_group(100)
-    minus = sf.partition_scheme(z100, sf.aut_subgroup(z100, [range(100), [-x % 100 for x in range(100)]]))
+    k2, k200 = 1 - np.eye(2, dtype=np.int64), 1 - np.eye(200, dtype=np.int64)
     h8 = relabelled(sf.hamming_scheme(8).rel, rng)
     cases = {
         "histogram": sf.hamming_scheme(3).rel,
         "radix, no G": relabelled(catalog.catalog_scheme("F64/F4").rel, rng),
         "G by neighbourhoods": relabelled(sf.product_scheme(sf.fano_flag_scheme(), sf.fano_flag_scheme()).rel, rng),
-        "G partly by products": relabelled(minus.rel, rng),
+        "G in two or more words": relabelled(_cyclic_rel(64), rng),
+        "G partly by products": relabelled((k2[:, None, :, None] * 2 + k200[None, :, None, :]).reshape(400, 400), rng),
         "a neighbourhood differs": switched(h8, naive_star(h8.tolist(), 9), rng),
     }
     reached = {}
     for name, rel in cases.items():
         taken.clear()
         calls.clear()
+        found.clear()
         result = sf.build_scheme(len(rel), rel)
         if name == "a neighbourhood differs":
             assert [v.witness for v in result.violations] == naive_constant_witnesses(rel.tolist(), 9)
@@ -877,9 +831,16 @@ def test_every_count_route_is_reached(monkeypatch):
         elif not calls:
             reached[name] = "radix, no G"
         else:
-            (offered, checked), = calls
-            reached[name] = ("a neighbourhood differs" if checked is None else
-                             "G by neighbourhoods" if checked == offered else "G partly by products")
+            (_, checked), = calls
+            assert checked != [], name
+            if checked is None:
+                reached[name] = "a neighbourhood differs"
+            elif checked != found[-1]:
+                reached[name] = "G partly by products"
+            else:
+                most = max(result.valency[g] for g in checked)
+                words = -(-result.s // scheme._digits_per_word(most))
+                reached[name] = "G by neighbourhoods" if words == 1 else "G in two or more words"
     assert reached == {name: name for name in cases}
 
 

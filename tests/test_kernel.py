@@ -25,6 +25,7 @@ from helpers import (
     naive_constant_witnesses,
     naive_constants,
     naive_generated_rank,
+    naive_generating_classes,
     naive_hypergroup_violations,
     naive_star,
     naive_star_witnesses,
@@ -335,14 +336,46 @@ def test_generating_classes_run_out_of_order():
     assert gens == [4, 6, 3] and naive_generated_rank(z12.constants.tolist(), gens) == 12
 
 
-def test_generating_set_reaches_rank_s_in_either_order():
-    """generating_classes, called directly, never runs out of classes, and
-    its G reaches rank s over Q by the Fraction oracle, in class order and
-    reversed.  On F16/F4 and F64/F4 some image leaves the supports by two
-    classes and is parked; relabellings of PG(2,5)'s scheme (Z5^3 under F5*
-    scaling, s = 32), of Z/64 under x -> -x (s = 33) and of fano x H(3,2)
-    have long orbits under one L_g, and on A4 a later word must be read
-    under every earlier L_g, not the newest alone."""
+def is_subsequence(short, long):
+    rest = iter(long)
+    return all(g in rest for g in short)
+
+
+def test_support_pass_finds_the_rounds_generators():
+    """The support pass's G reaches rank s over Q on the small catalog schemes
+    and on 20 relabellings each of Z/64, H(8,2) and fano-flags.  On a thin
+    scheme every L_g maps unit vectors to unit vectors, so no image is parked
+    and G is the exact greedy G of the Fraction oracle; on H(8,2) parked
+    images make the pass add a class the oracle finds redundant."""
+    rng = np.random.default_rng(78)
+    bases = [(name, catalog.catalog_scheme(name).rel, 1) for name in SMALL_SCHEMES]
+    bases += [("Z/64", sf.group_scheme(sf.cyclic_group(64)).rel, 20), ("H(8,2)", sf.hamming_scheme(8).rel, 20),
+              ("fano-flags", sf.fano_flag_scheme().rel, 20)]
+    greedy = {}
+    for name, rel, copies in bases:
+        for _ in range(copies):
+            constants = sf.require(sf.build_scheme(len(rel), relabelled(rel, rng))).constants
+            order = range(1, len(constants))
+            gens = scheme.generating_classes(constants, order)
+            assert gens and naive_generated_rank(constants.tolist(), gens) == len(constants), name
+            same = gens == naive_generating_classes(constants.tolist(), order)
+            assert same or len(constants) < len(rel), name  # thin: s = n
+            greedy[name] = greedy.get(name, 0) + same
+    assert greedy["Z/64"] == 20 and all(greedy[name] for name in ("Z4", "S3", "A4"))
+    assert greedy["H(8,2)"] < 20
+
+
+def test_rank_rounds_match_the_greedy_oracle():
+    """generating_classes, called directly, never runs out of classes, its G
+    reaches rank s over Q, and the greedy G of the Fraction oracle is a
+    subsequence of it: the classes before the oracle's next pick all lie in
+    the subalgebra its picks generate, which U never leaves, so the pass picks
+    that class too.  Each input is checked in class order and reversed.  On
+    F16/F4 and F64/F4 some image leaves the supports by two classes and is
+    parked; relabellings of PG(2,5)'s scheme (Z5^3 under F5* scaling,
+    s = 32), of Z/64 under x -> -x (s = 33) and of fano x H(3,2) have long
+    orbits under one L_g; on the thin A4, G is the oracle's, and a later word
+    must be read under every earlier L_g, not the newest alone."""
     z64, z5 = sf.cyclic_group(64), sf.cyclic_group(5)
     z5_3 = sf.product_group(z5, sf.product_group(z5, z5))
     scalings = [[sum(k * (x // 5 ** i) % 5 * 5 ** i for i in range(3)) for x in range(125)] for k in range(1, 5)]
@@ -358,6 +391,9 @@ def test_generating_set_reaches_rank_s_in_either_order():
             for order in (range(1, base.s), range(base.s - 1, 0, -1)):
                 gens = scheme.generating_classes(constants, order)
                 assert gens and naive_generated_rank(constants.tolist(), gens) == base.s, name
+                oracle = naive_generating_classes(constants.tolist(), order)
+                assert is_subsequence(oracle, gens), name
+                assert gens == oracle or base.s < base.n, name
 
 
 def test_parked_generating_set_certifies_f16_over_f4(monkeypatch):
